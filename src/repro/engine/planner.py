@@ -58,6 +58,7 @@ __all__ = [
     "order_body",
     "enumerate_matches",
     "enumerate_bindings",
+    "delta_steps",
 ]
 
 
@@ -508,6 +509,40 @@ def encode_rule(compiled: CompiledRule, symbols: SymbolTable) -> EncodedRule:
     return encoded
 
 
+def _bound_slots(binding: Sequence[Optional[int]]) -> frozenset:
+    return frozenset(slot for slot, value in enumerate(binding) if value is not None)
+
+
+def delta_steps(
+    encoded: EncodedRule,
+    index: RelationIndex,
+    delta_position: int,
+    bound_slots: frozenset = frozenset(),
+) -> tuple:
+    """The step programme joining the rest of the body to a delta row.
+
+    The literal at *delta_position* is matched against a delta row first;
+    the others follow in :func:`order_body`'s greedy order, ranked by the
+    cardinalities *index* has **now**.  :func:`enumerate_bindings` builds
+    this on every delta call unless handed one through ``steps=``;
+    :func:`~repro.engine.seminaive.fixpoint` builds it once per (rule,
+    delta position) per fixpoint and reuses it for every later round.
+    """
+    compiled = encoded.compiled
+    _, entries = encoded.positive[delta_position]
+    plan = order_body(
+        compiled,
+        index=index,
+        bound=frozenset(encoded.slots[slot] for slot in bound_slots)
+        | compiled.positive_terms[delta_position],
+        skip=delta_position,
+    )
+    return encoded.steps_for(
+        plan,
+        bound_slots | frozenset(-entry - 1 for entry in entries if entry < 0),
+    )
+
+
 def enumerate_bindings(
     encoded: EncodedRule,
     index: RelationIndex,
@@ -516,6 +551,7 @@ def enumerate_bindings(
     negative_against=None,
     delta_rows: Optional[Sequence[Tuple["Predicate", Row]]] = None,
     delta_position: Optional[int] = None,
+    steps: Optional[tuple] = None,
     statistics: Optional[EngineStatistics] = None,
 ) -> Iterator[List[Optional[int]]]:
     """Enumerate slot bindings matching the encoded body into *index*.
@@ -526,16 +562,15 @@ def enumerate_bindings(
     every binding is a flat int structure.  **Yields the live binding
     list** — callers that retain bindings across iterations must copy
     (``tuple(b)``).
+
+    With ``delta_position``, *steps* may carry a programme from
+    :func:`delta_steps` built for the same pre-bound slots as *binding*;
+    the call then does no planning.
     """
-    compiled = encoded.compiled
     symbols = encoded.symbols
     check = negative_against if negative_against is not None else index
     if binding is None:
         binding = encoded.new_binding()
-    bound_slots = frozenset(
-        slot for slot, value in enumerate(binding) if value is not None
-    )
-    bound_terms = frozenset(encoded.slots[slot] for slot in bound_slots)
     negatives = encoded.negatives
     rows_for = index.rows_for
     rows_of = index.rows_of
@@ -594,22 +629,18 @@ def enumerate_bindings(
                     binding[slot] = None
 
     if delta_position is None:
-        plan = order_body(compiled, index=index, bound=bound_terms)
+        bound_slots = _bound_slots(binding)
+        plan = order_body(
+            encoded.compiled,
+            index=index,
+            bound=frozenset(encoded.slots[slot] for slot in bound_slots),
+        )
         yield from run(encoded.steps_for(plan, bound_slots), 0)
         return
 
     predicate, entries = encoded.positive[delta_position]
-    plan = order_body(
-        compiled,
-        index=index,
-        bound=bound_terms | compiled.positive_terms[delta_position],
-        skip=delta_position,
-    )
-    steps = encoded.steps_for(
-        plan,
-        bound_slots
-        | frozenset(-entry - 1 for entry in entries if entry < 0),
-    )
+    if steps is None:
+        steps = delta_steps(encoded, index, delta_position, _bound_slots(binding))
     rows = delta_rows if delta_rows is not None else ()
     if statistics is not None:
         statistics.tuples_scanned += len(rows)

@@ -16,10 +16,22 @@ is therefore evaluated as the union of its *delta rules*
     h  <-  b1, b2, ..., Δbn
 
 where ``Δbi`` ranges only over the atoms added in the previous round (obtained
-from :meth:`RelationIndex.added_since`) and the remaining literals join
+from :meth:`RelationIndex.rows_added_since`) and the remaining literals join
 against the full index.  Atom insertion deduplicates, so the overlap between
 delta rules is harmless, and no derivation is missed because every new match
 must involve at least one new atom.
+
+**Round structure.**  Each round of :func:`fixpoint` groups the previous
+round's delta by predicate in one pass.  A delta rule whose ``Δbi`` has no
+rows this round cannot fire anything new, so that (rule, position) is
+skipped without entering the join — on the row plane and on the
+object-path fallback alike; every other position is handed only its own
+predicate's rows.  The join step programme of each (rule, delta position)
+(:func:`~repro.engine.planner.delta_steps`: ``order_body`` plus
+``EncodedRule.steps_for``) is built the first round that position has
+rows and reused for the rest of the call, so the join order is fixed from
+the relation cardinalities at first use.  Planning is thus paid once per
+(rule, position) per fixpoint, not once per round.
 
 :func:`fixpoint` packages this loop for arbitrary rule shapes (normal rules,
 NTGDs, pre-compiled rules); :class:`GroundProgramEvaluator` is the
@@ -35,13 +47,15 @@ from collections import deque
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.atoms import Atom, apply_substitution
+from ..core.atoms import Atom, Predicate, apply_substitution
 from ..errors import SolverLimitError
 from .index import RelationIndex
+from .intern import Row
 from .planner import (
     CompiledRule,
     EncodedRule,
     compile_rule,
+    delta_steps,
     encode_rule,
     enumerate_bindings,
     enumerate_matches,
@@ -143,8 +157,8 @@ def fixpoint(
     ]
     # The row plane is usable when the growing index and the negation oracle
     # share one symbol table (ids from one are meaningless in the other).
-    symbols = getattr(target, "symbols", None)
-    row_plane = symbols is not None and (
+    symbols = target.symbols
+    row_plane = (
         negative_against is None
         or getattr(negative_against, "symbols", None) is symbols
     )
@@ -211,22 +225,28 @@ def fixpoint(
         first_round = True
         rounds = 0
         tick = target.tick()
+        # (rule, delta position) -> join step programme, planned the first
+        # round that position has rows and reused by every later round.
+        steps_of: Dict[Tuple[int, int], tuple] = {}
         while True:
-            # On the row plane the delta stays encoded: ``rows_added_since``
-            # hands back ``(predicate, row)`` pairs and only rules that fell
-            # back to the object path pay a (cached) decode.
+            # One pass groups the round's delta by predicate.  The entries
+            # stay encoded ``(predicate, row)`` pairs; only rules on the
+            # object path pay a decode, once per predicate and round.
+            delta: Dict[Predicate, List[Tuple[Predicate, Row]]] = {}
+            decoded: Dict[Predicate, List[Atom]] = {}
             if first_round:
-                delta_rows: Optional[List] = []
-                delta_atoms: Optional[List[Atom]] = []
-            elif row_plane:
-                delta_rows = list(target.rows_added_since(tick))
-                delta_atoms = None  # decoded lazily, for fallback rules only
+                delta_size = 0
             else:
-                delta_rows = None
-                delta_atoms = list(target.added_since(tick))
-            delta_size = len(delta_rows if delta_rows is not None else delta_atoms)
-            if not first_round and delta_size == 0:
-                break
+                entries = target.rows_added_since(tick)
+                delta_size = len(entries)
+                if delta_size == 0:
+                    break
+                for entry in entries:
+                    group = delta.get(entry[0])
+                    if group is None:
+                        delta[entry[0]] = [entry]
+                    else:
+                        group.append(entry)
             tick = target.tick()
             # The delta is materialised (and round 1 scans everything anyway);
             # older log entries are dead weight — compacting them keeps the log
@@ -254,8 +274,8 @@ def fixpoint(
                     rule_t0 = perf_counter()
                     rule_n0 = len(pending)
                 encoded = encoded_of.get(id(rule))
-                if encoded is not None:
-                    if first_round:
+                if first_round:
+                    if encoded is not None:
                         for binding in enumerate_bindings(
                             encoded,
                             target,
@@ -264,39 +284,48 @@ def fixpoint(
                         ):
                             pending.append((rule, encoded, tuple(binding)))
                     else:
-                        for position in range(len(rule.positive)):
-                            for binding in enumerate_bindings(
-                                encoded,
-                                target,
-                                delta_rows=delta_rows,
-                                delta_position=position,
-                                negative_against=negative_against,
-                                statistics=statistics,
-                            ):
-                                pending.append((rule, encoded, tuple(binding)))
-                elif first_round:
-                    pending.extend(
-                        (rule, None, assignment)
-                        for assignment in enumerate_matches(
-                            rule,
-                            target,
-                            negative_against=negative_against,
-                            statistics=statistics,
-                        )
-                    )
-                else:
-                    if delta_atoms is None:
-                        decode = symbols.atom
-                        delta_atoms = [
-                            decode(predicate, row) for predicate, row in delta_rows
-                        ]
-                    for position in range(len(rule.positive)):
                         pending.extend(
                             (rule, None, assignment)
                             for assignment in enumerate_matches(
                                 rule,
                                 target,
-                                delta=delta_atoms,
+                                negative_against=negative_against,
+                                statistics=statistics,
+                            )
+                        )
+                else:
+                    for position, atom in enumerate(rule.positive):
+                        group = delta.get(atom.predicate)
+                        if group is None:
+                            # No rows for this position's predicate: no new
+                            # firing can come from it this round.
+                            continue
+                        if encoded is not None:
+                            steps = steps_of.get((id(rule), position))
+                            if steps is None:
+                                steps = delta_steps(encoded, target, position)
+                                steps_of[(id(rule), position)] = steps
+                            for binding in enumerate_bindings(
+                                encoded,
+                                target,
+                                delta_rows=group,
+                                delta_position=position,
+                                steps=steps,
+                                negative_against=negative_against,
+                                statistics=statistics,
+                            ):
+                                pending.append((rule, encoded, tuple(binding)))
+                            continue
+                        atoms = decoded.get(atom.predicate)
+                        if atoms is None:
+                            atoms = [symbols.atom(*entry) for entry in group]
+                            decoded[atom.predicate] = atoms
+                        pending.extend(
+                            (rule, None, assignment)
+                            for assignment in enumerate_matches(
+                                rule,
+                                target,
+                                delta=atoms,
                                 delta_position=position,
                                 negative_against=negative_against,
                                 statistics=statistics,

@@ -28,7 +28,10 @@ class EngineStatistics:
     tuples_derived:
         Atoms newly added to an index (duplicates are not counted).
     tuples_scanned:
-        Candidate atoms inspected by the join matcher.
+        Candidate atoms inspected by the join matcher.  A semi-naive delta
+        position counts only the delta rows of its own predicate (the
+        fixpoint groups each round's delta by predicate and hands every
+        position just that group).
     tuples_encoded:
         Atoms encoded into interned integer rows at the storage boundary
         (one per ``RelationIndex.add`` — the single Atom→row conversion an

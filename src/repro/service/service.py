@@ -553,7 +553,7 @@ class DatalogService:
         )
         local = EngineStatistics()
         try:
-            result, fell_back = self._evaluate(epoch, query, local)
+            result, fell_back = self._evaluate(epoch, query, local, tracer)
         except BaseException as error:
             self._read_latency.observe(time.perf_counter() - t0)
             if span is not None:
@@ -586,6 +586,7 @@ class DatalogService:
         epoch: Epoch,
         query: ConjunctiveQuery,
         local: EngineStatistics,
+        tracer,
     ) -> Tuple[frozenset[Tuple[Term, ...]], bool]:
         """Evaluate on the epoch; returns (answers, used-the-fallback)."""
         plan, error = self._plan_for(query)
@@ -600,6 +601,7 @@ class DatalogService:
                 query,
                 max_atoms=self._max_atoms,
                 statistics=local,
+                tracer=tracer,
             )
         else:
             # A base predicate name embeds the plan's generated namespace
@@ -609,6 +611,7 @@ class DatalogService:
                 query,
                 max_atoms=self._max_atoms,
                 statistics=local,
+                tracer=tracer,
             )
         return result, False
 

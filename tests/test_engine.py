@@ -641,6 +641,74 @@ class TestSemiNaive:
         assert result == {node(a), edge(a, b), path(a, b)}
 
 
+class TestRoundStructure:
+    """Each round groups its delta by predicate once, enters no delta
+    position whose predicate gained no rows, and each (rule, delta position)
+    is planned once per fixpoint, not once per round."""
+
+    CHAIN_PROGRAM = parse_program(
+        """
+        edge(X, Y) -> path(X, Y)
+        edge(X, Z), path(Z, Y) -> path(X, Y)
+        path(X, Y), not node(Y) -> open(X, Y)
+        """
+    )
+
+    def test_planning_does_not_grow_with_chain_length(self, monkeypatch):
+        from repro import parse_query
+        from repro.engine import planner
+        from repro.query import magic_rewrite
+
+        calls = []
+        original = planner.order_body
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("skip", -1))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "order_body", counting)
+        program = magic_rewrite(
+            self.CHAIN_PROGRAM, parse_query("?(Y) :- open(v0, Y)")
+        )
+        measured = {}
+        for links in (10, 40):
+            calls.clear()
+            stats = EngineStatistics()
+            answers = program.evaluate(chain_atoms(links), statistics=stats)
+            assert len(answers) == links
+            measured[links] = (len(calls), stats.iterations)
+        (short_plans, short_rounds), (long_plans, long_rounds) = (
+            measured[10],
+            measured[40],
+        )
+        assert long_rounds > short_rounds + 20
+        assert short_plans > 0
+        assert long_plans == short_plans
+
+    def test_empty_delta_positions_are_never_entered(self, monkeypatch):
+        from repro.engine import seminaive
+
+        entered = []
+        original = seminaive.enumerate_bindings
+
+        def recording(encoded, index, **kwargs):
+            position = kwargs.get("delta_position")
+            if position is not None:
+                predicate = encoded.positive[position][0]
+                rows = kwargs["delta_rows"]
+                assert rows and all(p == predicate for p, _ in rows)
+                entered.append(predicate)
+            return original(encoded, index, **kwargs)
+
+        monkeypatch.setattr(seminaive, "enumerate_bindings", recording)
+        result = fixpoint(TRANSITIVE_CLOSURE, chain_atoms(6))
+        assert sum(1 for atom in result.atoms() if atom.predicate == path) == 21
+        # edge never grows after the seed facts, so its delta position in
+        # the recursive rule is skipped every round; path's is entered.
+        assert path in entered
+        assert edge not in entered
+
+
 # ---------------------------------------------------------------------------
 # GroundProgramEvaluator
 # ---------------------------------------------------------------------------

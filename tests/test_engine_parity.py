@@ -484,6 +484,72 @@ class TestInternedExecutorParity:
                 delta_position=position,
             )
 
+    def test_join_order_fixed_at_first_use(self, monkeypatch):
+        """``reach`` starts smaller than the base relation ``tag`` and ends
+        larger, so the order fixpoint fixes for a delta position at its
+        first use differs from the one planning on the final index picks.
+        Both executors must still agree with the full fixpoint."""
+        from repro import parse_program, parse_query
+        from repro.core.atoms import Predicate
+        from repro.core.terms import Constant
+        from repro.engine import fixpoint, planner
+        from repro.query import full_fixpoint_answers
+
+        rules = parse_program(
+            """
+            link(X, Y) -> reach(X, Y)
+            reach(X, Y), link(Y, Z) -> reach(X, Z)
+            reach(X, Y), tag(Y, T), reach(Y, Z) -> via(X, T, Z)
+            """
+        )
+        link, tag = Predicate("link", 2), Predicate("tag", 2)
+        n = 12
+        nodes = [Constant(f"n{i}") for i in range(n + 1)]
+        tags = [Constant(f"t{j}") for j in range(3)]
+        facts = [link(nodes[i], nodes[i + 1]) for i in range(n)]
+        facts += [tag(node, t) for node in nodes for t in tags]
+
+        first_use = {}
+        original = planner.order_body
+
+        def recording(compiled, **kwargs):
+            plan = original(compiled, **kwargs)
+            first_use.setdefault((compiled, kwargs.get("skip", -1)), plan)
+            return plan
+
+        with monkeypatch.context() as patch:
+            patch.setattr(planner, "order_body", recording)
+            row_plane = fixpoint(rules, facts)
+        object_plane = fixpoint(
+            rules, facts, negative_against=self._fresh_index(facts)
+        )
+        assert row_plane.count(Predicate("reach", 2)) > row_plane.count(tag)
+        changed = [
+            skip
+            for (compiled, skip), plan in first_use.items()
+            if len(compiled.positive) == 3
+            and skip >= 0
+            and plan
+            != original(
+                compiled,
+                index=row_plane,
+                bound=compiled.positive_terms[skip],
+                skip=skip,
+            )
+        ]
+        assert changed  # the workload pins the fixed-order case
+
+        query = parse_query("?(X, T, Z) :- via(X, T, Z)")
+        expected = {
+            (nodes[x], t, nodes[z])
+            for x in range(n + 1)
+            for z in range(x + 2, n + 1)
+            for t in tags
+        }
+        assert query.answers(row_plane.atoms()) == expected
+        assert query.answers(object_plane.atoms()) == expected
+        assert full_fixpoint_answers(facts, rules, query) == expected
+
     def test_skolem_function_heads_round_trip(self):
         """Encoded head building constructs ground function terms through
         ``SymbolTable.encode_function`` — the atoms must equal the object

@@ -541,6 +541,23 @@ class TestServiceObservability:
         ]
         assert "miss" in kinds
 
+    def test_read_miss_traces_the_engine(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            with DatalogService(DATABASE, RULES) as service:
+                service.answers(QUERY)
+        (read,) = tracer.spans("service.read")
+        assert read.attributes["cache"] == "miss"
+        assert any(
+            span.parent == "service.read" and span.thread == read.thread
+            for span in tracer.spans("engine.stratum")
+        )
+        assert any(
+            span.thread == read.thread and span.depth > read.depth
+            for span in tracer.spans("engine.fixpoint")
+        )
+        assert tracer.spans("engine.fixpoint.round")
+
     def test_closed_service_stops_reporting_gauges(self):
         registry = MetricsRegistry()
         service = DatalogService(DATABASE, RULES, metrics=registry)
