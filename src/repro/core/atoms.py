@@ -9,7 +9,9 @@ negation is *default* negation interpreted under the stable model semantics.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import threading
+import weakref
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Mapping
 
 from .terms import (
@@ -42,18 +44,67 @@ _PLAIN_PREDICATE_RE = re.compile(r"^(?:[A-Za-z_][A-Za-z0-9_']*|\d+)$")
 _PREDICATE_KEYWORDS = frozenset({"not", "exists"})
 
 
-@dataclass(frozen=True, slots=True)
+#: ``(name, arity)`` -> the one live :class:`Predicate` for that pair.  Weak
+#: values: a predicate nothing references any more (say, one an HTTP query
+#: made up) leaves the table, so the table does not grow with every name
+#: ever seen.
+_PREDICATES: weakref.WeakValueDictionary[tuple[str, int], Predicate] = (
+    weakref.WeakValueDictionary()
+)
+_PREDICATES_LOCK = threading.Lock()
+
+
 class Predicate:
-    """A relational symbol ``name/arity``."""
+    """A relational symbol ``name/arity``, interned.
+
+    ``Predicate(name, arity)`` returns the one live instance for that pair,
+    so two equal predicates are the same object.  Equality and hashing are
+    therefore ``object``'s identity slots, implemented in C: every
+    predicate-keyed dict probe of the engine (relations, pattern tables,
+    delta grouping) compares and hashes without running Python code.  The
+    intern table holds its predicates weakly, so an unreferenced predicate
+    is collected and a later ``Predicate(name, arity)`` creates it again;
+    lookups are lock-free and only creation takes a lock, so threads racing
+    to create one predicate all get the same object.
+
+    Instances are immutable, and pickling or copying one returns the
+    interned instance.
+    """
+
+    __slots__ = ("name", "arity", "__weakref__")
 
     name: str
     arity: int
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str, arity: int) -> "Predicate":
+        key = (name, arity)
+        predicate = _PREDICATES.get(key)
+        if predicate is not None:
+            return predicate
+        if not name:
             raise ValueError("predicate name must be non-empty")
-        if self.arity < 0:
+        if arity < 0:
             raise ValueError("predicate arity must be non-negative")
+        with _PREDICATES_LOCK:
+            predicate = _PREDICATES.get(key)
+            if predicate is None:
+                predicate = object.__new__(cls)
+                object.__setattr__(predicate, "name", name)
+                object.__setattr__(predicate, "arity", arity)
+                _PREDICATES[key] = predicate
+        return predicate
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (Predicate, (self.name, self.arity))
+
+    def __repr__(self) -> str:
+        return f"Predicate(name={self.name!r}, arity={self.arity!r})"
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.name}/{self.arity}"

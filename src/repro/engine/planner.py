@@ -310,6 +310,7 @@ class EncodedRule:
         "head_specs",
         "encodable",
         "_plans",
+        "_programmes",
     )
 
     def __init__(self, compiled: CompiledRule, symbols: SymbolTable) -> None:
@@ -372,6 +373,8 @@ class EncodedRule:
         self.slots = tuple(slots)
         #: (plan, initially-bound slots) -> compiled step list
         self._plans: Dict[tuple, tuple] = {}
+        #: delta position (-1: the full body) -> the fixpoint's programme
+        self._programmes: Dict[int, tuple] = {}
 
     def new_binding(self) -> List[Optional[int]]:
         return [None] * len(self.slots)
@@ -492,6 +495,29 @@ class EncodedRule:
         self._plans[cache_key] = steps
         return steps
 
+    def programme(self, index: RelationIndex, delta_position: int = -1) -> tuple:
+        """The step programme :func:`~repro.engine.seminaive.fixpoint` joins
+        this rule with, memoised on the rule.
+
+        ``delta_position`` -1 is the full body (round 1); any other value is
+        :func:`delta_steps` for that delta position.  The first call plans
+        with :func:`order_body` on the cardinalities *index* has then; every
+        later round and every later fixpoint over this rule and symbol table
+        reuses that programme.  Join order affects only cost, never the
+        bindings enumerated.
+        """
+        steps = self._programmes.get(delta_position)
+        if steps is None:
+            if delta_position < 0:
+                steps = self.steps_for(
+                    order_body(self.compiled, index=index), frozenset()
+                )
+            else:
+                steps = delta_steps(self, index, delta_position)
+            # Racing threads may both plan; all of them use the first stored.
+            steps = self._programmes.setdefault(delta_position, steps)
+        return steps
+
 
 _ENCODE_CACHE: Dict[Tuple[int, int], EncodedRule] = {}
 
@@ -523,10 +549,12 @@ def delta_steps(
 
     The literal at *delta_position* is matched against a delta row first;
     the others follow in :func:`order_body`'s greedy order, ranked by the
-    cardinalities *index* has **now**.  :func:`enumerate_bindings` builds
-    this on every delta call unless handed one through ``steps=``;
-    :func:`~repro.engine.seminaive.fixpoint` builds it once per (rule,
-    delta position) per fixpoint and reuses it for every later round.
+    cardinalities *index* has **now**.  :func:`enumerate_bindings` plans
+    this on every delta call unless handed one through ``steps=``.
+    :func:`~repro.engine.seminaive.fixpoint` takes it from
+    :meth:`EncodedRule.programme`, which plans it once per (rule, delta
+    position), at the first fixpoint whose delta reaches that position,
+    and memoises it on the rule for every later round and fixpoint.
     """
     compiled = encoded.compiled
     _, entries = encoded.positive[delta_position]
@@ -563,9 +591,10 @@ def enumerate_bindings(
     list** — callers that retain bindings across iterations must copy
     (``tuple(b)``).
 
-    With ``delta_position``, *steps* may carry a programme from
-    :func:`delta_steps` built for the same pre-bound slots as *binding*;
-    the call then does no planning.
+    *steps* may carry a programme built for the same pre-bound slots as
+    *binding* and the same *delta_position* (:func:`delta_steps`, or
+    :meth:`EncodedRule.programme` for a fresh binding); the call then does
+    no planning.
     """
     symbols = encoded.symbols
     check = negative_against if negative_against is not None else index
@@ -629,13 +658,15 @@ def enumerate_bindings(
                     binding[slot] = None
 
     if delta_position is None:
-        bound_slots = _bound_slots(binding)
-        plan = order_body(
-            encoded.compiled,
-            index=index,
-            bound=frozenset(encoded.slots[slot] for slot in bound_slots),
-        )
-        yield from run(encoded.steps_for(plan, bound_slots), 0)
+        if steps is None:
+            bound_slots = _bound_slots(binding)
+            plan = order_body(
+                encoded.compiled,
+                index=index,
+                bound=frozenset(encoded.slots[slot] for slot in bound_slots),
+            )
+            steps = encoded.steps_for(plan, bound_slots)
+        yield from run(steps, 0)
         return
 
     predicate, entries = encoded.positive[delta_position]

@@ -26,12 +26,16 @@ round's delta by predicate in one pass.  A delta rule whose ``Δbi`` has no
 rows this round cannot fire anything new, so that (rule, position) is
 skipped without entering the join — on the row plane and on the
 object-path fallback alike; every other position is handed only its own
-predicate's rows.  The join step programme of each (rule, delta position)
-(:func:`~repro.engine.planner.delta_steps`: ``order_body`` plus
-``EncodedRule.steps_for``) is built the first round that position has
-rows and reused for the rest of the call, so the join order is fixed from
-the relation cardinalities at first use.  Planning is thus paid once per
-(rule, position) per fixpoint, not once per round.
+predicate's rows.  The join step programme of each (rule, delta
+position), and of each rule's full body for round 1, is memoised on the
+rule's :class:`~repro.engine.planner.EncodedRule`
+(:meth:`~repro.engine.planner.EncodedRule.programme`: ``order_body`` plus
+``EncodedRule.steps_for``).  It is planned the first time any fixpoint
+needs it, from the relation cardinalities of that moment, and every later
+round and every later fixpoint over the same rule object reuses it.  A
+query plan's magic rules live as long as the plan, so a query shape is
+planned once, not once per read or per round.  Join order affects only
+cost: the bindings enumerated are the same in any order.
 
 :func:`fixpoint` packages this loop for arbitrary rule shapes (normal rules,
 NTGDs, pre-compiled rules); :class:`GroundProgramEvaluator` is the
@@ -55,7 +59,6 @@ from .planner import (
     CompiledRule,
     EncodedRule,
     compile_rule,
-    delta_steps,
     encode_rule,
     enumerate_bindings,
     enumerate_matches,
@@ -225,9 +228,6 @@ def fixpoint(
         first_round = True
         rounds = 0
         tick = target.tick()
-        # (rule, delta position) -> join step programme, planned the first
-        # round that position has rows and reused by every later round.
-        steps_of: Dict[Tuple[int, int], tuple] = {}
         while True:
             # One pass groups the round's delta by predicate.  The entries
             # stay encoded ``(predicate, row)`` pairs; only rules on the
@@ -279,6 +279,7 @@ def fixpoint(
                         for binding in enumerate_bindings(
                             encoded,
                             target,
+                            steps=encoded.programme(target),
                             negative_against=negative_against,
                             statistics=statistics,
                         ):
@@ -301,16 +302,12 @@ def fixpoint(
                             # firing can come from it this round.
                             continue
                         if encoded is not None:
-                            steps = steps_of.get((id(rule), position))
-                            if steps is None:
-                                steps = delta_steps(encoded, target, position)
-                                steps_of[(id(rule), position)] = steps
                             for binding in enumerate_bindings(
                                 encoded,
                                 target,
                                 delta_rows=group,
                                 delta_position=position,
-                                steps=steps,
+                                steps=encoded.programme(target, position),
                                 negative_against=negative_against,
                                 statistics=statistics,
                             ):

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
+import weakref
+
 import pytest
 
 from repro.core.atoms import Atom, Literal, Predicate, apply_substitution
@@ -43,6 +48,47 @@ class TestAtoms:
     def test_zero_ary_atom_rendering(self):
         flag = Predicate("saturate", 0)
         assert str(flag()) == "saturate"
+
+
+class TestPredicateInterning:
+    def test_equal_predicates_are_one_object(self):
+        assert Predicate("p", 2) is P
+        assert Predicate("p", 1) is not P
+
+    def test_equality_and_hash_are_identity_slots(self):
+        assert Predicate.__hash__ is object.__hash__
+        assert Predicate.__eq__ is object.__eq__
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_pickle_and_copy_return_the_interned_instance(self, clone):
+        assert clone(P) is P
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            P.name = "q"
+        with pytest.raises(AttributeError):
+            del P.arity
+        assert (P.name, P.arity) == ("p", 2)
+
+    @pytest.mark.parametrize("name, arity", [("", 1), ("p", -1)])
+    def test_invalid_predicates_rejected(self, name, arity):
+        with pytest.raises(ValueError):
+            Predicate(name, arity)
+
+    def test_repr(self):
+        assert repr(P) == "Predicate(name='p', arity=2)"
+
+    def test_unreferenced_predicate_is_collected_and_recreated(self):
+        ref = weakref.ref(Predicate("interning_probe", 3))
+        gc.collect()
+        assert ref() is None
+        again = Predicate("interning_probe", 3)
+        assert (again.name, again.arity) == ("interning_probe", 3)
+        assert Predicate("interning_probe", 3) is again
 
 
 class TestLiterals:

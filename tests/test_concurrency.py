@@ -21,12 +21,17 @@ answers, and ``close()`` racing writer deliveries blocked on full queues
 builds on: cold lazy pattern tables built once under the per-snapshot lock
 while 8 threads hammer them through a barrier, and the SQLite backend's
 thread-affinity fix (snapshot and read a sqlite-backed index from threads
-other than its creator, which used to raise ``ProgrammingError``).
+other than its creator, which used to raise ``ProgrammingError``).  Last,
+the process-wide memos of the engine's hot path: threads racing to create
+the same interned predicates get one object per name, and readers racing
+first-touch queries of one new shape fill the same join-programme memos
+and still answer exactly (``TestHotPathMemoRaces``).
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 
@@ -482,3 +487,107 @@ class TestSQLiteThreadAffinity:
             thread.start()
         _join_all(threads)
         assert not errors, errors
+
+
+class TestHotPathMemoRaces:
+    def test_racing_creators_get_one_predicate_per_name(self):
+        threads_n, names = 16, 200
+        barrier = threading.Barrier(threads_n)
+        # Each worker keeps every predicate it built alive, so no entry of
+        # the weak intern table can die and be legitimately recreated.
+        built: list = [None] * threads_n
+        errors: list = []
+
+        def create(worker: int) -> None:
+            try:
+                barrier.wait(10)
+                built[worker] = [
+                    Predicate(f"interning_race_{i}", 2) for i in range(names)
+                ]
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=create, args=(worker,))
+                for worker in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            _join_all(threads)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not errors, errors
+        for i in range(names):
+            assert len({id(predicates[i]) for predicates in built}) == 1
+
+    def test_first_touch_readers_race_to_fill_one_programme_memo(
+        self, monkeypatch
+    ):
+        from repro.engine import planner
+
+        original = planner.order_body
+
+        def slow_order_body(*args, **kwargs):
+            # Widen the window between a memo miss and its fill, so readers
+            # arriving together all miss the same (rule, position) entries.
+            time.sleep(0.002)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "order_body", slow_order_body)
+        rules = parse_program(
+            """
+            link(X, Y) -> reachable(X, Y)
+            reachable(X, Y), link(Y, Z) -> reachable(X, Z)
+            reachable(X, Y), mark(Y, M), not blocked(Y) -> flagged(X, M)
+            """
+        )
+        rng = random.Random(7)
+        nodes = [f"v{i}" for i in range(24)]
+        facts = [link(a, b) for a, b in zip(nodes, nodes[1:])]
+        facts += [link(rng.choice(nodes), rng.choice(nodes)) for _ in range(6)]
+        facts += [
+            Atom(Predicate("mark", 2), (Constant(node), Constant(f"m{i % 3}")))
+            for i, node in enumerate(nodes)
+        ]
+        facts += [
+            Atom(Predicate("blocked", 1), (Constant(node),))
+            for node in rng.sample(nodes, 4)
+        ]
+        readers, reads = 8, 6
+        barrier = threading.Barrier(readers)
+        observed: list = []
+        errors: list = []
+
+        def reader(worker: int) -> None:
+            try:
+                barrier.wait(10)
+                for i in range(reads):
+                    # One query shape, never asked before this service
+                    # existed; each constant is a first-touch miss.
+                    node = nodes[(worker * reads + i) % len(nodes)]
+                    query = parse_query(f"?(M) :- flagged({node}, M)")
+                    observed.append((query, service.answers(query)))
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with DatalogService(facts, rules) as service:
+                threads = [
+                    threading.Thread(target=reader, args=(worker,))
+                    for worker in range(readers)
+                ]
+                for thread in threads:
+                    thread.start()
+                _join_all(threads)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not errors, errors
+        assert len(observed) == readers * reads
+        assert any(answers for _, answers in observed)
+        for query, answers in observed:
+            assert answers == full_fixpoint_answers(facts, rules, query)

@@ -550,6 +550,61 @@ class TestInternedExecutorParity:
         assert query.answers(object_plane.atoms()) == expected
         assert full_fixpoint_answers(facts, rules, query) == expected
 
+    def test_programmes_reused_across_fixpoints_with_flipped_sizes(
+        self, monkeypatch
+    ):
+        """The join programmes are planned at the first fixpoint over a set
+        of rule objects, where ``a`` is smaller than ``b``, and reused by a
+        later fixpoint over data where ``b`` is smaller than ``a``, for which
+        planning afresh picks other orders.  Answers must not change."""
+        from repro import parse_program, parse_query
+        from repro.core.atoms import Predicate
+        from repro.core.terms import Constant
+        from repro.engine import fixpoint, planner
+        from repro.query import full_fixpoint_answers
+
+        rules = parse_program(
+            """
+            a(X, Y), b(Y, Z) -> ab(X, Z)
+            ab(X, Y), a(Y, Z) -> ab(X, Z)
+            ab(X, Y), a(Y, Z), b(Y, W) -> fan(X, Z, W)
+            """
+        )
+        a, b = Predicate("a", 2), Predicate("b", 2)
+        nodes = [Constant(f"n{i}") for i in range(8)]
+
+        def facts(small, large):
+            chain = [small(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)]
+            dense = [large(x, y) for x in nodes for y in nodes[::2]]
+            return chain + dense
+
+        first, second = facts(a, b), facts(b, a)
+        planned = []
+        original = planner.order_body
+
+        def recording(compiled, **kwargs):
+            plan = original(compiled, **kwargs)
+            planned.append((compiled, kwargs, plan))
+            return plan
+
+        monkeypatch.setattr(planner, "order_body", recording)
+        fixpoint(rules, first)
+        first_plans = list(planned)
+        planned.clear()
+        reused = fixpoint(rules, second)
+        assert first_plans and not planned
+        # On the second data set, fresh planning would order some bodies
+        # differently from the programmes the first fixpoint memoised.
+        assert any(
+            plan != original(compiled, **dict(kwargs, index=reused))
+            for compiled, kwargs, plan in first_plans
+        )
+        for text in ("?(X, Z) :- ab(X, Z)", "?(X, Z, W) :- fan(X, Z, W)"):
+            query = parse_query(text)
+            expected = full_fixpoint_answers(second, rules, query)
+            assert expected
+            assert query.answers(reused.atoms()) == expected
+
     def test_skolem_function_heads_round_trip(self):
         """Encoded head building constructs ground function terms through
         ``SymbolTable.encode_function`` — the atoms must equal the object
