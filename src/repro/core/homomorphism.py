@@ -6,8 +6,9 @@ maps every (positive or negative) literal of ``L`` to a literal of ``L'``.
 In all the algorithms of the paper the source contains variables (rule bodies,
 queries) and the target is ground (an interpretation), and negative literals
 are checked against the target interpretation by *absence* of the
-corresponding positive atom; this module implements exactly that, via a
-backtracking matcher over the multi-key :class:`~repro.engine.index.RelationIndex`.
+corresponding positive atom; this module implements exactly that, on the
+engine's join executor over the multi-key
+:class:`~repro.engine.index.RelationIndex`.
 
 Nulls occurring in the *source* are treated like variables (they may be mapped
 to any term), which is what is needed when checking whether one chase result
@@ -93,7 +94,7 @@ def extend_homomorphisms(
     The pattern is compiled (and cached, keyed on its literal shape) to a
     headless :class:`~repro.engine.planner.CompiledRule` and enumerated by
     the engine executor, so homomorphism checks run on the same interned
-    row-plane join as rule evaluation whenever the pattern is encodable.
+    row-plane join as rule evaluation, function terms and all.
 
     Parameters
     ----------

@@ -21,9 +21,10 @@ loops.  It has five parts:
   over a shared base);
 * :mod:`~repro.engine.planner` — join planning: :class:`CompiledRule` and the
   greedy bound-connectivity / smallest-relation-first literal ordering, plus
-  the index-backed join executor :func:`enumerate_matches` and its row-plane
-  core :class:`EncodedRule` / :func:`enumerate_bindings` (slot bindings over
-  interned ids; assignments are decoded only at yield);
+  the one join executor, :class:`EncodedRule` / :func:`enumerate_bindings`
+  (slot bindings over interned ids; function terms with variables inside
+  are matched by decomposing stored ids), and its object-level edge
+  :func:`enumerate_matches` (assignments are decoded only at yield);
 * :mod:`~repro.engine.seminaive` — the generic semi-naive :func:`fixpoint`
   driver (delta rules, no rederivation) and the counter-propagation
   :class:`GroundProgramEvaluator` for ground programs;

@@ -80,7 +80,7 @@ class SymbolTable:
     and lets snapshots/forks/checkpoints share encoded rows freely.
     """
 
-    __slots__ = ("_lock", "_ids", "_terms", "_atoms", "_functions")
+    __slots__ = ("_lock", "_ids", "_terms", "_atoms", "_functions", "_structures")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -94,6 +94,9 @@ class SymbolTable:
         #: lets Skolem-term heads be built without constructing the term
         #: object except on first occurrence.
         self._functions: Dict[Tuple[str, Row], int] = {}
+        #: id -> (function name, argument ids), or None for a non-function
+        #: term — the inverse of ``_functions``, filled on demand.
+        self._structures: Dict[int, Optional[Tuple[str, Row]]] = {}
 
     # ---------------------------------------------------------------- terms
     def encode_term(self, term: Term) -> int:
@@ -142,6 +145,29 @@ class SymbolTable:
         with self._lock:
             self._functions.setdefault(key, tid)
         return tid
+
+    def structure(self, tid: int) -> Optional[Tuple[str, Row]]:
+        """``(function name, argument ids)`` of the function term behind
+        *tid*, or ``None`` for a constant, null or variable.
+
+        Memoised; an argument term not yet interned is interned here, once.
+        The join executor decomposes stored function terms with this to
+        match patterns that hold variables or nulls inside a function term.
+        """
+        try:
+            return self._structures[tid]
+        except KeyError:
+            pass
+        term = self._terms[tid]
+        shape: Optional[Tuple[str, Row]] = None
+        if isinstance(term, FunctionTerm):
+            encode = self.encode_term
+            shape = (
+                term.function,
+                tuple(encode(argument) for argument in term.arguments),
+            )
+        with self._lock:
+            return self._structures.setdefault(tid, shape)
 
     # ---------------------------------------------------------------- atoms
     def encode_atom(self, atom: Atom) -> Row:

@@ -66,7 +66,6 @@ from .planner import (
     compile_rule,
     encode_rule,
     enumerate_bindings,
-    enumerate_matches,
 )
 from .stats import EngineStatistics
 
@@ -94,7 +93,8 @@ class SupportTable:
     ``base`` holds the extensional facts (self-supporting; deletable) and
     ``protected`` the ground heads of the program's fact rules (derived
     unconditionally — never deletable).  Records are registered through
-    :meth:`record` (the ``on_fire`` hook of the fixpoint driver) or
+    :meth:`record` (the ``on_fire`` hook of the fixpoint driver),
+    :meth:`record_firing_binding` (its ``on_fire_bindings`` hook) or
     :meth:`record_firing`; re-discovery of a known firing is a no-op, which
     is what makes the table exact under semi-naive evaluation's overlapping
     delta rules.
@@ -139,12 +139,6 @@ class SupportTable:
         """The ``on_fire`` hook: register a firing, ignoring duplicates."""
         self.record_firing(rule, assignment)
 
-    def record_binding(
-        self, rule: CompiledRule, encoded: Optional[EncodedRule], payload
-    ) -> None:
-        """The ``on_fire_bindings`` hook: register a row-plane firing."""
-        self.record_firing_binding(rule, encoded, payload)
-
     def _insert(
         self,
         key: SupportKey,
@@ -187,19 +181,16 @@ class SupportTable:
         return fresh
 
     def record_firing_binding(
-        self, rule: CompiledRule, encoded: Optional[EncodedRule], payload
+        self, rule: CompiledRule, encoded: EncodedRule, payload: tuple
     ) -> List[Tuple[SupportKey, Atom]]:
-        """Row-plane :meth:`record_firing`: *payload* is a slot binding.
+        """Row-plane :meth:`record_firing`, and the ``on_fire_bindings``
+        hook of the fixpoint driver: *payload* is *encoded*'s slot binding.
 
         The ground body/head/negative atoms are reconstructed through the
         symbol table's canonical decode cache (two dict probes per atom after
-        warm-up), so support bookkeeping for interned-executor firings never
-        runs ``apply_substitution`` over term objects.  With ``encoded is
-        None`` the payload is an assignment dict and this delegates to the
-        object-plane path.
+        warm-up), so support bookkeeping never runs ``apply_substitution``
+        over term objects.  Returns the ``(key, head)`` pairs that were new.
         """
-        if encoded is None:
-            return self.record_firing(rule, payload)
         body = encoded.build_positive_atoms(payload)
         rid = self._rule_id(rule)
         fresh: List[Tuple[SupportKey, Atom]] = []
@@ -374,7 +365,7 @@ class MaterializedView:
             stratification=self._strat,
             statistics=statistics,
             max_atoms=max_atoms,
-            on_fire_bindings=self._support.record_binding,
+            on_fire_bindings=self._support.record_firing_binding,
         )
         # Net-change bookkeeping of the apply_delta call in flight.
         self._call_added: Set[Atom] = set()
@@ -763,7 +754,7 @@ class MaterializedView:
                 # it must still drive the delta joins below, or the
                 # derivations dropped by the delete phase stay lost.
                 readded.append(atom)
-        pending: List[Tuple[CompiledRule, Optional[EncodedRule], object]] = []
+        pending: List[Tuple[CompiledRule, EncodedRule, tuple]] = []
         # Deletions below a negation re-open derivations the negation had
         # suppressed; those rules are re-evaluated in full against the
         # repaired state (their join is part of the affected cone).
@@ -800,43 +791,29 @@ class MaterializedView:
         delta: Optional[List[Atom]] = None,
         delta_position: Optional[int] = None,
     ):
-        """Enumerate one rule's firings, preferring the interned executor.
-
-        Yields ``(compiled, encoded, slot-binding tuple)`` when the rule is
-        encodable (the support table records these through
+        """Enumerate one rule's firings as ``(compiled, encoded, slot-binding
+        tuple)`` triples, which the support table records through
         :meth:`SupportTable.record_firing_binding` without ever decoding an
-        assignment) and ``(compiled, None, assignment)`` on the object-path
-        fallback.
-        """
+        assignment."""
         symbols = self._index.symbols
         encoded = encode_rule(compiled, symbols)
-        if encoded.encodable:
-            delta_rows = None
-            if delta_position is not None:
-                encode = symbols.encode_atom
-                delta_rows = [(atom.predicate, encode(atom)) for atom in delta]
-            for binding in enumerate_bindings(
-                encoded,
-                self._index,
-                delta_rows=delta_rows,
-                delta_position=delta_position,
-                statistics=self._stats,
-            ):
-                yield (compiled, encoded, tuple(binding))
-        else:
-            for assignment in enumerate_matches(
-                compiled,
-                self._index,
-                delta=delta,
-                delta_position=delta_position,
-                statistics=self._stats,
-            ):
-                yield (compiled, None, assignment)
+        delta_rows = None
+        if delta_position is not None:
+            encode = symbols.encode_atom
+            delta_rows = [(atom.predicate, encode(atom)) for atom in delta]
+        for binding in enumerate_bindings(
+            encoded,
+            self._index,
+            delta_rows=delta_rows,
+            delta_position=delta_position,
+            statistics=self._stats,
+        ):
+            yield (compiled, encoded, tuple(binding))
 
     def _delta_join(
         self, stratum: int, grouped: Dict[Predicate, List[Atom]]
-    ) -> List[Tuple[CompiledRule, Optional[EncodedRule], object]]:
-        pending: List[Tuple[CompiledRule, Optional[EncodedRule], object]] = []
+    ) -> List[Tuple[CompiledRule, EncodedRule, tuple]]:
+        pending: List[Tuple[CompiledRule, EncodedRule, tuple]] = []
         for predicate, atoms in grouped.items():
             for site_stratum, compiled, position in self._positive_sites.get(
                 predicate, ()
@@ -849,7 +826,7 @@ class MaterializedView:
         return pending
 
     def _process_firings(
-        self, pending: List[Tuple[CompiledRule, Optional[EncodedRule], object]]
+        self, pending: List[Tuple[CompiledRule, EncodedRule, tuple]]
     ) -> List[Atom]:
         fresh: List[Atom] = []
         for compiled, encoded, payload in pending:

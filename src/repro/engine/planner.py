@@ -20,11 +20,13 @@ positive and negative body atoms, the set of flexible terms per literal) so
 repeated evaluation — fixpoint rounds, chase rounds, stability probes — pays
 the analysis once.  :func:`compile_rule` memoises per rule object.
 
-The actual join execution (:func:`enumerate_matches`) performs index-backed
-backtracking: candidate atoms for each literal are fetched through
-``candidates_for`` using the bound positions of the current prefix, which is
-what turns the written-order nested-loop of the seed implementation into an
-index nested-loop join.
+There is one join executor, :func:`enumerate_bindings`: an index
+nested-loop join over interned rows.  An :class:`EncodedRule` lowers a
+compiled rule onto a symbol table's integer ids; each step of its plan
+probes the pattern hash table of the positions bound by the prefix
+(``RelationIndex.rows_for``) and binds the rest of the row into flat int
+slots.  :func:`enumerate_matches` is its object-level edge: it encodes a
+partial assignment and delta atoms, and decodes each binding at yield.
 
 Paper provenance: the planner is the engine-side realisation of the
 homomorphism machinery of **Section 2** — matching a rule body (or query) is
@@ -43,10 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..core.atoms import Atom, Literal, apply_substitution
+from ..core.atoms import Atom, Predicate
 from ..core.terms import FunctionTerm, Null, Term
 from ..obs.trace import get_tracer
-from .index import Assignment, RelationIndex, is_flexible, match_atom, resolve_term
+from .index import Assignment, RelationIndex, is_flexible
 from .intern import Row, SymbolTable
 from .stats import EngineStatistics
 
@@ -242,29 +244,31 @@ def order_body(
 #
 #   entry >= 0      the interned id of a fixed ground term (constants and
 #                   variable-free function terms, interned at encode time);
-#   entry <  0      flexible slot ``-(entry + 1)`` — a variable or a
-#                   pattern null, bound during the join.
+#   entry <  0      slot ``-(entry + 1)``, bound during the join: a variable,
+#                   a pattern null, or a *hidden slot* standing for a
+#                   function term with variables or nulls inside.
 #
-# Head and negative-literal terms use *specs*, which additionally know how
-# to rebuild values the join never bound:
+# Head and negative-literal terms, and the arguments of the function term
+# behind a hidden slot, use *specs*:
 #
 #   int >= 0            fixed id
 #   int <  0            variable slot; unbound -> the head is not ground /
 #                       the negative check is unsafe
 #   (slot, null_id)     a pattern null: its binding if bound, else itself
 #                       (nulls are ground data — an unbound head/negative
-#                       null stands for itself, exactly as
-#                       ``apply_substitution`` leaves it in place)
+#                       null stands for itself, exactly as a substitution
+#                       that does not bind it leaves it in place)
 #   (name, (spec, ..))  a function term containing flexibles, rebuilt
 #                       bottom-up through ``SymbolTable.encode_function``
 #                       (the Skolem-head fast path: no term objects after
 #                       the first occurrence)
 #
-# A rule whose *positive body* contains a function term with flexibles
-# inside is not encodable (matching it requires structural decomposition of
-# stored terms); ``enumerate_matches`` transparently falls back to the
-# object-plane backtracker for those, so the encoded path is a pure
-# optimisation, never a semantics change.
+# A hidden slot binds to the stored term's id like any other slot.  At the
+# join's leaf that id is decomposed (``SymbolTable.structure``) against the
+# term's spec by :func:`_unify`, which binds or compares the slots inside;
+# a pattern null inside binds like a variable, as it does at the top level.
+# Hidden slots are not in ``slot_of``, so decoded assignments never show
+# them.
 
 _Spec = Union[int, Tuple[int, int], Tuple[str, tuple]]
 
@@ -290,12 +294,74 @@ def _resolve_spec(
     return symbols.encode_function(first, tuple(argument_ids))
 
 
+def _unify(
+    spec: Tuple[str, tuple],
+    tid: int,
+    binding: List[Optional[int]],
+    marks: List[int],
+    symbols: SymbolTable,
+) -> bool:
+    """Match the stored term *tid* against a function-term *spec*.
+
+    Slots inside are bound (and appended to *marks*, for the caller to
+    unbind on backtrack) or compared with their binding; nested function
+    terms recurse.
+    """
+    shape = symbols.structure(tid)
+    if shape is None:
+        return False
+    function, argument_ids = shape
+    name, arguments = spec
+    if function != name or len(argument_ids) != len(arguments):
+        return False
+    for sub, value in zip(arguments, argument_ids):
+        if type(sub) is int:
+            if sub >= 0:
+                if sub != value:
+                    return False
+                continue
+            slot = -sub - 1
+        elif type(sub[0]) is int:  # (slot, null_id): a pattern null binds
+            slot = sub[0]
+        else:
+            if not _unify(sub, value, binding, marks, symbols):
+                return False
+            continue
+        current = binding[slot]
+        if current is None:
+            binding[slot] = value
+            marks.append(slot)
+        elif current != value:
+            return False
+    return True
+
+
+def _decoded_membership(symbols: SymbolTable, oracle):
+    """A ``contains_row`` for a negation oracle whose ids are not
+    *symbols*' (another table's index, or any container of atoms): the row
+    is decoded and the atom looked up.
+
+    Built here rather than inside :func:`enumerate_bindings`, whose
+    per-call setup runs for every round and delta position of a fixpoint:
+    a closure there would cost every call, not only the foreign-oracle
+    ones.
+    """
+    atom_of = symbols.atom
+
+    def contains_row(predicate: Predicate, row: Row) -> bool:
+        return atom_of(predicate, row) in oracle
+
+    return contains_row
+
+
 class EncodedRule:
     """A :class:`CompiledRule` lowered onto one symbol table's id space.
 
     Flexible terms (variables and pattern nulls) across the positive body,
     the negative body and the heads are numbered into dense **slots** in
-    first-occurrence order; a join binding is then a flat
+    first-occurrence order, and so is each distinct function term with
+    flexibles inside that a positive body literal holds (a hidden slot,
+    see the term coding above); a join binding is then a flat
     ``list[Optional[int]]`` indexed by slot — no term-keyed dict is
     allocated anywhere between the storage boundary and the API edge.
     """
@@ -306,9 +372,9 @@ class EncodedRule:
         "slots",
         "slot_of",
         "positive",
+        "structures",
         "negatives",
         "head_specs",
-        "encodable",
         "_plans",
         "_programmes",
     )
@@ -340,36 +406,35 @@ class EncodedRule:
                 )
             return symbols.encode_term(term)
 
-        encodable = True
-        positive: List[Tuple[Atom, tuple]] = []
+        hidden: Dict[Term, int] = {}
+        structures: List[Tuple[int, _Spec]] = []
+        positive: List[Tuple[Predicate, tuple]] = []
         for atom in compiled.positive:
             entries: List[int] = []
             for term in atom.terms:
                 if is_flexible(term):
                     entries.append(slot_code(term))
                 elif _flexible_terms_of_term(term):
-                    encodable = False
-                    break
+                    slot = hidden.get(term)
+                    if slot is None:
+                        slot = hidden[term] = len(slots)
+                        slots.append(term)
+                        structures.append((slot, spec_of(term)))
+                    entries.append(-slot - 1)
                 else:
                     entries.append(symbols.encode_term(term))
-            else:
-                positive.append((atom.predicate, tuple(entries)))
-                continue
-            break
-        self.encodable = encodable and bool(compiled.positive)
-        self.positive = tuple(positive) if self.encodable else ()
-        if self.encodable:
-            self.negatives = tuple(
-                (atom, atom.predicate, tuple(spec_of(term) for term in atom.terms))
-                for atom in compiled.negative
-            )
-            self.head_specs = tuple(
-                (atom.predicate, tuple(spec_of(term) for term in atom.terms))
-                for atom in compiled.heads
-            )
-        else:
-            self.negatives = ()
-            self.head_specs = ()
+            positive.append((atom.predicate, tuple(entries)))
+        self.positive = tuple(positive)
+        #: (hidden slot, function-term spec) pairs, decomposed at the leaf
+        self.structures = tuple(structures)
+        self.negatives = tuple(
+            (atom, atom.predicate, tuple(spec_of(term) for term in atom.terms))
+            for atom in compiled.negative
+        )
+        self.head_specs = tuple(
+            (atom.predicate, tuple(spec_of(term) for term in atom.terms))
+            for atom in compiled.heads
+        )
         self.slots = tuple(slots)
         #: (plan, initially-bound slots) -> compiled step list
         self._plans: Dict[tuple, tuple] = {}
@@ -439,10 +504,12 @@ class EncodedRule:
         binding: Sequence[Optional[int]],
         partial: Optional[Mapping[Term, Term]] = None,
     ) -> Assignment:
-        """The object-plane :data:`Assignment` equivalent of *binding*."""
+        """The :data:`Assignment` equivalent of *binding*, extending
+        *partial*: every bound variable and pattern null, decoded.  Hidden
+        slots are not terms of the assignment and are left out."""
         result: Assignment = dict(partial) if partial else {}
         decode = self.symbols.decode_term
-        for slot, term in enumerate(self.slots):
+        for term, slot in self.slot_of.items():
             value = binding[slot]
             if value is not None:
                 result[term] = decode(value)
@@ -584,11 +651,16 @@ def enumerate_bindings(
 ) -> Iterator[List[Optional[int]]]:
     """Enumerate slot bindings matching the encoded body into *index*.
 
-    The row-plane twin of :func:`enumerate_matches`: the same greedy plan
-    (:func:`order_body`), the same pattern hash tables
-    (``RelationIndex.rows_for``), but every probe key, every candidate and
-    every binding is a flat int structure.  **Yields the live binding
-    list** — callers that retain bindings across iterations must copy
+    The join executor: a greedy plan (:func:`order_body`) over the pattern
+    hash tables (``RelationIndex.rows_for``), where every probe key, every
+    candidate and every binding is a flat int structure.  At the leaf,
+    hidden slots are decomposed (:func:`_unify`) and the negative literals
+    checked for absence from *negative_against* (default: *index*; an
+    oracle on another symbol table is checked by decoded atoms); an unbound
+    variable in a negative literal raises ``ValueError`` (unsafe pattern).
+    A body with no positive literal has an empty programme: its one
+    binding is checked at the leaf.  **Yields the live binding list** —
+    callers that retain bindings across iterations must copy
     (``tuple(b)``).
 
     *steps* may carry a programme built for the same pre-bound slots as
@@ -597,10 +669,16 @@ def enumerate_bindings(
     no planning.
     """
     symbols = encoded.symbols
-    check = negative_against if negative_against is not None else index
+    if negative_against is None:
+        contains_row = index.contains_row
+    elif getattr(negative_against, "symbols", None) is symbols:
+        contains_row = negative_against.contains_row
+    else:
+        contains_row = _decoded_membership(symbols, negative_against)
     if binding is None:
         binding = encoded.new_binding()
     negatives = encoded.negatives
+    structures = encoded.structures
     rows_for = index.rows_for
     rows_of = index.rows_of
 
@@ -614,14 +692,25 @@ def enumerate_bindings(
                         f"negative atom {atom} not fully bound (unsafe pattern)"
                     )
                 row.append(value)
-            if check.contains_row(predicate, tuple(row)):
+            if contains_row(predicate, tuple(row)):
                 return False
         return True
 
     def run(steps: tuple, depth: int) -> Iterator[List[Optional[int]]]:
         if depth == len(steps):
-            if verify_negatives():
-                yield binding
+            if not structures:
+                if verify_negatives():
+                    yield binding
+                return
+            inner: List[int] = []
+            for slot, spec in structures:
+                if not _unify(spec, binding[slot], binding, inner, symbols):
+                    break
+            else:
+                if verify_negatives():
+                    yield binding
+            for slot in inner:
+                binding[slot] = None
             return
         predicate, positions, builders, static_key, unbound = steps[depth]
         if positions:
@@ -720,93 +809,35 @@ def enumerate_matches(
     literals join against the full index.  Negative body atoms are checked for
     absence against ``negative_against`` (default: *index*) once the positive
     part is fully bound; a non-ground negative image raises ``ValueError``
-    (unsafe pattern), mirroring the classic matcher.
+    (unsafe pattern).
 
-    Encodable rules (everything except positive bodies with non-ground
-    function terms) run on the interned row plane (see :class:`EncodedRule`)
-    and decode each solution back to an object-level assignment only at
-    yield; the object-plane backtracker below remains as the fallback.
+    The object-level edge of :func:`enumerate_bindings`: *partial* and the
+    delta atoms are encoded onto the index's symbol table, and each binding
+    is decoded to an assignment extending *partial* at yield.  Variables
+    and nulls inside a function term need not be bound by *partial* or by
+    another literal: decomposing the stored term binds them.
     """
-    symbols = getattr(index, "symbols", None)
-    if symbols is not None and (
-        negative_against is None
-        or getattr(negative_against, "symbols", None) is symbols
+    symbols = index.symbols
+    encoded = encode_rule(compiled, symbols)
+    binding = encoded.new_binding()
+    if partial:
+        slot_of = encoded.slot_of
+        for term, value in partial.items():
+            slot = slot_of.get(term)
+            if slot is not None:
+                binding[slot] = symbols.encode_term(value)
+    delta_rows = None
+    if delta_position is not None:
+        encode = symbols.encode_atom
+        delta_rows = [(atom.predicate, encode(atom)) for atom in (delta or ())]
+    decode_binding = encoded.decode_binding
+    for live in enumerate_bindings(
+        encoded,
+        index,
+        binding=binding,
+        negative_against=negative_against,
+        delta_rows=delta_rows,
+        delta_position=delta_position,
+        statistics=statistics,
     ):
-        encoded = encode_rule(compiled, symbols)
-        if encoded.encodable:
-            binding = encoded.new_binding()
-            if partial:
-                slot_of = encoded.slot_of
-                for term, value in partial.items():
-                    slot = slot_of.get(term)
-                    if slot is not None:
-                        binding[slot] = symbols.encode_term(value)
-            delta_rows = None
-            if delta_position is not None:
-                encode = symbols.encode_atom
-                delta_rows = [
-                    (atom.predicate, encode(atom)) for atom in (delta or ())
-                ]
-            decode_binding = encoded.decode_binding
-            for live in enumerate_bindings(
-                encoded,
-                index,
-                binding=binding,
-                negative_against=negative_against,
-                delta_rows=delta_rows,
-                delta_position=delta_position,
-                statistics=statistics,
-            ):
-                yield decode_binding(live, partial)
-            return
-
-    base: Assignment = dict(partial) if partial else {}
-    check = negative_against if negative_against is not None else index
-    negatives = compiled.negative
-
-    def verify_negatives(assignment: Assignment) -> bool:
-        for negative in negatives:
-            image = apply_substitution(negative, assignment)
-            if not image.is_ground:
-                raise ValueError(
-                    f"negative atom {negative} not fully bound (unsafe pattern)"
-                )
-            if image in check:
-                return False
-        return True
-
-    def backtrack(plan: Sequence[int], depth: int, assignment: Assignment) -> Iterator[Assignment]:
-        if depth == len(plan):
-            if verify_negatives(assignment):
-                yield dict(assignment)
-            return
-        pattern = compiled.positive[plan[depth]]
-        candidates = index.candidates_for(pattern, assignment)
-        if statistics is not None:
-            statistics.tuples_scanned += len(candidates)
-        for candidate in candidates:
-            extended = match_atom(pattern, candidate, assignment)
-            if extended is not None:
-                yield from backtrack(plan, depth + 1, extended)
-
-    if delta_position is None:
-        plan = order_body(compiled, index=index, bound=frozenset(base))
-        yield from backtrack(plan, 0, base)
-        return
-
-    first = compiled.positive[delta_position]
-    plan = order_body(
-        compiled,
-        index=index,
-        bound=frozenset(base) | compiled.positive_terms[delta_position],
-        skip=delta_position,
-    )
-    delta_atoms = delta if delta is not None else ()
-    if statistics is not None:
-        statistics.tuples_scanned += len(delta_atoms)
-    for candidate in delta_atoms:
-        if candidate.predicate != first.predicate:
-            continue
-        seeded = match_atom(first, candidate, base)
-        if seeded is not None:
-            yield from backtrack(plan, 0, seeded)
+        yield decode_binding(live, partial)

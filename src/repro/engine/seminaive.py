@@ -24,11 +24,13 @@ must involve at least one new atom.
 **Round structure.**  Each round of :func:`fixpoint` groups the previous
 round's delta by predicate in one pass.  A delta rule whose ``Δbi`` has no
 rows this round cannot fire anything new, so that (rule, position) is
-skipped without entering the join — on the row plane and on the
-object-path fallback alike; every other position is handed only its own
-predicate's rows.  The join step programme of each (rule, delta
-position), and of each rule's full body for round 1, is memoised on the
-rule's :class:`~repro.engine.planner.EncodedRule`
+skipped without entering the join; every other position is handed only
+its own predicate's rows.  Round 1 joins every rule's full body, including
+rules with no positive body, whose programme is empty: they fire there
+once, after their negative literals are checked.  The join step
+programme of each (rule, delta position), and of each rule's full body
+for round 1, is memoised on the rule's
+:class:`~repro.engine.planner.EncodedRule`
 (:meth:`~repro.engine.planner.EncodedRule.programme`: ``order_body`` plus
 ``EncodedRule.steps_for``).  It is planned the first time any fixpoint
 needs it, from the relation cardinalities of that moment, and every later
@@ -51,7 +53,7 @@ from collections import deque
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.atoms import Atom, Predicate, apply_substitution
+from ..core.atoms import Atom, Predicate
 from ..errors import SolverLimitError
 from .index import RelationIndex
 from .intern import Row
@@ -61,7 +63,6 @@ from .planner import (
     compile_rule,
     encode_rule,
     enumerate_bindings,
-    enumerate_matches,
 )
 from .stats import EngineStatistics
 
@@ -79,12 +80,11 @@ DeriveCallback = Callable[[Atom, object, dict], None]
 FireCallback = Callable[["CompiledRule", dict], None]
 
 #: row-plane twin of :data:`FireCallback`: invoked as ``(compiled, encoded,
-#: payload)`` where *payload* is an interned slot-binding tuple when *encoded*
-#: is an :class:`EncodedRule`, and a plain assignment dict when *encoded* is
-#: ``None`` (the rule ran on the object-path fallback).  Supplying this
-#: instead of ``on_fire`` keeps per-firing bookkeeping in the integer domain
-#: — no assignment dict is ever decoded for firings that merely re-derive.
-FireBindingCallback = Callable[["CompiledRule", Optional["EncodedRule"], object], None]
+#: payload)`` where *encoded* is the rule's :class:`EncodedRule` and
+#: *payload* its interned slot-binding tuple.  Supplying this instead of
+#: ``on_fire`` keeps per-firing bookkeeping in the integer domain — no
+#: assignment dict is ever decoded for firings that merely re-derive.
+FireBindingCallback = Callable[["CompiledRule", "EncodedRule", tuple], None]
 
 
 def fixpoint(
@@ -130,8 +130,8 @@ def fixpoint(
     on_fire_bindings:
         Row-plane alternative to ``on_fire`` (see
         :data:`FireBindingCallback`); when both are given, only this one is
-        invoked.  Firings of interned-executor rules pass the raw slot
-        binding instead of a decoded assignment dict.
+        invoked.  Firings pass the raw slot binding instead of a decoded
+        assignment dict.
     ignore_negation:
         Drop negative body literals (the positive-closure approximation).
     negative_against:
@@ -154,44 +154,23 @@ def fixpoint(
         newly derived tuples are attributed to it per round.
     """
     target = index if index is not None else RelationIndex(statistics=statistics)
-    compiled: List[CompiledRule] = [
-        compile_rule(rule, ignore_negation=ignore_negation, statistics=statistics)
+    symbols = target.symbols
+    encoded_rules: List[EncodedRule] = [
+        encode_rule(
+            compile_rule(rule, ignore_negation=ignore_negation, statistics=statistics),
+            symbols,
+        )
         for rule in rules
     ]
-    # The row plane is usable when the growing index and the negation oracle
-    # share one symbol table (ids from one are meaningless in the other).
-    symbols = target.symbols
-    row_plane = (
-        negative_against is None
-        or getattr(negative_against, "symbols", None) is symbols
-    )
-    encoded_of: Dict[int, Optional[EncodedRule]] = {}
-    if row_plane:
-        for rule in compiled:
-            if rule.positive:
-                candidate = encode_rule(rule, symbols)
-                encoded_of[id(rule)] = candidate if candidate.encodable else None
     tracing = tracer is not None and tracer.enabled
     fixpoint_span = (
-        tracer.start("engine.fixpoint", rules=len(compiled)) if tracing else None
+        tracer.start("engine.fixpoint", rules=len(encoded_rules)) if tracing else None
     )
 
-    def derive(atom: Atom, rule: CompiledRule, assignment: dict) -> None:
-        if not atom.is_ground:
-            return
-        if target.add(atom):
-            if statistics is not None:
-                statistics.triggers_fired += 1
-            if profiler is not None:
-                profiler.record(rule, tuples=1)
-            if on_derive is not None:
-                on_derive(atom, rule.source if rule.source is not None else rule, assignment)
-            if max_atoms is not None and len(target) > max_atoms:
-                raise SolverLimitError(limit_message)
-
-    def derive_row(rule: CompiledRule, encoded: EncodedRule, predicate, row, binding) -> None:
+    def derive_row(encoded: EncodedRule, predicate, row, binding) -> None:
         # build_head_rows already dropped non-ground heads, so *row* is ground.
         if target.add_row(predicate, row):
+            rule = encoded.compiled
             if statistics is not None:
                 statistics.triggers_fired += 1
             if profiler is not None:
@@ -209,31 +188,14 @@ def fixpoint(
         target.update(facts)
         if max_atoms is not None and len(target) > max_atoms:
             raise SolverLimitError(limit_message)
-        # Rules without a positive body fire once, up front (their negative
-        # literals, if kept, are still verified by the matcher's empty join).
-        for rule in compiled:
-            if not rule.positive:
-                for assignment in enumerate_matches(
-                    rule, target, negative_against=negative_against, statistics=statistics
-                ):
-                    if profiler is not None:
-                        profiler.record(rule, triggers=1)
-                    if on_fire_bindings is not None:
-                        on_fire_bindings(rule, None, assignment)
-                    elif on_fire is not None:
-                        on_fire(rule, assignment)
-                    for head in rule.heads:
-                        derive(head, rule, assignment)
 
         first_round = True
         rounds = 0
         tick = target.tick()
         while True:
-            # One pass groups the round's delta by predicate.  The entries
-            # stay encoded ``(predicate, row)`` pairs; only rules on the
-            # object path pay a decode, once per predicate and round.
+            # One pass groups the round's delta by predicate; the entries
+            # stay encoded ``(predicate, row)`` pairs.
             delta: Dict[Predicate, List[Tuple[Predicate, Row]]] = {}
-            decoded: Dict[Predicate, List[Atom]] = {}
             if first_round:
                 delta_size = 0
             else:
@@ -262,96 +224,56 @@ def fixpoint(
                 if tracing
                 else None
             )
-            # Materialise each round's matches before inserting, so the hash
-            # indexes are never mutated while the join iterates over them.
-            # Encoded rules enqueue ``(rule, encoded, slot-binding tuple)``;
-            # fallback rules enqueue ``(rule, None, assignment dict)``.
-            pending: List[Tuple[CompiledRule, Optional[EncodedRule], object]] = []
-            for rule in compiled:
-                if not rule.positive:
-                    continue
+            # Materialise each round's matches, as ``(encoded rule, slot-
+            # binding tuple)`` pairs, before inserting, so the hash indexes
+            # are never mutated while the join iterates over them.
+            pending: List[Tuple[EncodedRule, tuple]] = []
+            for encoded in encoded_rules:
                 if profiler is not None:
                     rule_t0 = perf_counter()
                     rule_n0 = len(pending)
-                encoded = encoded_of.get(id(rule))
                 if first_round:
-                    if encoded is not None:
-                        for binding in enumerate_bindings(
-                            encoded,
-                            target,
-                            steps=encoded.programme(target),
-                            negative_against=negative_against,
-                            statistics=statistics,
-                        ):
-                            pending.append((rule, encoded, tuple(binding)))
-                    else:
-                        pending.extend(
-                            (rule, None, assignment)
-                            for assignment in enumerate_matches(
-                                rule,
-                                target,
-                                negative_against=negative_against,
-                                statistics=statistics,
-                            )
-                        )
+                    for binding in enumerate_bindings(
+                        encoded,
+                        target,
+                        steps=encoded.programme(target),
+                        negative_against=negative_against,
+                        statistics=statistics,
+                    ):
+                        pending.append((encoded, tuple(binding)))
                 else:
-                    for position, atom in enumerate(rule.positive):
+                    for position, atom in enumerate(encoded.compiled.positive):
                         group = delta.get(atom.predicate)
                         if group is None:
                             # No rows for this position's predicate: no new
                             # firing can come from it this round.
                             continue
-                        if encoded is not None:
-                            for binding in enumerate_bindings(
-                                encoded,
-                                target,
-                                delta_rows=group,
-                                delta_position=position,
-                                steps=encoded.programme(target, position),
-                                negative_against=negative_against,
-                                statistics=statistics,
-                            ):
-                                pending.append((rule, encoded, tuple(binding)))
-                            continue
-                        atoms = decoded.get(atom.predicate)
-                        if atoms is None:
-                            atoms = [symbols.atom(*entry) for entry in group]
-                            decoded[atom.predicate] = atoms
-                        pending.extend(
-                            (rule, None, assignment)
-                            for assignment in enumerate_matches(
-                                rule,
-                                target,
-                                delta=atoms,
-                                delta_position=position,
-                                negative_against=negative_against,
-                                statistics=statistics,
-                            )
-                        )
+                        for binding in enumerate_bindings(
+                            encoded,
+                            target,
+                            delta_rows=group,
+                            delta_position=position,
+                            steps=encoded.programme(target, position),
+                            negative_against=negative_against,
+                            statistics=statistics,
+                        ):
+                            pending.append((encoded, tuple(binding)))
                 if profiler is not None:
                     profiler.record(
-                        rule,
+                        encoded.compiled,
                         seconds=perf_counter() - rule_t0,
                         triggers=len(pending) - rule_n0,
                         rounds=1,
                     )
             first_round = False
             try:
-                for rule, encoded, payload in pending:
-                    if encoded is not None:
-                        if on_fire_bindings is not None:
-                            on_fire_bindings(rule, encoded, payload)
-                        elif on_fire is not None:
-                            on_fire(rule, encoded.decode_binding(payload))
-                        for predicate, row in encoded.build_head_rows(payload):
-                            derive_row(rule, encoded, predicate, row, payload)
-                    else:
-                        if on_fire_bindings is not None:
-                            on_fire_bindings(rule, None, payload)
-                        elif on_fire is not None:
-                            on_fire(rule, payload)
-                        for head in rule.heads:
-                            derive(apply_substitution(head, payload), rule, payload)
+                for encoded, payload in pending:
+                    if on_fire_bindings is not None:
+                        on_fire_bindings(encoded.compiled, encoded, payload)
+                    elif on_fire is not None:
+                        on_fire(encoded.compiled, encoded.decode_binding(payload))
+                    for predicate, row in encoded.build_head_rows(payload):
+                        derive_row(encoded, predicate, row, payload)
             finally:
                 if round_span is not None:
                     round_span.finish(firings=len(pending))

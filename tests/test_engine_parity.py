@@ -111,6 +111,45 @@ def naive_least_model(program):
     return frozenset(derived)
 
 
+def brute_force_matches(
+    compiled,
+    index,
+    *,
+    partial=None,
+    negative_against=None,
+    delta=None,
+    delta_position=None,
+):
+    """Every homomorphism of *compiled*'s body into *index*, without the
+    join executor: the product of one candidate pool per positive literal
+    (the delta atoms at *delta_position*), folded with ``match_atom``, with
+    the negative literals checked by membership of their images."""
+    from itertools import product
+
+    from repro.core.atoms import apply_substitution
+    from repro.engine.index import match_atom
+
+    check = negative_against if negative_against is not None else index
+    pools = [
+        list(delta) if position == delta_position else index.candidates(atom.predicate)
+        for position, atom in enumerate(compiled.positive)
+    ]
+    found = set()
+    for combination in product(*pools):
+        assignment = dict(partial or {})
+        for pattern, candidate in zip(compiled.positive, combination):
+            assignment = match_atom(pattern, candidate, assignment)
+            if assignment is None:
+                break
+        else:
+            if all(
+                apply_substitution(atom, assignment) not in check
+                for atom in compiled.negative
+            ):
+                found.add(frozenset(assignment.items()))
+    return found
+
+
 # ---------------------------------------------------------------------------
 # Fixtures: the programs named by the issue
 # ---------------------------------------------------------------------------
@@ -381,13 +420,10 @@ class TestVersionedStorageParity:
 
 
 class TestInternedExecutorParity:
-    """The interned (row-plane) executor and the object-path backtracker
-    enumerate identical assignment sets.
-
-    ``enumerate_matches`` runs encoded whenever the growing index and the
-    negation oracle share a symbol table; giving the oracle its *own* table
-    (same atoms, different ids) forces the object fallback, so each test
-    runs the same join twice — once per executor — and compares."""
+    """The row-plane executor enumerates exactly the assignments of
+    :func:`brute_force_matches`, with the negation oracle sharing the
+    index's symbol table and with an oracle on a table of its own (same
+    atoms, different ids)."""
 
     @staticmethod
     def _fresh_index(atoms):
@@ -398,34 +434,25 @@ class TestInternedExecutorParity:
     @staticmethod
     def _both_ways(rule, index, oracle_atoms, **kwargs):
         from repro.engine import RelationIndex
-        from repro.engine.planner import compile_rule, encode_rule, enumerate_matches
+        from repro.engine.planner import enumerate_matches
 
-        compiled = compile_rule(rule) if not hasattr(rule, "positive") else rule
-        assert encode_rule(compiled, index.symbols).encodable
-        shared_oracle = RelationIndex(
-            oracle_atoms, backend=None
-        ) if oracle_atoms is not None else None
-        if shared_oracle is not None:
-            # Same symbol table as *index* (the global default) -> encoded.
-            assert shared_oracle.symbols is index.symbols
-        encoded_run = [
-            dict(m)
-            for m in enumerate_matches(
-                compiled, index, negative_against=shared_oracle, **kwargs
+        shared_oracle = RelationIndex(oracle_atoms)
+        foreign_oracle = TestInternedExecutorParity._fresh_index(oracle_atoms)
+        assert shared_oracle.symbols is index.symbols
+        assert foreign_oracle.symbols is not index.symbols
+        runs = []
+        for oracle in (shared_oracle, foreign_oracle):
+            run = [
+                dict(m)
+                for m in enumerate_matches(
+                    rule, index, negative_against=oracle, **kwargs
+                )
+            ]
+            assert {frozenset(m.items()) for m in run} == brute_force_matches(
+                rule, index, negative_against=oracle, **kwargs
             )
-        ]
-        foreign_oracle = TestInternedExecutorParity._fresh_index(
-            oracle_atoms if oracle_atoms is not None else index.atoms()
-        )
-        object_run = [
-            dict(m)
-            for m in enumerate_matches(
-                compiled, index, negative_against=foreign_oracle, **kwargs
-            )
-        ]
-        freeze = lambda m: frozenset(m.items())
-        assert {freeze(m) for m in encoded_run} == {freeze(m) for m in object_run}
-        return encoded_run
+            runs.append(run)
+        return runs[0]
 
     def test_positive_join_parity(self):
         from repro.core.atoms import Predicate
@@ -488,7 +515,8 @@ class TestInternedExecutorParity:
         """``reach`` starts smaller than the base relation ``tag`` and ends
         larger, so the order fixpoint fixes for a delta position at its
         first use differs from the one planning on the final index picks.
-        Both executors must still agree with the full fixpoint."""
+        Runs with the default oracle and with a foreign-table negation
+        oracle must still agree with the full fixpoint."""
         from repro import parse_program, parse_query
         from repro.core.atoms import Predicate
         from repro.core.terms import Constant
@@ -520,7 +548,7 @@ class TestInternedExecutorParity:
         with monkeypatch.context() as patch:
             patch.setattr(planner, "order_body", recording)
             row_plane = fixpoint(rules, facts)
-        object_plane = fixpoint(
+        foreign_oracle_run = fixpoint(
             rules, facts, negative_against=self._fresh_index(facts)
         )
         assert row_plane.count(Predicate("reach", 2)) > row_plane.count(tag)
@@ -547,7 +575,7 @@ class TestInternedExecutorParity:
             for t in tags
         }
         assert query.answers(row_plane.atoms()) == expected
-        assert query.answers(object_plane.atoms()) == expected
+        assert query.answers(foreign_oracle_run.atoms()) == expected
         assert full_fixpoint_answers(facts, rules, query) == expected
 
     def test_programmes_reused_across_fixpoints_with_flipped_sizes(
@@ -625,6 +653,204 @@ class TestInternedExecutorParity:
             for a in facts
         }
         assert {atom for atom in result.atoms() if atom.predicate == s} == expected
+
+
+
+def _shape_case(name):
+    """One pattern shape for :class:`TestOneJoinExecutor`: ``(index, pattern,
+    keyword arguments of enumerate_matches)``."""
+    from repro.core.atoms import Predicate
+    from repro.core.terms import Constant, FunctionTerm, Null, Variable
+    from repro.engine import RelationIndex
+    from repro.engine.planner import CompiledRule
+
+    s, g, p, q = (
+        Predicate("shape_s", 2),
+        Predicate("shape_g", 1),
+        Predicate("shape_p", 2),
+        Predicate("shape_q", 1),
+    )
+    c = [Constant(f"c{i}") for i in range(4)]
+    f = lambda *args: FunctionTerm("f", args)
+    sk = lambda *args: FunctionTerm("sk", args)
+    X, Y = Variable("X"), Variable("Y")
+    atoms = [
+        s(c[0], f(c[0], c[1])),
+        s(c[0], f(c[1], c[1])),
+        s(c[1], f(c[1], c[2])),
+        s(c[1], f(c[1], Null("d1"))),
+        s(c[2], c[2]),
+        s(c[3], f(c[3])),
+        s(c[2], FunctionTerm("h", (c[2], c[0]))),
+        g(FunctionTerm("g", (f(c[0], c[0]),))),
+        g(FunctionTerm("g", (f(c[0], c[1]),))),
+        g(FunctionTerm("g", (f(c[2], c[2], c[2]),))),
+        g(FunctionTerm("h", (f(c[1], c[1]),))),
+        g(f(c[2], c[2])),
+        g(c[0]),
+        p(c[1], sk(c[0], c[1])),
+        p(c[1], sk(c[2], c[1])),
+        p(c[2], sk(c[0], c[2])),
+        q(c[1]),
+    ]
+    index = RelationIndex(atoms)
+    pattern = lambda positive, negative=(): CompiledRule(
+        heads=(), positive=positive, negative=negative
+    )
+    if name == "inner-variable-bound-by-decomposition":
+        return index, pattern((s(X, f(X, Y)),)), {}
+    if name == "nested-repeated-variable":
+        return index, pattern((g(FunctionTerm("g", (f(X, X),))),)), {}
+    if name == "pattern-null-inside-function-term":
+        return index, pattern((s(X, f(c[1], Null("m"))),)), {}
+    if name == "skolem-head-under-partial-binding":
+        return index, pattern((p(Y, sk(X, Y)),)), {"partial": {X: c[0], Y: c[1]}}
+    if name == "body-less-with-negative-literal":
+        return index, pattern((), (q(X),)), {"partial": {X: c[2]}}
+    if name == "negation-oracle-on-own-symbol-table":
+        oracle = TestInternedExecutorParity._fresh_index([q(c[1])])
+        return index, pattern((s(X, Y),), (q(X),)), {"negative_against": oracle}
+    raise AssertionError(name)
+
+
+class TestOneJoinExecutor:
+    """Every pattern shape runs on the row plane (``enumerate_bindings``),
+    including the shapes that once had their own executor: function terms
+    with variables or nulls inside a positive body literal, patterns with no
+    positive literal, and negation oracles on another symbol table."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "inner-variable-bound-by-decomposition",
+            "nested-repeated-variable",
+            "pattern-null-inside-function-term",
+            "skolem-head-under-partial-binding",
+            "body-less-with-negative-literal",
+            "negation-oracle-on-own-symbol-table",
+        ],
+    )
+    def test_every_shape_enters_enumerate_bindings(self, shape, monkeypatch):
+        from repro.engine import planner
+
+        index, pattern, kwargs = _shape_case(shape)
+        calls = []
+        original = planner.enumerate_bindings
+
+        def spy(encoded, *args, **spy_kwargs):
+            calls.append(encoded)
+            return original(encoded, *args, **spy_kwargs)
+
+        monkeypatch.setattr(planner, "enumerate_bindings", spy)
+        found = {
+            frozenset(m.items())
+            for m in planner.enumerate_matches(pattern, index, **kwargs)
+        }
+        assert calls, "enumerate_matches bypassed the row-plane executor"
+        assert found == brute_force_matches(pattern, index, **kwargs)
+        assert found  # every shape has at least one homomorphism here
+
+    def test_fixpoint_fires_every_rule_with_an_encoded_rule(self):
+        from repro.core.atoms import Predicate
+        from repro.core.terms import Constant, FunctionTerm, Variable
+        from repro.engine import fixpoint
+        from repro.engine.planner import EncodedRule
+        from repro.lp.programs import NormalRule
+
+        s, t, blocked = (
+            Predicate("fire_s", 2),
+            Predicate("fire_t", 1),
+            Predicate("fire_blocked", 1),
+        )
+        c = [Constant(f"c{i}") for i in range(3)]
+        X, Y = Variable("X"), Variable("Y")
+        f = lambda *args: FunctionTerm("f", args)
+        bodyless = NormalRule(s(c[0], f(c[0], c[1])), (), (blocked(c[2]),))
+        function_pattern = NormalRule(t(Y), (s(X, f(X, Y)),), ())
+        fired = []
+        result = fixpoint(
+            [bodyless, function_pattern],
+            [s(c[1], f(c[1], c[2]))],
+            on_fire_bindings=lambda rule, encoded, payload: fired.append(
+                (rule.source, encoded, payload)
+            ),
+        )
+        assert {source for source, _, _ in fired} == {bodyless, function_pattern}
+        for _, encoded, payload in fired:
+            assert isinstance(encoded, EncodedRule)
+            assert isinstance(payload, tuple)
+        assert {a for a in result.atoms() if a.predicate == t} == {t(c[1]), t(c[2])}
+
+    def test_view_with_function_terms_matches_scratch(self, monkeypatch):
+        """Skolem heads, function patterns in rule bodies (recursive, with a
+        repeated inner variable, and under negation) through 48 random
+        add/remove repairs, each checked against from-scratch evaluation.
+        Every firing the view records arrives as a row-plane binding."""
+        import random
+
+        from repro.core.atoms import Predicate
+        from repro.core.terms import Constant, FunctionTerm, Variable
+        from repro.engine import MaterializedView, SupportTable
+        from repro.engine.planner import EncodedRule
+        from repro.lp.programs import NormalRule
+        from repro.query import evaluate_stratified
+
+        recorded = []
+        original = SupportTable.record_firing_binding
+
+        def recording(self, rule, encoded, payload):
+            recorded.append((rule.source, encoded))
+            return original(self, rule, encoded, payload)
+
+        monkeypatch.setattr(SupportTable, "record_firing_binding", recording)
+
+        e, node, tagged = (
+            Predicate("view_e", 2),
+            Predicate("view_node", 1),
+            Predicate("view_tagged", 1),
+        )
+        pair, reach, lonely, wrap, twin, bare = (
+            Predicate("view_pair", 2),
+            Predicate("view_reach", 2),
+            Predicate("view_lonely", 1),
+            Predicate("view_wrap", 1),
+            Predicate("view_twin", 1),
+            Predicate("view_bare", 1),
+        )
+        X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
+        sk = lambda *args: FunctionTerm("sk", args)
+        f = lambda *args: FunctionTerm("f", args)
+        rules = [
+            NormalRule(pair(X, sk(X, Y)), (e(X, Y),), ()),
+            NormalRule(reach(X, Y), (pair(X, sk(X, Y)),), ()),
+            NormalRule(reach(X, Z), (reach(X, Y), pair(Y, sk(Y, Z))), ()),
+            NormalRule(lonely(X), (node(X),), (reach(X, X),)),
+            NormalRule(wrap(f(X, X)), (lonely(X),), ()),
+            NormalRule(twin(X), (tagged(f(X, X)),), ()),
+            NormalRule(twin(X), (wrap(f(X, X)), node(X)), ()),
+            NormalRule(bare(X), (node(X),), (wrap(f(X, X)),)),
+        ]
+        c = [Constant(f"c{i}") for i in range(4)]
+        universe = [e(x, y) for x in c for y in c]
+        universe += [node(x) for x in c]
+        universe += [tagged(f(x, y)) for x in c[:2] for y in c[:2]]
+        rng = random.Random(5)
+        facts = set(rng.sample(universe, 8))
+        view = MaterializedView(rules, facts)
+        assert view.atoms() == evaluate_stratified(rules, facts).atoms()
+        for _ in range(48):
+            atom = rng.choice(universe)
+            if atom in facts and rng.random() < 0.6:
+                facts.discard(atom)
+                view.apply_delta(deletions=[atom])
+            else:
+                facts.add(atom)
+                view.apply_delta(additions=[atom])
+            assert view.atoms() == evaluate_stratified(rules, facts).atoms()
+        assert any(a.predicate == reach for a in view.atoms())
+        assert any(a.predicate == twin for a in view.atoms())
+        assert all(isinstance(encoded, EncodedRule) for _, encoded in recorded)
+        assert {source for source, _ in recorded} == set(rules)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ correct as ``encode -> decode`` being the identity and two racing encoders
 agreeing on one id.  These tests hammer exactly that, with hypothesis-driven
 term shapes and an 8-thread concurrent-intern battery, plus the
 ``TupleRelation`` invariants (rows vs columns vs cached scans) and the
-engine-level guarantee that the encoded executor yields the same assignments
-as the object-path fallback.
+engine-level guarantee that the encoded executor yields the assignments a
+direct count over the stored edges finds.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core.atoms import Atom, Predicate
 from repro.core.terms import Constant, FunctionTerm, Null, Variable
 from repro.engine import RelationIndex, SymbolTable, TupleRelation, global_symbols
-from repro.engine.planner import CompiledRule, encode_rule, enumerate_matches
+from repro.engine.planner import CompiledRule, enumerate_matches
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +103,40 @@ class TestSymbolTableRoundTrip:
         assert fa1 == fa2
         assert table.decode_term(fa1) == FunctionTerm("f", (Constant("a"),))
 
+    def test_structure_round_trips_nested_function_terms(self):
+        table = SymbolTable()
+        inner = FunctionTerm("g", (Null("n"), Variable("X")))
+        term = FunctionTerm("f", (Constant("a"), inner, Constant("a")))
+        shape = table.structure(table.encode_term(term))
+        assert shape is not None
+        name, argument_ids = shape
+        assert name == "f"
+        assert [table.decode_term(tid) for tid in argument_ids] == list(
+            term.arguments
+        )
+        inner_name, inner_ids = table.structure(argument_ids[1])
+        assert inner_name == "g"
+        assert [table.decode_term(tid) for tid in inner_ids] == list(
+            inner.arguments
+        )
+        assert table.encode_function(name, argument_ids) == table.encode_term(term)
+
+    def test_structure_is_none_for_constants_and_nulls(self):
+        table = SymbolTable()
+        assert table.structure(table.encode_term(Constant("a"))) is None
+        assert table.structure(table.encode_term(Null("n"))) is None
+
+    def test_structure_interns_an_unseen_argument_once(self):
+        table = SymbolTable()
+        tid = table.encode_term(FunctionTerm("f", (Constant("fresh"),)))
+        assert table.try_encode_term(Constant("fresh")) is None
+        size = len(table)
+        first = table.structure(tid)
+        assert len(table) == size + 1
+        assert table.structure(tid) == first
+        assert len(table) == size + 1
+        assert first[1] == (table.try_encode_term(Constant("fresh")),)
+
 
 class TestConcurrentInterning:
     def test_eight_thread_hammer_agrees_on_unique_ids(self):
@@ -180,8 +214,8 @@ class TestTupleRelation:
 
 
 class TestEncodedExecutorParity:
-    """The interned executor and the object-path matcher enumerate the same
-    assignment sets over the same stored data."""
+    """The interned executor enumerates exactly the two-edge paths of the
+    stored data."""
 
     @given(
         st.lists(
@@ -202,8 +236,6 @@ class TestEncodedExecutorParity:
         index = RelationIndex(atoms)
         X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
         rule = CompiledRule(heads=(), positive=(e(X, Y), e(Y, Z)), negative=())
-        encoded = encode_rule(rule, index.symbols)
-        assert encoded.encodable
         found = {
             (m[X], m[Y], m[Z]) for m in enumerate_matches(rule, index)
         }
