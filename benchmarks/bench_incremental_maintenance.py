@@ -9,12 +9,11 @@ Three claims of the maintenance layer are measured:
   requires the repair to be at least 2x faster on the largest instance.
 * **Warm-session deletion repair.**  A warmed `QuerySession` absorbs a
   deletion by repairing its plan view and cached answers in place
-  (`answers_repaired`), with rederivation work bounded by the affected cone;
-  the `maintenance=False` baseline evicts and re-derives on the next query.
+  (`answers_repaired`), with rederivation work bounded by the affected cone.
+  The benchmark times a delete, re-query, restore, re-query round trip.
 * **CQA repairs as deltas.**  `consistent_answers` evaluates every subset
-  repair as a deletion delta over one shared materialised plan
-  (`incremental=True`, the default) versus the PR 3 fork-per-repair
-  strategy (`incremental=False`).
+  repair as a deletion delta over one shared materialised plan; the
+  benchmark times the whole call.
 
 The engine counters of the maintenance path are attached to the benchmark
 records via ``extra_info`` so the CI bench smoke surfaces them in
@@ -141,22 +140,19 @@ def test_repair_beats_recompute_by_2x():
 
 
 # ---------------------------------------------------------------------------
-# Session-level: warm deletion repair vs evict-and-rederive
+# Session-level: warm deletion repair
 # ---------------------------------------------------------------------------
 
 
-def _warm_session(chains: int, length: int, maintenance: bool) -> QuerySession:
-    session = QuerySession(
-        chain_atoms(chains, length), RULES, maintenance=maintenance
-    )
+def _warm_session(chains: int, length: int) -> QuerySession:
+    session = QuerySession(chain_atoms(chains, length), RULES)
     session.answers(parse_query("?(Y) :- reach(n0_0, Y)"))
     return session
 
 
-@pytest.mark.parametrize("maintenance", [True, False], ids=["repair", "evict"])
-def test_session_deletion_requery(benchmark, maintenance):
+def test_session_deletion_requery(benchmark):
     chains, length = SIZES[-1]
-    session = _warm_session(chains, length, maintenance)
+    session = _warm_session(chains, length)
     query = parse_query("?(Y) :- reach(n0_0, Y)")
     edge = mid_edge(0, length)
 
@@ -169,13 +165,12 @@ def test_session_deletion_requery(benchmark, maintenance):
 
     answers = benchmark(probe)
     assert len(answers) == length // 2
-    if maintenance:
-        benchmark.extra_info["answers_repaired"] = (
-            session.statistics.answers_repaired
-        )
-        benchmark.extra_info["rederivations"] = (
-            session.statistics.engine.rederivations
-        )
+    benchmark.extra_info["answers_repaired"] = (
+        session.statistics.answers_repaired
+    )
+    benchmark.extra_info["rederivations"] = (
+        session.statistics.engine.rederivations
+    )
 
 
 def test_warm_session_deletion_repairs_within_cone():
@@ -183,7 +178,7 @@ def test_warm_session_deletion_repairs_within_cone():
     full re-derivation — ``answers_repaired`` > 0 and the rederivation work
     is bounded by the affected chain, not by |DB|."""
     chains, length = SIZES[-1]
-    session = _warm_session(chains, length, maintenance=True)
+    session = _warm_session(chains, length)
     query = parse_query("?(Y) :- reach(n0_0, Y)")
     full = session.answers(query)
     assert len(full) == length
@@ -204,7 +199,7 @@ def test_warm_session_deletion_repairs_within_cone():
 
 
 # ---------------------------------------------------------------------------
-# CQA: repairs as deletion deltas vs fork per repair
+# CQA: repairs as deletion deltas
 # ---------------------------------------------------------------------------
 
 CQA_DATABASE = parse_database(
@@ -229,12 +224,3 @@ def test_cqa_repairs_as_deltas(benchmark):
 
     assert benchmark(probe) == CQA_EXPECTED
     benchmark.extra_info["deltas_applied"] = stats.deltas_applied
-
-
-def test_cqa_fork_per_repair_baseline(benchmark):
-    def probe():
-        return consistent_answers(
-            CQA_DATABASE, CQA_CONSTRAINTS, CQA_QUERY, incremental=False
-        )
-
-    assert benchmark(probe) == CQA_EXPECTED

@@ -3,11 +3,14 @@
 The contract of ``repro.obs`` is that the *disabled* path is near-free:
 instrumented seams hold ``tracer=None`` or pay one ``enabled`` attribute
 check, so installing ``Tracer(enabled=False)`` (or no tracer at all) must
-not slow evaluation down.  ``test_disabled_overhead_budget`` hard-asserts
-that budget (≤ 5% over baseline, min-of-N with retries to shrug off
-scheduler noise) — the CI ``obs`` job runs it as the overhead smoke.  The
-parametrised mode benchmark reports the enabled-tracer cost alongside for
-reference, and ``test_explain_cost`` prices the per-rule profiler.
+not slow evaluation down.  The measured workload is one cold selective
+evaluation through the traced fixpoint — compile the plan, index a
+48-link chain, run the plan on the index's snapshot, as a service reader
+miss does.  ``test_disabled_overhead_budget`` hard-asserts the budget
+(≤ 5% over baseline, min-of-N with retries to shrug off scheduler noise) —
+the CI ``obs`` job runs it as the overhead smoke.  The parametrised mode
+benchmark reports the enabled-tracer cost alongside for reference, and
+``test_explain_cost`` prices the per-rule profiler.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ import time
 import pytest
 
 from repro import parse_database, parse_program, parse_query
-from repro.obs import Tracer, use_tracer
-from repro.query import QuerySession
+from repro.engine import RelationIndex
+from repro.obs import Tracer, get_tracer, use_tracer
+from repro.query import QuerySession, compile_query_plan
 
 RULES = parse_program(
     """
@@ -36,8 +40,7 @@ QUERY = parse_query("?(Y) :- path(n0, Y)")
 # session that dies before conftest's counter-delta fixture takes its
 # after-snapshot takes its counters with it.  Keeping the most recent ones
 # alive lets the uniform per-bench counter attribution see this module's
-# own session_* work (one list append per run — symmetric across the
-# baseline/disabled/enabled modes the overhead gate compares).
+# own session_* work.
 _KEEPALIVE: list = []
 
 
@@ -51,12 +54,17 @@ def _keep(session):
 def _workload():
     """One cold selective evaluation: magic rewrite + stratified fixpoint.
 
-    ``maintenance=False`` takes the traced fixpoint path (the default
-    maintained-view path answers through view deltas), so this exercises
-    every per-round span guard in the hot loop.
+    The plan runs on a fresh index's snapshot, the path of a service reader
+    miss, so this exercises every per-round span guard in the hot loop.  The
+    tracer is chosen as ``QuerySession._compute`` chooses it: the installed
+    one when enabled, else ``None``.
     """
-    session = _keep(QuerySession(DATABASE, RULES, maintenance=False))
-    answers = session.answers(QUERY)
+    active = get_tracer()
+    tracer = active if active.enabled else None
+    plan = compile_query_plan(RULES, QUERY)
+    answers = plan.execute_on(
+        RelationIndex(DATABASE.atoms).snapshot(), QUERY, tracer=tracer
+    )
     assert len(answers) == CHAIN
     return answers
 

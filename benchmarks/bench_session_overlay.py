@@ -1,25 +1,22 @@
-"""Versioned storage: steady-state session queries and per-repair CQA forks.
+"""Steady-state session queries over a persistent index, and CQA per repair.
 
-Two claims of the storage-versioning layer are measured:
+Two claims are measured:
 
 * **Steady-state selective queries are (near) independent of |DB|.**  A
-  warmed :class:`~repro.query.QuerySession` (default maintenance mode)
-  serves a known-seed answer-cache miss with a filtered read of its plan
-  view's goal relation; a fresh constant costs one magic-seed delta over
-  the relevant chain only.  The old path — re-indexing the whole fact base
-  per cache miss, which is what ``QueryPlan.execute_for`` over raw facts
-  still does — is measured alongside as the linear baseline.  The hard
-  assertion pins sublinear growth: with a ~9x larger database, the
-  steady-state per-query time must grow by well under half the linear
-  factor.
-* **CQA indexes the base database exactly once across all repairs.**
-  On the PR 3 fork path (``incremental=False``),
-  :func:`repro.encodings.consistent_answers` snapshots one shared base index
-  and tombstones each repair's removed facts in a throwaway fork; the
-  engine counters assert one snapshot, one fork per repair, and no per-repair
-  index rebuilds.  The default path now goes further — one materialised plan
-  view, two deltas per repair — and is measured against this baseline in
-  ``bench_incremental_maintenance.py``.
+  warmed :class:`~repro.query.QuerySession` serves a known-seed
+  answer-cache miss with a filtered read of its plan view's goal relation;
+  a fresh constant costs one magic-seed delta over the relevant chain only.
+  Re-indexing the whole fact base per cache miss, which is what
+  ``QueryPlan.execute_for`` over raw facts does, is measured alongside as
+  the linear reference.  The hard assertion pins sublinear growth: with a
+  ~9x larger database, the steady-state per-query time must grow by well
+  under half the linear factor.
+* **CQA evaluates each repair as two deltas.**
+  :func:`repro.encodings.consistent_answers` materialises the plan once
+  over the whole database and evaluates each repair by deleting and
+  restoring its removed facts; the counters assert two deltas per repair
+  and no forks.  It is timed end to end next to one plan execution over
+  raw facts per repair.
 """
 
 from __future__ import annotations
@@ -74,7 +71,7 @@ def warmed_session(database: Database, chains: int = 1) -> QuerySession:
     The answer cache holds one entry, so later probes are always cache
     misses; warming every chain makes those misses *steady-state* misses
     (known seed → no fresh cascade), which is what the sublinearity claim
-    is about on both the view and the fork path.
+    is about.
     """
     session = QuerySession(database, RULES, answer_cache_size=1)
     for chain in range(chains):
@@ -147,8 +144,8 @@ def test_steady_state_time_grows_sublinearly():
 
     small_session = warmed_session(chain_database(small_chains, length), small_chains)
     large_session = warmed_session(chain_database(large_chains, length), large_chains)
-    # Per-probe work is one fork + one magic evaluation over one chain; take
-    # the best of several batches to shake scheduler noise.
+    # Per-probe work is one filtered read of the plan view's goal relation;
+    # take the best of several batches to shake scheduler noise.
     small_time, _ = _best_of(
         5, lambda probe=steady_probe(small_session, small_chains): [
             probe() for _ in range(10)
@@ -184,19 +181,9 @@ CQA_QUERY = parse_query("?(X) :- manager(X)")
 
 
 def test_cqa_consistent_answers(benchmark):
-    """End-to-end CQA on the shared-base overlay path."""
+    """End-to-end CQA: one materialised plan, two deltas per repair."""
     answers = benchmark(
         lambda: consistent_answers(CQA_DATABASE, CQA_CONSTRAINTS, CQA_QUERY)
-    )
-    assert answers == frozenset({(Constant("eve"),)})
-
-
-def test_cqa_shared_base_forks(benchmark):
-    """The PR 3 fork-per-repair strategy (now behind ``incremental=False``)."""
-    answers = benchmark(
-        lambda: consistent_answers(
-            CQA_DATABASE, CQA_CONSTRAINTS, CQA_QUERY, incremental=False
-        )
     )
     assert answers == frozenset({(Constant("eve"),)})
 
@@ -218,29 +205,10 @@ def test_cqa_per_repair_baseline(benchmark):
     assert benchmark(probe) == frozenset({(Constant("eve"),)})
 
 
-def test_cqa_indexes_base_exactly_once():
-    """Acceptance criterion (PR 3, preserved on the fork path): one
-    snapshot, one fork per repair, and the shared base tables are built at
-    most once per access pattern — never once per repair."""
-    repairs = subset_repairs(CQA_DATABASE, CQA_CONSTRAINTS)
-    assert len(repairs) >= 8
-    statistics = EngineStatistics()
-    answers = consistent_answers(
-        CQA_DATABASE, CQA_CONSTRAINTS, CQA_QUERY,
-        incremental=False, statistics=statistics,
-    )
-    assert answers == frozenset({(Constant("eve"),)})
-    assert statistics.snapshots_taken == 1
-    assert statistics.forks_created == len(repairs)
-    # The query probes a bounded number of access patterns on the base; the
-    # build count must not scale with the number of repairs.
-    assert statistics.index_builds <= 2
-
-
 def test_cqa_default_path_runs_repairs_as_deltas():
-    """The default path materialises the plan once and pays two deltas per
-    repair (apply the removals, restore them) — no forks, no per-repair
-    plan evaluation; see ``bench_incremental_maintenance.py``."""
+    """CQA materialises the plan once and pays two deltas per repair
+    (apply the removals, restore them) — no forks, no per-repair plan
+    evaluation; see ``bench_incremental_maintenance.py``."""
     repairs = subset_repairs(CQA_DATABASE, CQA_CONSTRAINTS)
     statistics = EngineStatistics()
     answers = consistent_answers(

@@ -44,11 +44,11 @@ _PLAIN_PREDICATE_RE = re.compile(r"^(?:[A-Za-z_][A-Za-z0-9_']*|\d+)$")
 _PREDICATE_KEYWORDS = frozenset({"not", "exists"})
 
 
-#: ``(name, arity)`` -> the one live :class:`Predicate` for that pair.  Weak
-#: values: a predicate nothing references any more (say, one an HTTP query
-#: made up) leaves the table, so the table does not grow with every name
-#: ever seen.
-_PREDICATES: weakref.WeakValueDictionary[tuple[str, int], Predicate] = (
+#: ``(name, arity, generated)`` -> the one live :class:`Predicate` for that
+#: key.  Weak values: a predicate nothing references any more (say, one an
+#: HTTP query made up) leaves the table, so the table does not grow with
+#: every name ever seen.
+_PREDICATES: weakref.WeakValueDictionary[tuple[str, int, bool], Predicate] = (
     weakref.WeakValueDictionary()
 )
 _PREDICATES_LOCK = threading.Lock()
@@ -67,17 +67,27 @@ class Predicate:
     lookups are lock-free and only creation takes a lock, so threads racing
     to create one predicate all get the same object.
 
+    ``generated`` is part of the identity.  Only the magic-set rewrite sets
+    it, on the adorned and magic relations it makes up
+    (:class:`~repro.query.adornment.AdornedPredicate`), and the warm-state
+    decoder restores it with them.  So a fact base's ``Predicate("p__bf",
+    2)`` is never the rewrite's ``p__bf``, and no fact can land in a
+    generated relation.  ``str`` does not show the flag.
+
     Instances are immutable, and pickling or copying one returns the
     interned instance.
     """
 
-    __slots__ = ("name", "arity", "__weakref__")
+    __slots__ = ("name", "arity", "generated", "__weakref__")
 
     name: str
     arity: int
+    generated: bool
 
-    def __new__(cls, name: str, arity: int) -> "Predicate":
-        key = (name, arity)
+    def __new__(
+        cls, name: str, arity: int, generated: bool = False
+    ) -> "Predicate":
+        key = (name, arity, generated)
         predicate = _PREDICATES.get(key)
         if predicate is not None:
             return predicate
@@ -91,6 +101,7 @@ class Predicate:
                 predicate = object.__new__(cls)
                 object.__setattr__(predicate, "name", name)
                 object.__setattr__(predicate, "arity", arity)
+                object.__setattr__(predicate, "generated", generated)
                 _PREDICATES[key] = predicate
         return predicate
 
@@ -101,10 +112,11 @@ class Predicate:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return (Predicate, (self.name, self.arity))
+        return (Predicate, (self.name, self.arity, self.generated))
 
     def __repr__(self) -> str:
-        return f"Predicate(name={self.name!r}, arity={self.arity!r})"
+        flag = ", generated=True" if self.generated else ""
+        return f"Predicate(name={self.name!r}, arity={self.arity!r}{flag})"
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.name}/{self.arity}"

@@ -108,7 +108,6 @@ def consistent_answers(
     query: ConjunctiveQuery,
     max_facts: int = 16,
     *,
-    incremental: bool = True,
     statistics: Optional["EngineStatistics"] = None,
 ) -> frozenset[tuple[Term, ...]]:
     """Certain answers of the query over every subset repair.
@@ -123,13 +122,9 @@ def consistent_answers(
     relation, and add the facts back — per-repair cost O(|delta| cascade),
     never a re-evaluation of the plan.  Queries outside the plan compiler's
     fragment (nulls, function terms) fall back to direct homomorphism
-    evaluation per repair.
-
-    With ``incremental=False`` the PR 3 strategy is used instead — one shared
-    base index, one copy-on-write overlay fork per repair with the removed
-    facts tombstoned, and a full plan evaluation inside each fork — kept as
-    the benchmark baseline (``benchmarks/bench_incremental_maintenance.py``
-    measures the two against each other).
+    evaluation per repair.  The view holds every fact of the database: the
+    plan's magic and adorned relations are generated predicates, which no
+    fact can share.
 
     Pass *statistics* to observe the work (``deltas_applied`` grows by two
     per repair — apply and restore — while ``index_builds`` stays flat).
@@ -149,11 +144,7 @@ def consistent_answers(
     all_atoms = frozenset(database.atoms)
     if plan is None:
         evaluate = query.answers
-    elif any(plan.program.infix in atom.predicate.name for atom in database):
-        # Adversarial predicate names collide with the plan's generated
-        # namespace: stream and filter the raw facts per repair instead.
-        evaluate = plan.execute
-    elif incremental:
+    else:
         from ..engine import MaterializedView
         from itertools import chain as _chain
 
@@ -170,17 +161,6 @@ def consistent_answers(
             current = _plan.program.collect_answers(_view.index)
             _view.apply_delta(additions=removed)
             return current
-
-    else:
-        from ..engine import RelationIndex
-
-        snapshot = RelationIndex(all_atoms, statistics=statistics).snapshot()
-
-        def evaluate(repair, _plan=plan):
-            fork = snapshot.fork(statistics=statistics)
-            for atom in all_atoms - repair:
-                fork.remove(atom)
-            return _plan.execute_into(fork, query, statistics=statistics)
 
     answers: Optional[set[tuple[Term, ...]]] = None
     for repair in repairs:

@@ -95,13 +95,10 @@ class SubscriptionError(ReproError):
     Push-based subscriptions are certified against poll-and-diff: every
     notification must be derived from the maintained view's exact
     :class:`~repro.engine.maintenance.ViewDelta`, never by re-evaluation.
-    That contract is only available on the maintained-view path — a session
-    with ``maintenance=False``, a query whose evaluation exceeds the
-    ``max_atoms`` budget (the shared view would be dropped), or a fact base
-    whose predicate names collide with the plan's generated namespace all
-    make exact deltas impossible, and ``subscribe`` refuses instead of
-    silently degrading.  Rules outside the rewritable fragment raise their
-    own scope error (:class:`UnsupportedClassError` /
+    A query whose evaluation exceeds the ``max_atoms`` budget makes exact
+    deltas impossible (the shared view would be dropped), and ``subscribe``
+    refuses instead of silently degrading.  Rules outside the rewritable
+    fragment raise their own scope error (:class:`UnsupportedClassError` /
     :class:`StratificationError`) unchanged.
     """
 

@@ -60,10 +60,12 @@ def _term_is_bound(term: Term, bound: Set[Term]) -> bool:
 class AdornedPredicate:
     """A predicate together with an adornment of its argument positions.
 
-    ``infix`` is the namespace separator of the generated names; the
-    rewriting picks one that occurs in no user predicate name
-    (:func:`repro.query.magic.magic_rewrite`), so adorned and magic
-    predicates can never collide with the program's own relations.
+    :attr:`renamed` and :attr:`magic` are *generated* predicates
+    (``Predicate(..., generated=True)``), so they never meet a relation of
+    the program or the fact base.  ``infix`` separates the parts of their
+    names; the rewriting picks one that occurs in no predicate name of the
+    program (:func:`repro.query.magic._fresh_infix`), which keeps two
+    generated names apart.
     """
 
     predicate: Predicate
@@ -92,6 +94,7 @@ class AdornedPredicate:
         return Predicate(
             f"{self.predicate.name}{self.infix}{self.adornment}",
             self.predicate.arity,
+            generated=True,
         )
 
     @property
@@ -100,6 +103,7 @@ class AdornedPredicate:
         return Predicate(
             f"m{self.infix}{self.predicate.name}{self.infix}{self.adornment}",
             len(self.bound_positions),
+            generated=True,
         )
 
     def bound_terms(self, atom: Atom) -> Tuple[Term, ...]:

@@ -124,11 +124,6 @@ class MagicProgram:
     constants: Tuple[Constant, ...]
     answer_arity: int
     stratification: Stratification = field(compare=False)
-    #: namespace separator of the generated predicates; input facts whose
-    #: predicate name contains it are ignored (they could only be attempts,
-    #: accidental or otherwise, to inject atoms into the rewriting's
-    #: internal relations — no user predicate of the program contains it).
-    infix: str = "__"
 
     def seed(self, constants: Optional[Sequence[Constant]] = None) -> Atom:
         """The ground magic seed for *constants* (default: the compiled ones)."""
@@ -213,12 +208,9 @@ class MagicProgram:
         profiler=None,
     ) -> RelationIndex:
         """Run the plan and return the full relation index (for inspection)."""
-        safe_facts = (
-            atom for atom in facts if self.infix not in atom.predicate.name
-        )
         return evaluate_stratified(
             self.rules,
-            chain(safe_facts, (self.seed(constants),)),
+            chain(facts, (self.seed(constants),)),
             stratification=self.stratification,
             max_atoms=max_atoms,
             statistics=statistics,
@@ -241,45 +233,13 @@ class MagicProgram:
         *base* is a :class:`~repro.engine.index.RelationSnapshot` (or a head
         index) already holding the database; only the magic seed is injected,
         and all derivations go to a throwaway overlay fork sharing the base's
-        pattern tables.  The caller must guarantee the base contains no
-        predicate whose name embeds :attr:`infix` (the streaming
-        :meth:`evaluate` path filters such facts; here they are assumed
-        absent — :class:`~repro.query.session.QuerySession` checks).
+        pattern tables.  Any base is safe: the plan's magic and adorned
+        relations are generated predicates, which no fact can share.
         """
         index = evaluate_stratified(
             self.rules,
             (self.seed(constants),),
             base=base,
-            stratification=self.stratification,
-            max_atoms=max_atoms,
-            statistics=statistics,
-            tracer=tracer,
-            profiler=profiler,
-        )
-        return self.collect_answers(index)
-
-    def evaluate_into(
-        self,
-        index: RelationIndex,
-        constants: Optional[Sequence[Constant]] = None,
-        *,
-        max_atoms: Optional[int] = None,
-        statistics: Optional[EngineStatistics] = None,
-        tracer=None,
-        profiler=None,
-    ) -> frozenset[Tuple[Term, ...]]:
-        """Run the plan inside an existing (typically overlay) index.
-
-        The index is mutated: magic/adorned/goal atoms are derived into it.
-        Used by consumers that prepared a branch themselves — e.g. CQA forks
-        one shared base per repair, tombstones the repair's removed facts,
-        and evaluates the plan into that fork.  The same infix caveat as
-        :meth:`evaluate_on` applies.
-        """
-        evaluate_stratified(
-            self.rules,
-            (self.seed(constants),),
-            index=index,
             stratification=self.stratification,
             max_atoms=max_atoms,
             statistics=statistics,
@@ -300,10 +260,16 @@ def _fresh_goal_predicate(taken: Set[str], arity: int) -> Predicate:
 
 
 def _fresh_infix(taken: Set[str]) -> str:
-    """A namespace separator occurring in no user predicate name.
+    """A namespace separator occurring in no predicate name of the program.
 
-    Every generated (adorned, magic) name contains the infix, so freshness of
-    the infix guarantees the generated namespace is disjoint from the user's.
+    The ``generated`` flag keeps generated predicates apart from user ones,
+    but two generated names can still coincide.  With a fixed ``"__"``, the
+    rules ``e(X) -> x(X)`` and ``f(X) -> "m__x"(X)`` give the adorned copy
+    of ``m__x`` and the magic predicate of ``x`` the same name,
+    ``m__x__b/1``; over the facts ``e(a). f(b).`` the query
+    ``? :- x(a), "m__x"(a)`` then holds, though ``m__x(a)`` does not.  An
+    infix found in no name of the program keeps every generated name
+    distinct.
     """
     infix = "__"
     while any(infix in name for name in taken):
@@ -494,5 +460,4 @@ def _magic_rewrite(rules, query: ConjunctiveQuery) -> MagicProgram:
         constants=constants,
         answer_arity=query.arity,
         stratification=stratify(rewritten_program),
-        infix=infix,
     )

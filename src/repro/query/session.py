@@ -10,9 +10,10 @@ fact base plus a fixed rule set and answers conjunctive queries through
   ``path(c7, X)`` share one compiled plan and differ only in the magic seed;
 * a **persistent base index** — the facts live in one
   :class:`~repro.engine.index.RelationIndex` head whose access-pattern hash
-  tables survive across queries *and revisions*; each query evaluates its
-  magic program into a throwaway overlay fork of the current revision's
-  snapshot, so an answer-cache miss costs O(relevant facts), never a fresh
+  tables survive across queries *and revisions*; the plan views below are
+  built from it per predicate, and :meth:`QuerySession.explain` (like a
+  miss whose view trips ``max_atoms``) evaluates into a throwaway overlay
+  fork of the current revision's snapshot, so no evaluation pays a fresh
   O(|DB|) re-index of the fact base;
 * an **answer cache** — an LRU of answer sets keyed on the concrete query.
   On mutation, cached answers whose dependency cone misses the mutated
@@ -20,11 +21,11 @@ fact base plus a fixed rule set and answers conjunctive queries through
   place** from the plan's incrementally maintained
   :class:`~repro.engine.maintenance.MaterializedView` (see below) rather
   than evicted.  Cone *invalidation* (eviction) remains the fallback when no
-  derivation counts were recorded — maintenance disabled, a namespace
-  collision forced the streaming path, or the fallback (non-stratified)
-  mode, which has no plans and evicts wholesale;
-* a **materialised view per cached plan** — with ``maintenance=True`` (the
-  default) each compiled plan owns one
+  derivation counts back the answer — its view was dropped by the
+  ``max_atoms`` budget or its seed pruned, the query left the fragment, or
+  the fallback (non-stratified) mode, which has no plans and evicts
+  wholesale;
+* a **materialised view per cached plan** — each compiled plan owns one
   :class:`~repro.engine.maintenance.MaterializedView` of its magic program
   over the plan's dependency cone of the fact base.  A cache miss injects
   the query's magic seed as a *delta* (incremental, monotone), and
@@ -197,33 +198,13 @@ class QueryPlan:
         """Run the plan over a *base* snapshot without re-indexing it.
 
         The derivations go to a throwaway overlay fork sharing the base's
-        pattern tables (see :meth:`MagicProgram.evaluate_on`, including its
-        infix caveat).
+        pattern tables (see :meth:`MagicProgram.evaluate_on`).  Service
+        readers, :meth:`QuerySession.explain` and a session miss that trips
+        ``max_atoms`` on the shared view evaluate here.
         """
         _, _, constants = canonicalize_query(query)
         return self.program.evaluate_on(
             base,
-            constants,
-            max_atoms=max_atoms,
-            statistics=statistics,
-            tracer=tracer,
-            profiler=profiler,
-        )
-
-    def execute_into(
-        self,
-        index: RelationIndex,
-        query: ConjunctiveQuery,
-        *,
-        max_atoms: Optional[int] = None,
-        statistics: Optional[EngineStatistics] = None,
-        tracer=None,
-        profiler=None,
-    ) -> frozenset[Tuple[Term, ...]]:
-        """Run the plan inside a caller-prepared (typically overlay) index."""
-        _, _, constants = canonicalize_query(query)
-        return self.program.evaluate_into(
-            index,
             constants,
             max_atoms=max_atoms,
             statistics=statistics,
@@ -562,16 +543,6 @@ class QuerySession:
         cautious stable-model reasoning instead of raising (default).  The
         extra keyword arguments accepted by :func:`repro.stable.cautious_answers`
         can be supplied via *stable_options*.
-    maintenance:
-        Keep one incrementally maintained
-        :class:`~repro.engine.maintenance.MaterializedView` per compiled
-        plan (default).  Cache misses then evaluate by injecting the magic
-        seed as a delta into the plan's view, and mutations — **deletions
-        included** — repair the view and the affected cached answers in
-        place instead of re-deriving.  With ``maintenance=False`` the
-        session uses the PR 3 behaviour: every miss evaluates into a
-        throwaway overlay fork of the current revision's snapshot, and a
-        mutation evicts the cone-intersecting answers.
     max_atoms:
         Optional budget, enforced per evaluation.  On the maintained-view
         path the shared view also carries the budget; when the cumulative
@@ -589,9 +560,12 @@ class QuerySession:
         :func:`repro.obs.global_registry`.
 
     The facts live in one persistent :class:`~repro.engine.index.RelationIndex`
-    head.  Steady-state selective queries do no per-query O(|DB|) work on
-    either path: the fork path shares the head's already-built hash tables,
-    and the view path touches only the delta cone of the new seed.
+    head.  Each compiled plan keeps one incrementally maintained
+    :class:`~repro.engine.maintenance.MaterializedView`: a cache miss
+    injects the query's magic seed as a delta into it, touching only the
+    delta cone of the new seed, and mutations — **deletions included** —
+    repair the view and the affected cached answers in place instead of
+    re-deriving.
 
     For stratified Datalog¬ the unique stable model is the perfect model, so
     :meth:`answers` returns exactly the certain (= brave = perfect-model)
@@ -618,7 +592,6 @@ class QuerySession:
         answer_cache_size: int = 256,
         fallback: bool = True,
         stable_options: Optional[dict] = None,
-        maintenance: bool = True,
         max_atoms: Optional[int] = None,
         tracer=None,
         metrics=None,
@@ -640,8 +613,6 @@ class QuerySession:
         self._snapshot: Optional[RelationSnapshot] = None
         #: per-revision memo of the detached snapshot exported by epoch()
         self._export_snapshot: Optional[RelationSnapshot] = None
-        #: per-revision memo of the infix-collision scan (infix -> safe?)
-        self._overlay_safety: dict[str, bool] = {}
         # Materialise one-shot iterables: the rules are re-walked on every
         # plan compilation and by the fallback path.
         from ..core.rules import RuleSet
@@ -659,7 +630,6 @@ class QuerySession:
         self._view_seed_cap = max(256, answer_cache_size)
         self._fallback = fallback
         self._stable_options = dict(stable_options or {})
-        self._maintenance = maintenance
         self._max_atoms = max_atoms
         self._plans: OrderedDict[tuple, QueryPlan] = OrderedDict()
         #: plan key -> (MaterializedView over the plan's cone, injected seeds)
@@ -912,22 +882,9 @@ class QuerySession:
         returns the *current* answers without re-deriving anything already
         materialised.  Raises the session's scope error outside the
         rewritable fragment, and :class:`~repro.errors.SubscriptionError`
-        when exact deltas are impossible (``maintenance=False``, namespace
-        collision, or a view that cannot be held within ``max_atoms``).
+        when the seed's cone cannot be held within ``max_atoms``.
         """
-        if not self._maintenance:
-            raise SubscriptionError(
-                "standing queries require maintenance=True: exact per-epoch "
-                "deltas come from the incrementally maintained view"
-            )
         plan_key, plan = self._plan_entry(query)  # raises outside the fragment
-        if not self._overlay_safe(plan):
-            raise SubscriptionError(
-                "a base predicate name collides with the plan's generated "
-                f"namespace (infix {plan.program.infix!r}); the streaming "
-                "evaluation path records no derivation counts, so exact "
-                "deltas are unavailable for this query"
-            )
         entry = self._view_entry(plan_key, plan)
         _, _, constants = canonicalize_query(query)
         seed = plan.program.seed(constants)
@@ -1089,7 +1046,7 @@ class QuerySession:
 
         Cached answers whose dependency cone misses the mutated predicates
         survive; the rest are repaired in place from their plan's maintained
-        view (maintenance mode) or evicted (fallback).
+        view, or evicted when no view backs them (fallback).
         """
         return self.apply_batch((("add", atoms),))[0]
 
@@ -1097,12 +1054,12 @@ class QuerySession:
         """Remove facts; returns the number actually removed.
 
         Removal maintains the base index in place (no tombstones: the head's
-        backend supports deletion).  With maintenance on, each plan's
-        materialised view absorbs the deletion as a delta — counting /
-        Delete-and-Rederive, cost proportional to the affected cone — and
-        the intersecting cached answers are repaired in place
-        (``answers_repaired``); the dependency-cone *eviction* of PR 3 is
-        now only the fallback when no derivation counts were recorded.
+        backend supports deletion).  Each plan's materialised view absorbs
+        the deletion as a delta — counting / Delete-and-Rederive, cost
+        proportional to the affected cone — and the intersecting cached
+        answers are repaired in place (``answers_repaired``); dependency-cone
+        *eviction* is only the fallback when no derivation counts back an
+        answer.
         """
         return self.apply_batch((("remove", atoms),))[0]
 
@@ -1209,7 +1166,6 @@ class QuerySession:
         self._revision += 1
         self._snapshot = None
         self._export_snapshot = None
-        self._overlay_safety.clear()
         # Nothing replays the head's delta log (forks have their own); keep
         # it empty so it never pins atoms across revisions.
         self._index.compact(self._index.tick())
@@ -1402,9 +1358,10 @@ class QuerySession:
     def explain(self, query: ConjunctiveQuery, *, top: int = 10) -> ExplainReport:
         """Profile one evaluation of *query* and attribute where time went.
 
-        The query is re-evaluated from scratch — caches bypassed, answer
-        cache untouched — under a private tracer and per-rule profiler, on
-        the same overlay-fork path a cache miss would take.  The returned
+        The query is re-evaluated from scratch — caches and plan views
+        bypassed, answer cache untouched — under a private tracer and
+        per-rule profiler, in a throwaway overlay fork of the current
+        revision's snapshot (:meth:`QueryPlan.execute_on`).  The returned
         :class:`ExplainReport` carries the compiled plan (magic-rewritten
         rules in stratum order), one :class:`StratumTiming` per stratum,
         and the ``top`` hottest rules by join time with their trigger and
@@ -1423,24 +1380,14 @@ class QuerySession:
         from time import perf_counter as _now
 
         t0 = _now()
-        if self._overlay_safe(plan):
-            answers = plan.execute_on(
-                self._ensure_snapshot(),
-                query,
-                max_atoms=self._max_atoms,
-                statistics=self.statistics.engine,
-                tracer=tracer,
-                profiler=profiler,
-            )
-        else:
-            answers = plan.execute_for(
-                self._index,
-                query,
-                max_atoms=self._max_atoms,
-                statistics=self.statistics.engine,
-                tracer=tracer,
-                profiler=profiler,
-            )
+        answers = plan.execute_on(
+            self._ensure_snapshot(),
+            query,
+            max_atoms=self._max_atoms,
+            statistics=self.statistics.engine,
+            tracer=tracer,
+            profiler=profiler,
+        )
         wall_s = _now() - t0
         strata = tuple(
             StratumTiming(
@@ -1481,113 +1428,74 @@ class QuerySession:
                 if not self._fallback:
                     raise
                 return self._fallback_answers(query), None, None
-            if self._maintenance and self._overlay_safe(plan):
-                # Maintained-view path: inject this query's magic seed as an
-                # incremental delta (a no-op for an already-seen constant
-                # vector) and read the goal relation filtered to it.  The
-                # answer is tagged with the plan key so later mutations can
-                # repair it in place.
-                entry = self._view_entry(plan_key, plan)
-                _, _, constants = canonicalize_query(query)
-                seed = plan.program.seed(constants)
-                if seed in entry.seeds:
-                    entry.seeds.move_to_end(seed)  # LRU recency
-                else:
-                    try:
-                        entry.view.apply_delta(additions=[seed])
-                    except SolverLimitError:
-                        # The shared view accumulates every seed's derivation
-                        # cone, so the budget can trip on a query that fits on
-                        # its own under the documented per-evaluation
-                        # semantics.  A half-injected seed would also leave
-                        # the view silently under-derived for this constant
-                        # vector forever: drop the view and answer this query
-                        # on a throwaway fork instead, which enforces
-                        # max_atoms per evaluation — only a genuinely
-                        # over-budget query still raises.
-                        self._views.pop(plan_key, None)
-                        result = plan.execute_on(
-                            self._ensure_snapshot(),
-                            query,
-                            max_atoms=self._max_atoms,
-                            statistics=self.statistics.engine,
-                            tracer=tracer,
-                        )
-                        return result, plan.depends, None
-                    # Recorded only after the cascade succeeded.
-                    entry.seeds[seed] = None
-                result = plan.program.collect_answers(entry.view.index, constants)
-                if len(entry.seeds) > self._view_seed_cap:
-                    try:
-                        while len(entry.seeds) > self._view_seed_cap:
-                            # Prune the coldest seed: its magic cone cascades
-                            # away as a deletion delta (O(cone), no rebuild),
-                            # bounding the view's growth in a long session.
-                            # Seeds pinned by standing queries are exempt —
-                            # pruning one would silently break its exact
-                            # delta stream; with every seed pinned the view
-                            # runs over the cap (subscribers are the floor).
-                            cold = next(
-                                (
-                                    seed_
-                                    for seed_ in entry.seeds
-                                    if seed_ not in entry.pins
-                                ),
-                                None,
-                            )
-                            if cold is None:
-                                break
-                            del entry.seeds[cold]
-                            entry.view.apply_delta(deletions=[cold])
-                    except SolverLimitError:
-                        # A half-pruned view must never stay registered (it
-                        # would silently under-answer); the answer already
-                        # collected above is still valid, so drop the view
-                        # and let the next miss rebuild it cleanly.
-                        self._views.pop(plan_key, None)
-                return result, plan.depends, plan_key
-            if self._overlay_safe(plan):
-                result = plan.execute_on(
-                    self._ensure_snapshot(),
-                    query,
-                    max_atoms=self._max_atoms,
-                    statistics=self.statistics.engine,
-                    tracer=tracer,
-                )
+            # Maintained-view path: inject this query's magic seed as an
+            # incremental delta (a no-op for an already-seen constant
+            # vector) and read the goal relation filtered to it.  The
+            # answer is tagged with the plan key so later mutations can
+            # repair it in place.
+            entry = self._view_entry(plan_key, plan)
+            _, _, constants = canonicalize_query(query)
+            seed = plan.program.seed(constants)
+            if seed in entry.seeds:
+                entry.seeds.move_to_end(seed)  # LRU recency
             else:
-                # A base predicate name embeds the plan's namespace infix
-                # (adversarial or wildly unusual input): fall back to the
-                # streaming path, which filters such facts per evaluation.
-                # No derivation counts are recorded here, so such answers
-                # stay evict-on-mutation (no plan key tag).
-                result = plan.execute_for(
-                    self._index,
-                    query,
-                    max_atoms=self._max_atoms,
-                    statistics=self.statistics.engine,
-                    tracer=tracer,
-                )
-            return result, plan.depends, None
+                try:
+                    entry.view.apply_delta(additions=[seed])
+                except SolverLimitError:
+                    # The shared view accumulates every seed's derivation
+                    # cone, so the budget can trip on a query that fits on
+                    # its own under the documented per-evaluation
+                    # semantics.  A half-injected seed would also leave
+                    # the view silently under-derived for this constant
+                    # vector forever: drop the view and answer this query
+                    # on a throwaway fork instead, which enforces
+                    # max_atoms per evaluation — only a genuinely
+                    # over-budget query still raises.
+                    self._views.pop(plan_key, None)
+                    result = plan.execute_on(
+                        self._ensure_snapshot(),
+                        query,
+                        max_atoms=self._max_atoms,
+                        statistics=self.statistics.engine,
+                        tracer=tracer,
+                    )
+                    return result, plan.depends, None
+                # Recorded only after the cascade succeeded.
+                entry.seeds[seed] = None
+            result = plan.program.collect_answers(entry.view.index, constants)
+            if len(entry.seeds) > self._view_seed_cap:
+                try:
+                    while len(entry.seeds) > self._view_seed_cap:
+                        # Prune the coldest seed: its magic cone cascades
+                        # away as a deletion delta (O(cone), no rebuild),
+                        # bounding the view's growth in a long session.
+                        # Seeds pinned by standing queries are exempt —
+                        # pruning one would silently break its exact
+                        # delta stream; with every seed pinned the view
+                        # runs over the cap (subscribers are the floor).
+                        cold = next(
+                            (
+                                seed_
+                                for seed_ in entry.seeds
+                                if seed_ not in entry.pins
+                            ),
+                            None,
+                        )
+                        if cold is None:
+                            break
+                        del entry.seeds[cold]
+                        entry.view.apply_delta(deletions=[cold])
+                except SolverLimitError:
+                    # A half-pruned view must never stay registered (it
+                    # would silently under-answer); the answer already
+                    # collected above is still valid, so drop the view
+                    # and let the next miss rebuild it cleanly.
+                    self._views.pop(plan_key, None)
+            return result, plan.depends, plan_key
         if not self._fallback:
             assert self._scope_error is not None
             raise self._scope_error
         return self._fallback_answers(query), None, None
-
-    def _overlay_safe(self, plan: QueryPlan) -> bool:
-        """No base predicate collides with the plan's generated namespace.
-
-        Constant within a revision, so the predicate-name scan is memoised
-        per infix and dropped on mutation.
-        """
-        infix = plan.program.infix
-        safe = self._overlay_safety.get(infix)
-        if safe is None:
-            safe = not any(
-                infix in predicate.name
-                for predicate in self._index.predicates()
-            )
-            self._overlay_safety[infix] = safe
-        return safe
 
     def _fallback_answers(self, query: ConjunctiveQuery) -> frozenset:
         self.statistics.fallback_queries += 1

@@ -153,13 +153,19 @@ def decode_term(payload: Sequence) -> Term:
 
 
 def encode_atom(atom: Atom) -> list:
-    return [atom.predicate.name, [encode_term(term) for term in atom.terms]]
+    """``[name, terms]``, plus a trailing ``true`` for a generated predicate
+    (warm state holds the magic and adorned atoms of maintained views)."""
+    encoded = [atom.predicate.name, [encode_term(term) for term in atom.terms]]
+    if atom.predicate.generated:
+        encoded.append(True)
+    return encoded
 
 
 def decode_atom(payload: Sequence) -> Atom:
     name, terms = payload[0], payload[1]
+    generated = len(payload) > 2 and payload[2] is True
     return Atom(
-        Predicate(name, len(terms)),
+        Predicate(name, len(terms), generated),
         tuple(decode_term(term) for term in terms),
     )
 
@@ -895,7 +901,14 @@ class DurabilityManager:
                 batch_id = int(payload["batch_id"])
                 digest = payload.get("digest")
                 warm = None
-                if self.config.restore_warm and payload.get("warm"):
+                # Before format 3, warm state stored generated atoms under
+                # their bare names, which would now decode into user
+                # relations: such warmth is dropped, the facts are kept.
+                if (
+                    self.config.restore_warm
+                    and payload.get("warm")
+                    and int(payload.get("format", 1)) >= 3
+                ):
                     try:
                         warm = decode_warm_state(payload["warm"])
                     except Exception:
@@ -958,13 +971,15 @@ class DurabilityManager:
         tracer = get_tracer()
         span = tracer.start("service.checkpoint") if tracer.enabled else None
         try:
-            # Format 2: facts are integer rows against one ``symbols``
+            # Format 3: facts are integer rows against one ``symbols``
             # section, mirroring the engine's interned storage (format-1
-            # checkpoints — structural atoms inline — remain readable).
+            # checkpoints — structural atoms inline — remain readable), and
+            # warm-state atoms carry the generated-predicate flag (format 2
+            # did not; its warm state is dropped on recovery).
             interner = _TermInterner()
             fact_rows = [interner.atom_row(atom) for atom in facts]
             payload = {
-                "format": 2,
+                "format": 3,
                 "batch_id": batch_id,
                 "revision": revision,
                 "digest": digest,

@@ -441,7 +441,6 @@ class Replica:
         *,
         replica_id: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
-        maintenance: bool = True,
         fallback: bool = True,
         max_atoms: Optional[int] = None,
     ) -> None:
@@ -455,7 +454,6 @@ class Replica:
         self._session = QuerySession(
             (),
             rules,
-            maintenance=maintenance,
             fallback=fallback,
             max_atoms=max_atoms,
             metrics=self._metrics,

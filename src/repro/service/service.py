@@ -170,7 +170,6 @@ class Epoch:
         "snapshot",
         "_published",
         "_memo",
-        "_infix_safety",
         "_service",
     )
 
@@ -190,7 +189,6 @@ class Epoch:
         self.snapshot._obs_build_hook = service._record_cold_build
         self._published = exported.answers
         self._memo: Dict[ConjunctiveQuery, frozenset] = {}
-        self._infix_safety: Dict[str, bool] = {}
         self._service = service
 
     def facts(self) -> frozenset[Atom]:
@@ -263,7 +261,7 @@ class DatalogService:
         Replay reader cache-misses through the session before each publish
         (default).  Warmed answers are maintained incrementally by the
         session's views and arrive pre-computed in every later epoch.
-    fallback / maintenance / max_atoms / session options:
+    fallback / max_atoms / session options:
         Forwarded to the session (see :class:`QuerySession`).
     metrics:
         The :class:`~repro.obs.metrics.MetricsRegistry` the service (and
@@ -305,7 +303,6 @@ class DatalogService:
         warm_cache: bool = True,
         plan_cache_size: int = 64,
         fallback: bool = True,
-        maintenance: bool = True,
         max_atoms: Optional[int] = None,
         stable_options: Optional[dict] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -342,7 +339,6 @@ class DatalogService:
             initial,
             rules,
             fallback=fallback,
-            maintenance=maintenance,
             max_atoms=max_atoms,
             stable_options=stable_options,
             plan_cache_size=plan_cache_size,
@@ -595,24 +591,13 @@ class DatalogService:
             if not self._fallback:
                 raise error
             return self._fallback_answers(epoch, query), True
-        if self._overlay_safe(epoch, plan):
-            result = plan.execute_on(
-                epoch.snapshot,
-                query,
-                max_atoms=self._max_atoms,
-                statistics=local,
-                tracer=tracer,
-            )
-        else:
-            # A base predicate name embeds the plan's generated namespace
-            # infix; stream through the filtering evaluation path instead.
-            result = plan.execute_for(
-                epoch.snapshot,
-                query,
-                max_atoms=self._max_atoms,
-                statistics=local,
-                tracer=tracer,
-            )
+        result = plan.execute_on(
+            epoch.snapshot,
+            query,
+            max_atoms=self._max_atoms,
+            statistics=local,
+            tracer=tracer,
+        )
         return result, False
 
     def _plan_for(
@@ -653,17 +638,6 @@ class DatalogService:
                 self._plans.clear()
             self._plans[key] = plan
             return plan, None
-
-    def _overlay_safe(self, epoch: Epoch, plan: QueryPlan) -> bool:
-        infix = plan.program.infix
-        safe = epoch._infix_safety.get(infix)
-        if safe is None:
-            safe = not any(
-                infix in predicate.name
-                for predicate in epoch.snapshot.predicates()
-            )
-            epoch._infix_safety[infix] = safe
-        return safe
 
     def _fallback_answers(
         self, epoch: Epoch, query: ConjunctiveQuery
@@ -749,8 +723,8 @@ class DatalogService:
             Bound, in seconds, on waiting for the writer's acknowledgement.
 
         Raises the plan's scope error for out-of-fragment queries,
-        :class:`~repro.errors.SubscriptionError` when exact deltas are
-        impossible (``maintenance=False``, budget, namespace collision), and
+        :class:`~repro.errors.SubscriptionError` when the query's cone
+        cannot be held within ``max_atoms``, and
         :class:`~repro.errors.ServiceClosedError` after ``close()``.
         """
         if mode not in ("iterator", "callback"):

@@ -17,6 +17,8 @@ from repro.errors import SafetyError
 P = Predicate("p", 2)
 Q = Predicate("q", 1)
 R = Predicate("r", 2)
+#: named like the adorned copy of ``p`` for pattern ``bf``, but generated
+GENERATED = Predicate("p__bf", 2, generated=True)
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 a, b = Constant("a"), Constant("b")
 
@@ -54,18 +56,27 @@ class TestPredicateInterning:
     def test_equal_predicates_are_one_object(self):
         assert Predicate("p", 2) is P
         assert Predicate("p", 1) is not P
+        assert Predicate("p__bf", 2, generated=True) is GENERATED
+        assert Predicate("p__bf", 2) is not GENERATED
 
     def test_equality_and_hash_are_identity_slots(self):
         assert Predicate.__hash__ is object.__hash__
         assert Predicate.__eq__ is object.__eq__
 
     @pytest.mark.parametrize(
+        "predicate", [P, GENERATED], ids=["user", "generated"]
+    )
+    @pytest.mark.parametrize(
         "clone",
         [lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy],
         ids=["pickle", "copy", "deepcopy"],
     )
-    def test_pickle_and_copy_return_the_interned_instance(self, clone):
-        assert clone(P) is P
+    def test_pickle_and_copy_return_the_interned_instance(
+        self, clone, predicate
+    ):
+        cloned = clone(predicate)
+        assert cloned is predicate
+        assert cloned.generated is predicate.generated
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
@@ -81,6 +92,25 @@ class TestPredicateInterning:
 
     def test_repr(self):
         assert repr(P) == "Predicate(name='p', arity=2)"
+        assert repr(GENERATED) == (
+            "Predicate(name='p__bf', arity=2, generated=True)"
+        )
+
+    def test_only_the_rewrite_makes_generated_predicates(self):
+        from repro import parse_program, parse_query
+        from repro.query import magic_rewrite, normalize_rules
+
+        rules = parse_program(
+            "edge(X, Y) -> path(X, Y)\nedge(X, Z), path(Z, Y) -> path(X, Y)"
+        )
+        program = magic_rewrite(rules, parse_query("?(Y) :- path(a, Y)"))
+        own = {p for rule in normalize_rules(rules) for p in rule.predicates}
+        used = {p for rule in program.rules for p in rule.predicates}
+        assert own <= used  # base-import rules read path, edge stays a base
+        assert not any(predicate.generated for predicate in own)
+        made_up = used - own
+        assert made_up and all(predicate.generated for predicate in made_up)
+        assert program.goal.renamed.generated and program.goal.magic.generated
 
     def test_unreferenced_predicate_is_collected_and_recreated(self):
         ref = weakref.ref(Predicate("interning_probe", 3))

@@ -89,8 +89,14 @@ def test_term_codec_round_trips_every_term_kind():
     ]
     for term in terms:
         assert decode_term(json.loads(json.dumps(encode_term(term)))) == term
-    atom = Atom(Predicate("p q", 3), (terms[0], terms[2], terms[4]))
-    assert decode_atom(json.loads(json.dumps(encode_atom(atom)))) == atom
+    for predicate in (
+        Predicate("p q", 3),
+        Predicate("p q", 3, generated=True),  # a view's magic/adorned atom
+    ):
+        atom = Atom(predicate, (terms[0], terms[2], terms[4]))
+        decoded = decode_atom(json.loads(json.dumps(encode_atom(atom))))
+        assert decoded == atom
+        assert decoded.predicate is predicate
 
 
 # ------------------------------------------------------------- the fact log
@@ -372,6 +378,35 @@ def test_warm_restart_serves_restored_answers_as_cache_hits(tmp_path):
         # epoch: no evaluation, a read_cache_hit on a fresh registry.
         assert reopened.statistics.read_cache_hits == 1
         assert reopened.statistics.reads_served == 1
+    finally:
+        reopened.close()
+
+
+def test_format_2_checkpoint_recovers_facts_but_no_warm_state(tmp_path):
+    """Format-2 warm state stored generated atoms under their bare names;
+    decoding it would put magic and adorned atoms into user relations, so
+    recovery keeps the checkpoint's facts and drops its warmth."""
+    facts = [edge(i, i + 1) for i in range(6)]
+    service = _durable_service(tmp_path)
+    service.add_facts(facts).result()
+    expected = service.answers(probe())
+    service.flush()
+    service.checkpoint()
+    service.close()
+
+    store = CheckpointStore(tmp_path)
+    _, payload = store.latest()
+    assert payload["format"] == 3 and payload["warm"]["views"]
+    payload["format"] = 2
+    payload["warm"]["atoms"] = [atom[:2] for atom in payload["warm"]["atoms"]]
+    store.write(payload)
+
+    reopened = _durable_service(tmp_path)
+    try:
+        assert reopened.facts == frozenset(facts)
+        assert reopened.stats().counters["session_views_built"] == 0
+        assert reopened.answers(probe()) == expected
+        assert reopened.statistics.read_cache_hits == 0
     finally:
         reopened.close()
 

@@ -348,6 +348,120 @@ class TestNameCollisionHardening:
         session = QuerySession(facts, rules)
         assert session.answers(query) == frozenset({(Constant("b"),)})
 
+    # A decoy: a user fact named exactly like the plan's generated goal
+    # relation.  Were the two conflated, ``poison`` would become an answer.
+    DECOY_QUERY = parse_query("?(Y) :- path(a, Y)")
+
+    def _decoy_facts(self):
+        from repro.core.atoms import Atom, Predicate
+        from repro.query import compile_query_plan
+
+        goal = compile_query_plan(
+            TRANSITIVE_CLOSURE, self.DECOY_QUERY
+        ).program.goal.renamed
+        decoy = Predicate(goal.name, goal.arity)
+        assert decoy is not goal
+        poison = Atom(decoy, (Constant("poison"), Constant("a")))
+        return list(CHAIN.atoms) + [poison]
+
+    def test_decoy_in_generated_namespace_answers_from_the_view(self):
+        from repro.core.atoms import Atom, Predicate
+
+        facts = self._decoy_facts()
+        session = QuerySession(facts, TRANSITIVE_CLOSURE)
+        query = self.DECOY_QUERY
+        assert session.answers(query) == full_fixpoint_answers(
+            facts, TRANSITIVE_CLOSURE, query
+        )
+        assert session.statistics.views_built == 1
+        session.add_facts(
+            [Atom(Predicate("edge", 2), (Constant("d"), Constant("e")))]
+        )
+        assert session.statistics.answers_repaired >= 1
+        assert session.answers(query) == full_fixpoint_answers(
+            session.facts, TRANSITIVE_CLOSURE, query
+        )
+        assert (Constant("e"),) in session.answers(query)
+
+    def test_decoy_in_generated_namespace_keeps_standing_queries_exact(self):
+        from repro.core.atoms import Atom, Predicate
+
+        session = QuerySession(self._decoy_facts(), TRANSITIVE_CLOSURE)
+        standing = session.register_standing(self.DECOY_QUERY, token=1)
+        before = standing.answers
+        assert before == session.answers(self.DECOY_QUERY)
+        session.drain_standing_deltas()
+        session.add_facts(
+            [Atom(Predicate("edge", 2), (Constant("d"), Constant("e")))]
+        )
+        after = session.answers(self.DECOY_QUERY)
+        assert after != before
+        delta = session.drain_standing_deltas().views[standing.plan_key]
+        arity = standing.answer_arity
+
+        def project(atoms):
+            return {
+                atom.terms[:arity]
+                for atom in atoms
+                if atom.predicate is standing.goal
+                and atom.terms[arity:] == standing.constants
+            }
+
+        assert project(delta.added) == after - before
+        assert project(delta.removed) == before - after
+
+    def test_decoy_in_generated_namespace_service_reads_the_snapshot(
+        self, monkeypatch
+    ):
+        from repro.obs import MetricsRegistry
+        from repro.query import QueryPlan
+        from repro.service import DatalogService
+
+        def streaming(*args, **kwargs):
+            raise AssertionError("service reads must not stream raw facts")
+
+        monkeypatch.setattr(QueryPlan, "execute_for", streaming)
+        facts = self._decoy_facts()
+        with DatalogService(
+            facts, TRANSITIVE_CLOSURE, metrics=MetricsRegistry()
+        ) as service:
+            assert service.answers(self.DECOY_QUERY) == full_fixpoint_answers(
+                facts, TRANSITIVE_CLOSURE, self.DECOY_QUERY
+            )
+            assert service.statistics.read_cache_hits == 0
+
+    def test_decoy_in_generated_namespace_cqa_repairs_as_deltas(self):
+        from repro.core.atoms import Atom, Predicate
+        from repro.core.rules import RuleSet
+        from repro.engine import EngineStatistics
+        from repro.encodings import (
+            DenialConstraint,
+            consistent_answers,
+            subset_repairs,
+        )
+        from repro.query import compile_query_plan
+
+        query = parse_query("?(X) :- manager(X)")
+        goal = compile_query_plan(RuleSet(()), query).program.goal.renamed
+        x = Variable("X")
+        constraint = DenialConstraint(
+            (Predicate("manager", 1)(x), Predicate("intern", 1)(x))
+        )
+        database = parse_database(
+            "manager(ann). manager(eve). intern(ann). intern(bob)."
+        ).with_atoms(
+            [Atom(Predicate(goal.name, goal.arity), (Constant("poison"),))]
+        )
+        repairs = subset_repairs(database, [constraint])
+        expected = frozenset.intersection(
+            *(frozenset(query.answers(repair)) for repair in repairs)
+        )
+        statistics = EngineStatistics()
+        assert consistent_answers(
+            database, [constraint], query, statistics=statistics
+        ) == expected == frozenset({(Constant("eve"),)})
+        assert statistics.deltas_applied == 2 * len(repairs)
+
     def test_query_with_null_falls_back_even_over_rewritable_rules(self):
         """Nulls in queries leave the fragment; fallback must still answer."""
         from repro.core.atoms import Atom, Literal, Predicate
@@ -392,6 +506,32 @@ class TestNameCollisionHardening:
         assert session.answers(
             ConjunctiveQuery((p(x).positive(),), (x,))
         ) == frozenset()
+
+
+class TestGeneratedNameFreshness:
+    """Two generated names must not coincide either.  With a fixed ``__``
+    infix, the adorned copy of ``m__x`` and the magic predicate of ``x``
+    would both be ``m__x__b/1``, and ``x(a), "m__x"(a)`` would hold."""
+
+    RULES = parse_program('e(X) -> x(X)\nf(X) -> "m__x"(X)')
+    FACTS = parse_database("e(a). f(b).")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '? :- x(a), "m__x"(a)',
+            '? :- x(b), "m__x"(b)',
+            '?(Y) :- x(Y), "m__x"(Y)',
+            '?(Y) :- "m__x"(Y)',
+            "? :- x(a)",
+        ],
+    )
+    def test_session_matches_full_fixpoint(self, text):
+        query = parse_query(text)
+        session = QuerySession(self.FACTS, self.RULES)
+        assert session.answers(query) == full_fixpoint_answers(
+            self.FACTS, self.RULES, query
+        )
 
 
 class TestCertainAnswersEntryPoint:

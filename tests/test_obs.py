@@ -397,23 +397,35 @@ class TestRuleProfiler:
 # -------------------------------------------------------------- integration
 class TestTracedEvaluation:
     def test_engine_spans_nest_under_session_answers(self):
+        # A service reader miss evaluates the plan on the epoch's snapshot,
+        # which runs the traced stratified fixpoint.
         tracer = Tracer()
-        # maintenance=False takes the overlay-fork evaluation path, which
-        # runs the traced stratified fixpoint (the maintained-view path
-        # answers through incremental deltas — engine.view_repair spans).
-        session = QuerySession(
-            DATABASE, RULES, tracer=tracer, maintenance=False
-        )
-        session.answers(QUERY)
-        names = [span.name for span in tracer.spans()]
-        assert "session.answers" in names
-        assert "engine.stratum" in names
-        assert "engine.fixpoint" in names
-        assert "engine.fixpoint.round" in names
+        with use_tracer(tracer):
+            with DatalogService(
+                DATABASE, RULES, metrics=MetricsRegistry()
+            ) as service:
+                service.answers(QUERY)
+        (read,) = tracer.spans("service.read")
+        assert read.attributes["cache"] == "miss"
+        engine = ("engine.fixpoint", "engine.stratum", "engine.fixpoint.round")
+        for name in engine:
+            spans = tracer.spans(name)
+            assert spans
+            assert all(
+                span.thread == read.thread and span.depth > read.depth
+                for span in spans
+            )
         stratum = tracer.spans("engine.stratum")[0]
         assert stratum.attributes["atoms"] > 0
-        fixpoint = tracer.spans("engine.fixpoint")[0]
-        assert fixpoint.depth > tracer.spans("session.answers")[0].depth
+        # A session miss injects its magic seed into the plan's maintained
+        # view: an engine.view_repair span under session.answers.
+        tracer = Tracer()
+        with use_tracer(tracer):
+            QuerySession(DATABASE, RULES).answers(QUERY)
+        (answers,) = tracer.spans("session.answers")
+        repairs = tracer.spans("engine.view_repair")
+        assert repairs
+        assert all(span.depth > answers.depth for span in repairs)
 
     def test_cache_hit_and_miss_attributes(self):
         tracer = Tracer()

@@ -15,6 +15,7 @@ from repro.query import (
     QueryStatistics,
     SessionStatistics,
     compile_query_plan,
+    full_fixpoint_answers,
 )
 from repro.stable import cautious_answers, certain_answer
 
@@ -142,24 +143,6 @@ class TestPredicateLevelInvalidation:
         assert session.statistics.answer_misses == 2
         assert session.statistics.answer_hits == 2
 
-    def test_related_mutation_evicts_without_maintenance(self):
-        session = QuerySession(self.DATABASE, self.RULES, maintenance=False)
-        path_query = parse_query("?(Y) :- path(a, Y)")
-        hue_query = parse_query("?(X) :- hue(X)")
-        session.answers(path_query)
-        session.answers(hue_query)
-        session.add_facts(
-            [Atom(Predicate("edge", 2), (Constant("c"), Constant("d")))]
-        )
-        # Without derivation counts the path answer was evicted (PR 3
-        # behaviour), the hue answer survived.
-        assert session.statistics.answers_retained == 1
-        assert session.statistics.answers_repaired == 0
-        assert (Constant("d"),) in session.answers(path_query)
-        assert session.statistics.answer_misses == 3
-        assert session.answers(hue_query)
-        assert session.statistics.answer_hits == 1
-
     def test_removal_is_predicate_level_too(self):
         session = QuerySession(self.DATABASE, self.RULES)
         path_query = parse_query("?(Y) :- path(a, Y)")
@@ -209,11 +192,10 @@ class TestPredicateLevelInvalidation:
 
 
 class TestZeroRebuildSteadyState:
-    """Acceptance criterion (PR 3, preserved): after warm-up, an answer-cache
-    miss performs no full-index rebuild.  On the maintained-view path the
-    miss is a magic-seed delta into the plan's view; on the fork path
-    (``maintenance=False``) it is an overlay fork of the persistent
-    per-revision snapshot."""
+    """Acceptance criterion: after warm-up, an answer-cache miss performs no
+    full-index rebuild.  A session miss is a magic-seed delta into the
+    plan's view; a service reader miss is an overlay fork of the epoch's
+    published snapshot."""
 
     RULES = parse_program(
         """
@@ -253,24 +235,31 @@ class TestZeroRebuildSteadyState:
         assert session.statistics.views_built == 1
 
     def test_cache_misses_reuse_base_tables_without_maintenance(self):
-        session = QuerySession(self._atoms(), self.RULES, maintenance=False)
-        session.answers(parse_query("?(Y) :- reachable(n190, Y)"))  # warm-up
-        engine = session.statistics.engine
-        warm_builds = engine.index_builds
-        assert warm_builds > 0  # the warm-up did build the base tables
-        for i in range(180, 190):  # distinct constants: all cache misses
-            session.answers(parse_query(f"?(Y) :- reachable(n{i}, Y)"))
-        assert session.statistics.answer_misses == 11
-        assert engine.index_builds == warm_builds
-        assert engine.forks_created == 11
-        # Mutations advance the revision without forcing rebuilds either:
-        # copy-on-write duplicates the mutated relation's tables instead.
-        session.add_facts(
-            [Atom(self.LINK, (Constant("n300"), Constant("n301")))]
+        """Service reader misses use no view: each forks the epoch's
+        snapshot and reuses the pattern tables the warm-up built."""
+        from repro.obs import MetricsRegistry
+        from repro.service import DatalogService
+
+        registry = MetricsRegistry()
+        with DatalogService(
+            self._atoms(), self.RULES, metrics=registry
+        ) as service:
+            epoch = service.epoch()
+            epoch.answers(parse_query("?(Y) :- reachable(n190, Y)"))  # warm-up
+            before = registry.snapshot().counters
+            assert before["service_snapshot_index_builds"] > 0
+            for i in range(180, 190):  # distinct constants: all misses
+                epoch.answers(parse_query(f"?(Y) :- reachable(n{i}, Y)"))
+            after = registry.snapshot().counters
+        assert service.statistics.read_cache_hits == 0
+        assert (
+            after["service_engine_forks_created"]
+            - before["service_engine_forks_created"]
+        ) == 10
+        assert (
+            after["service_snapshot_index_builds"]
+            == before["service_snapshot_index_builds"]
         )
-        session.answers(parse_query("?(Y) :- reachable(n300, Y)"))
-        assert engine.index_builds == warm_builds
-        assert engine.pattern_tables_copied > 0
 
 
 class TestNoStaleAnswersUnderMutation:
@@ -278,12 +267,9 @@ class TestNoStaleAnswersUnderMutation:
     answer — every session answer equals a from-scratch evaluation over the
     session's current facts."""
 
-    @pytest.mark.parametrize("maintenance", [True, False])
     @pytest.mark.parametrize("seed", [3, 17])
-    def test_random_mutation_query_interleavings(self, seed, maintenance):
+    def test_random_mutation_query_interleavings(self, seed):
         import random
-
-        from repro.query import full_fixpoint_answers
 
         rules = parse_program(
             """
@@ -312,9 +298,7 @@ class TestNoStaleAnswersUnderMutation:
             parse_query("?(X) :- loud(X)"),
             parse_query("? :- path(c0, c3)"),
         ]
-        session = QuerySession(
-            rng.sample(universe, 10), rules, maintenance=maintenance
-        )
+        session = QuerySession(rng.sample(universe, 10), rules)
         for _ in range(60):
             action = rng.random()
             if action < 0.3:
@@ -362,7 +346,7 @@ class TestMaintainedViewRobustness:
         # around the fourth query.  The budget semantics are documented as
         # per evaluation, so every query must succeed (falling back to a
         # throwaway fork when the cumulative view overflows) and agree with
-        # the maintenance=False baseline, in any query order.
+        # a full fixpoint, in any query order.
         link = Predicate("link", 2)
         atoms = [
             Atom(link, (Constant(f"n{c}_{i}"), Constant(f"n{c}_{i + 1}")))
@@ -376,10 +360,11 @@ class TestMaintainedViewRobustness:
             """
         )
         maintained = QuerySession(atoms, rules, max_atoms=150)
-        baseline = QuerySession(atoms, rules, max_atoms=150, maintenance=False)
         for c in range(6):
             query = parse_query(f"?(Y) :- reachable(n{c}_0, Y)")
-            assert maintained.answers(query) == baseline.answers(query)
+            assert maintained.answers(query) == full_fixpoint_answers(
+                atoms, rules, query
+            )
             assert maintained.answers(query) == frozenset(
                 {(Constant(f"n{c}_{i}"),) for i in range(1, 7)}
             )
@@ -478,33 +463,6 @@ class TestCqaPlanReuse:
         # Hash tables are built once per access pattern of the plan — a
         # constant of the query shape — never once per repair.
         assert 0 < statistics.index_builds < len(repairs)
-
-    def test_fork_per_repair_baseline_still_indexes_once(self):
-        from repro.engine import EngineStatistics
-
-        manager = Predicate("manager", 1)
-        intern = Predicate("intern", 1)
-        from repro.core.terms import Variable
-
-        x = Variable("X")
-        constraint = DenialConstraint((manager(x), intern(x)))
-        database = parse_database(
-            "manager(ann). manager(eve). manager(joe). manager(sue)."
-            " intern(ann). intern(joe). intern(sue). intern(zed)."
-        )
-        repairs = subset_repairs(database, [constraint])
-        query = parse_query("? :- manager(eve), intern(zed)")
-        statistics = EngineStatistics()
-        answers = consistent_answers(
-            database, [constraint], query,
-            incremental=False, statistics=statistics,
-        )
-        assert answers == frozenset({()})
-        # The PR 3 path: one overlay fork per repair over one shared base,
-        # base tables built at most once per access pattern.
-        assert statistics.forks_created == len(repairs)
-        assert statistics.snapshots_taken == 1
-        assert 0 < statistics.index_builds <= 2
 
 
 class TestQueryRelevantGrounding:

@@ -375,11 +375,6 @@ class TestNotificationSemantics:
             with pytest.raises(ValueError):
                 service.subscribe(QUERY, on_overflow="shed")
 
-    def test_subscribe_without_maintenance_refused(self):
-        with DatalogService((), RULES, maintenance=False) as service:
-            with pytest.raises(SubscriptionError):
-                service.subscribe(QUERY)
-
     def test_subscribe_outside_fragment_raises_scope_error(self):
         rules = parse_program("person(X) -> exists Y. parent(X, Y)")
         with DatalogService((), rules) as service:
@@ -583,10 +578,14 @@ class TestStandingQuerySession:
         assert not session.standing_exact(standing)
         assert session.standing_answers(standing) is None
 
-    def test_register_without_maintenance_raises(self):
-        session = QuerySession((), RULES, maintenance=False)
+    def test_register_over_budget_raises(self):
+        chain = [link(f"n{i}", f"n{i + 1}") for i in range(30)]
+        session = QuerySession(chain, RULES, max_atoms=40)
         with pytest.raises(SubscriptionError):
-            session.register_standing(QUERY, token=1)
+            session.register_standing(
+                parse_query("?(Y) :- reachable(n0, Y)"), token=1
+            )
+        assert not session._capture_deltas
 
     def test_reregistration_is_idempotent(self):
         session = QuerySession([link("a", "b")], RULES)
