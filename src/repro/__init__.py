@@ -71,7 +71,6 @@ from .engine import (
     EngineStatistics,
     MemoryBackend,
     RelationIndex,
-    SQLiteBackend,
     fixpoint,
 )
 from .errors import (
@@ -154,7 +153,6 @@ __all__ = [
     "ReproError",
     "RuleProfiler",
     "RuleSet",
-    "SQLiteBackend",
     "SafetyError",
     "ServiceClosedError",
     "ServiceOverloadedError",

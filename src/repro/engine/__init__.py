@@ -16,9 +16,9 @@ loops.  It has five parts:
   over ground atoms with delta tracking (``added_since``), replacing the old
   predicate-only ``AtomIndex``; versioned via :meth:`RelationIndex.snapshot`
   (immutable :class:`RelationSnapshot` views sharing pattern tables
-  copy-on-write) and :meth:`RelationSnapshot.fork` (throwaway
-  :class:`OverlayRelationIndex` branches layering additions and tombstones
-  over a shared base);
+  copy-on-write) and :meth:`RelationSnapshot.fork` (throwaway, add-only
+  :class:`OverlayRelationIndex` leaves layering additions over a shared
+  base);
 * :mod:`~repro.engine.planner` — join planning: :class:`CompiledRule` and the
   greedy bound-connectivity / smallest-relation-first literal ordering, plus
   the one join executor, :class:`EncodedRule` / :func:`enumerate_bindings`
@@ -28,8 +28,8 @@ loops.  It has five parts:
 * :mod:`~repro.engine.seminaive` — the generic semi-naive :func:`fixpoint`
   driver (delta rules, no rederivation) and the counter-propagation
   :class:`GroundProgramEvaluator` for ground programs;
-* :mod:`~repro.engine.backend` — the pluggable storage protocol with the
-  in-memory default and a ``sqlite3`` out-of-core backend;
+* :mod:`~repro.engine.backend` — the storage protocol, its copy-on-write
+  in-memory backend and the add-only overlay that forks write to;
 * :mod:`~repro.engine.maintenance` — incremental maintenance of derived
   relations: :class:`SupportTable` derivation records (populated through the
   fixpoint driver's ``on_fire`` hook), the counting cascade behind
@@ -43,7 +43,7 @@ See the "Engine internals" section of the top-level README for how the pieces
 fit together.
 """
 
-from .backend import MemoryBackend, OverlayBackend, SQLiteBackend, StorageBackend
+from .backend import MemoryBackend, OverlayBackend, StorageBackend
 from .index import (
     OverlayRelationIndex,
     RelationIndex,
@@ -81,7 +81,6 @@ __all__ = [
     "RelationIndex",
     "RelationSnapshot",
     "Row",
-    "SQLiteBackend",
     "StorageBackend",
     "SupportTable",
     "SymbolTable",

@@ -21,12 +21,11 @@ three directions:
   :class:`RelationSnapshot` view that shares the already-built pattern hash
   tables *copy-on-write* (a later head mutation copies only the mutated
   relation's tables, leaving the snapshot's intact), and
-  :meth:`RelationSnapshot.fork` produces a throwaway
-  :class:`OverlayRelationIndex` branch whose writes go to an overlay
-  (additions plus tombstones) while reads fall through to the shared base
-  tables.  A fork costs O(1) to create no matter how large the base is,
-  which is what makes per-query, per-repair and per-chase evaluation
-  branches affordable (cf. ``QuerySession``, ``encodings.cqa``,
+  :meth:`RelationSnapshot.fork` produces a throwaway, add-only
+  :class:`OverlayRelationIndex` leaf whose additions go to an overlay while
+  reads fall through to the shared base tables.  A fork costs O(1) to create
+  no matter how large the base is, which is what makes per-query and
+  per-chase evaluation branches affordable (cf. ``QuerySession``,
   ``repro.chase``).
 
 **Interned row plane.**  Internally everything above runs on interned integer
@@ -40,9 +39,9 @@ the atom edge entirely via the row-plane surface (:meth:`RelationIndex.rows_of`,
 :meth:`RelationIndex.rows_for`, :meth:`RelationIndex.contains_row`,
 :meth:`RelationIndex.rows_added_since`, :meth:`RelationIndex.add_row`).
 
-The underlying tuple store is pluggable (see :mod:`repro.engine.backend`);
-hash indexes and the delta log always live in memory, they are access-path
-metadata, not primary storage.
+The tuple store is a :class:`~repro.engine.backend.MemoryBackend` (an
+:class:`~repro.engine.backend.OverlayBackend` on forks); hash indexes and
+the delta log are access-path metadata kept beside it.
 
 This module also hosts the term/atom matching primitives (``match_terms`` /
 ``match_atom``); they are re-exported by :mod:`repro.core.homomorphism` for
@@ -271,10 +270,9 @@ class RelationIndex:
     ----------
     atoms:
         Initial contents.
-    backend:
-        Tuple storage (defaults to :class:`~repro.engine.backend.MemoryBackend`).
-        A pre-populated backend is adopted as-is; its existing atoms are
-        replayed into the delta log so ``added_since(0)`` stays exhaustive.
+    symbols:
+        The interning table rows are encoded against (defaults to the
+        process-wide :func:`~repro.engine.intern.global_symbols`).
     statistics:
         Optional shared counters; the index reports lazily built hash indexes,
         derived/removed/encoded tuples, snapshots, forks, and pattern-table
@@ -297,17 +295,10 @@ class RelationIndex:
         self,
         atoms: Iterable[Atom] = (),
         *,
-        backend: Optional[StorageBackend] = None,
+        symbols: Optional[SymbolTable] = None,
         statistics: Optional[EngineStatistics] = None,
     ):
-        self._init_state(
-            backend if backend is not None else MemoryBackend(), statistics
-        )
-        if backend is not None and len(backend):
-            encode = backend.symbols.encode_atom
-            self._log.extend(
-                (atom.predicate, encode(atom)) for atom in backend
-            )
+        self._init_state(MemoryBackend(symbols), statistics)
         for atom in atoms:
             self.add(atom)
 
@@ -381,8 +372,8 @@ class RelationIndex:
 
         The log withdrawal scans the retained window (O(retained log));
         callers doing bulk removals should ``compact(tick())`` first if
-        nothing still needs the pending delta (``QuerySession`` does, and
-        overlay forks start with an empty log).
+        nothing still needs the pending delta (``QuerySession`` does).
+        Forks are add-only and raise ``TypeError``.
         """
         row = self._backend.symbols.try_encode_atom(atom)
         if row is None:
@@ -566,11 +557,7 @@ class RelationIndex:
         """Forget the delta log before *tick* (a tick of this branch).
 
         Fixpoint drivers call this once a round's delta has been fully
-        consumed, so the log never holds more than one round of atoms — the
-        piece that matters when the backend is out-of-core and the index
-        should not pin every atom in memory.  (Lazily built hash indexes
-        still reference rows; drop the index, or avoid bound-position
-        lookups, for truly memory-light scans.)
+        consumed, so the log never holds more than one round of entries.
         """
         self._check_branch(tick, "compact")
         if tick <= self._log_offset:
@@ -672,16 +659,15 @@ class RelationIndex:
 class RelationSnapshot:
     """An immutable view of a :class:`RelationIndex` at one version.
 
-    The snapshot pins the backend contents (copy-on-write where the backend
-    supports it, guarded otherwise) and shares the head's pattern hash
-    tables; tables the head has not built yet are built on demand — on the
-    *head* while the head is still at the snapshot's version (so the work is
-    reused by future snapshots and maintained incrementally by head
-    mutations), and privately from the pinned backend view once the head has
-    moved on.
+    The snapshot pins the backend contents (copy-on-write) and shares the
+    head's pattern hash tables; tables the head has not built yet are built
+    on demand — on the *head* while the head is still at the snapshot's
+    version (so the work is reused by future snapshots and maintained
+    incrementally by head mutations), and privately from the pinned backend
+    view once the head has moved on.
 
     Snapshots answer the full read surface of an index (membership, scans,
-    ``candidates_for``, counts) and spawn writable branches via :meth:`fork`.
+    ``candidates_for``, counts) and spawn add-only branches via :meth:`fork`.
 
     **Concurrency.**  A snapshot is safe to read from any number of threads:
     its contents are pinned, the pattern tables it was created with are
@@ -708,16 +694,16 @@ class RelationSnapshot:
 
     def __init__(
         self,
-        source: Optional[RelationIndex],
-        backend: StorageBackend,
+        source: RelationIndex,
+        backend: MemoryBackend,
         patterns: Dict[Tuple[Predicate, Tuple[int, ...]], _PatternTable],
         version: int,
     ) -> None:
-        self._source = source
+        self._source: Optional[RelationIndex] = source
         self._backend = backend
         self._patterns = patterns
         self._version = version
-        self._stats = source._stats if source is not None else None
+        self._stats = source._stats
         #: serialises cold pattern-table builds; reads of built tables are
         #: lock-free (dict get, atomic under the GIL).
         self._lock = threading.Lock()
@@ -859,22 +845,19 @@ class RelationSnapshot:
 
 
 class OverlayRelationIndex(RelationIndex):
-    """A writable branch: overlay additions/tombstones over a shared base.
+    """An add-only leaf branch: overlay additions over a shared base.
 
-    Reads layer three sources: the base snapshot's shared pattern tables
-    (never copied, never rebuilt), a private overlay index over the branch's
-    own additions (proportional to the branch's writes), and a tombstone
-    filter for base rows the branch removed.  Writes touch only the overlay,
-    so any number of branches can run against one base concurrently.
+    Reads layer two sources: the base snapshot's shared pattern tables
+    (never copied, never rebuilt) and a private overlay index over the
+    branch's own additions (proportional to the branch's writes).  Writes
+    touch only the overlay, so any number of branches can run against one
+    base concurrently; the base snapshot stays immutable while the fork is
+    alive (copy-on-write).
 
-    Tombstone semantics (enforced in :class:`~repro.engine.backend.OverlayBackend`):
-    removing a base atom records a tombstone instead of touching the base;
-    re-inserting a tombstoned atom *clears* the tombstone, making the base
-    atom visible again (a "resurrection" — it does **not** create an
-    overlay-local copy, which is why :meth:`_note_added` only indexes
-    genuinely local additions).  The base snapshot must stay immutable while
-    the fork is alive; copy-on-write backends guarantee that, guarded views
-    raise if it is violated.
+    A fork only grows: :meth:`remove` and :meth:`remove_row` (hence
+    :meth:`retract`) raise ``TypeError``, and so do :meth:`snapshot` and
+    :meth:`fork`, because a fork is a leaf.  Remove from, snapshot and fork
+    the head index instead.
 
     The branch has its own delta log starting empty at the fork point (the
     base atoms are *not* replayed — semi-naive drivers scan the full index on
@@ -898,24 +881,12 @@ class OverlayRelationIndex(RelationIndex):
         return self._base
 
     # -------------------------------------------------------------- mutation
-    def _note_added(self, predicate: Predicate, row: Row) -> None:
-        # A resurrected tombstone is visible through the *base* tables again;
-        # only genuinely local additions belong in the overlay tables.
-        backend: OverlayBackend = self._backend  # type: ignore[assignment]
-        if backend.local.contains_row(predicate, row):
-            super()._note_added(predicate, row)
-
-    def _note_removed(self, predicate: Predicate, row: Row) -> None:
-        # Tombstoned base rows are filtered at read time; the overlay tables
-        # only ever held local rows, and the inherited upkeep is a no-op for
-        # anything else (the row is simply absent from the local buckets).
-        super()._note_removed(predicate, row)
+    def remove(self, atom: Atom) -> bool:
+        # Raise before encoding: an atom the symbol table never interned
+        # would otherwise return False instead of reporting the misuse.
+        raise TypeError("forks are add-only: remove from the head index")
 
     # ----------------------------------------------------------- access paths
-    def candidates(self, predicate: Predicate) -> Sequence[Atom]:
-        # The overlay backend already merges base + local − tombstones.
-        return self._backend.atoms_of(predicate)
-
     def _lookup(
         self,
         predicate: Predicate,
@@ -930,11 +901,6 @@ class OverlayRelationIndex(RelationIndex):
             base_bucket = self._base._lookup(predicate, positions, key)
         else:
             base_bucket = ()
-        if base_bucket and backend.has_tombstones(predicate):
-            tombstoned = backend.is_tombstoned_row
-            base_bucket = [
-                row for row in base_bucket if not tombstoned(predicate, row)
-            ]
         if backend.local.count(predicate):
             local_bucket = self._ensure_pattern(predicate, positions).buckets.get(
                 key, ()
@@ -967,17 +933,8 @@ class OverlayRelationIndex(RelationIndex):
         return table
 
     def snapshot(self) -> RelationSnapshot:
-        """An immutable view of the overlay branch.
-
-        Overlay snapshots do not share pattern tables (the two-level base +
-        local layout does not transfer); lookups on the snapshot rebuild
-        privately from the pinned overlay view on demand.
-        """
-        if self._stats is not None:
-            self._stats.snapshots_taken += 1
-        snap = RelationSnapshot(None, self._backend.snapshot(), {}, self._version)
-        snap._stats = self._stats
-        return snap
+        """Forks are leaves: snapshot (or fork) the head index instead."""
+        raise TypeError("forks are leaves: snapshot or fork the head index")
 
 
 #: The canonical name for the versioned storage surface: a

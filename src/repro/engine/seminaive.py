@@ -212,7 +212,7 @@ def fixpoint(
             tick = target.tick()
             # The delta is materialised (and round 1 scans everything anyway);
             # older log entries are dead weight — compacting them keeps the log
-            # to one round of atoms, which matters for out-of-core backends.
+            # to one round of atoms.
             target.compact(tick)
             rounds += 1
             if statistics is not None:

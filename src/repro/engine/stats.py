@@ -49,7 +49,7 @@ class EngineStatistics:
     iterations:
         Semi-naive fixpoint rounds executed.
     tuples_removed:
-        Atoms deleted from an index (tombstoned or physically removed).
+        Atoms deleted from a head index (forks are add-only).
     snapshots_taken:
         Immutable snapshot views created from a mutable head index.
     forks_created:

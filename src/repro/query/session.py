@@ -1053,8 +1053,8 @@ class QuerySession:
     def remove_facts(self, atoms: Iterable[Atom]) -> int:
         """Remove facts; returns the number actually removed.
 
-        Removal maintains the base index in place (no tombstones: the head's
-        backend supports deletion).  Each plan's materialised view absorbs
+        Removal maintains the base index in place (the head index supports
+        deletion; only its forks are add-only).  Each plan's materialised view absorbs
         the deletion as a delta — counting / Delete-and-Rederive, cost
         proportional to the affected cone — and the intersecting cached
         answers are repaired in place (``answers_repaired``); dependency-cone

@@ -19,9 +19,8 @@ answers, and ``close()`` racing writer deliveries blocked on full queues
 (``TestSubscriptionStress``; single-threaded delivery semantics live in
 ``tests/test_subscriptions.py``) — and the engine-level guarantees it all
 builds on: cold lazy pattern tables built once under the per-snapshot lock
-while 8 threads hammer them through a barrier, and the SQLite backend's
-thread-affinity fix (snapshot and read a sqlite-backed index from threads
-other than its creator, which used to raise ``ProgrammingError``).  Last,
+while 8 threads hammer them through a barrier, and overlay forks of one
+shared snapshot built and read from several threads at once.  Last,
 the process-wide memos of the engine's hot path: threads racing to create
 the same interned predicates get one object per name, and readers racing
 first-touch queries of one new shape fill the same join-programme memos
@@ -43,7 +42,6 @@ from repro.core.terms import Constant, Variable
 from repro.engine import (
     EngineStatistics,
     RelationIndex,
-    SQLiteBackend,
 )
 from repro.query import full_fixpoint_answers
 
@@ -410,45 +408,8 @@ class TestSnapshotConcurrency:
         assert not errors, errors
         assert snapshot.atoms() == pinned
 
-
-class TestSQLiteThreadAffinity:
-    def _sqlite_index(self) -> RelationIndex:
-        index = RelationIndex(backend=SQLiteBackend())
-        for atom in ATOM_POOL[:10]:
-            index.add(atom)
-        return index
-
-    def test_snapshot_readable_from_second_thread(self):
-        """Regression: sqlite connections are thread-bound by default, so
-        reading a sqlite-backed snapshot from another thread raised
-        ``sqlite3.ProgrammingError`` before ``check_same_thread=False``."""
-        index = self._sqlite_index()
-        snapshot = index.snapshot()
-        expected = frozenset(ATOM_POOL[:10])
-        outcome: list = []
-        errors: list = []
-
-        def read() -> None:
-            try:
-                assert snapshot.atoms() == expected
-                assert ATOM_POOL[0] in snapshot
-                assert snapshot.count(LINK) == 10
-                pattern = Atom(LINK, (Constant("a"), Variable("X")))
-                outcome.append(frozenset(snapshot.candidates_for(pattern)))
-            except BaseException as error:
-                errors.append(error)
-
-        thread = threading.Thread(target=read)
-        thread.start()
-        _join_all([thread])
-        assert not errors, errors
-        assert outcome[0] == frozenset(
-            atom for atom in ATOM_POOL[:10] if atom.terms[0] == Constant("a")
-        )
-
     def test_overlay_fork_readable_from_many_threads(self):
-        index = self._sqlite_index()
-        snapshot = index.snapshot()
+        snapshot = RelationIndex(ATOM_POOL[:10]).snapshot().detach()
         barrier = threading.Barrier(4)
         errors: list = []
 
@@ -464,25 +425,6 @@ class TestSQLiteThreadAffinity:
                 errors.append(error)
 
         threads = [threading.Thread(target=fork_and_read) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        _join_all(threads)
-        assert not errors, errors
-
-    def test_concurrent_membership_probes(self):
-        index = self._sqlite_index()
-        errors: list = []
-
-        def probe(worker_seed: int) -> None:
-            rng = random.Random(worker_seed)
-            try:
-                for _ in range(100):
-                    atom = rng.choice(ATOM_POOL)
-                    assert (atom in index) == (atom in ATOM_POOL[:10])
-            except BaseException as error:  # pragma: no cover
-                errors.append(error)
-
-        threads = [threading.Thread(target=probe, args=(s,)) for s in range(4)]
         for thread in threads:
             thread.start()
         _join_all(threads)

@@ -1,17 +1,21 @@
 """The documentation must stay executable and internally linked.
 
-Two guarantees, both enforced in CI (the ``docs`` job):
+Three guarantees, all enforced in CI (the ``docs`` job):
 
 * every fenced ```` ```python ```` block in ``docs/*.md`` runs without
   raising — blocks within one file share a namespace and run top to bottom,
   so later blocks may build on earlier ones;
 * every relative markdown link in ``docs/*.md`` and ``README.md`` points at
   an existing file (external ``http(s)`` links are format-checked only; the
-  suite runs offline).
+  suite runs offline);
+* every name a ``repro`` module lists in ``__all__`` resolves, so a deleted
+  class cannot linger in the documented public surface.
 """
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -60,3 +64,19 @@ def test_markdown_links_resolve(path):
             continue  # in-page anchor
         resolved = (path.parent / target.split("#", 1)[0]).resolve()
         assert resolved.exists(), f"{path.name}: broken link {target!r}"
+
+
+def test_every_exported_name_resolves():
+    import repro
+
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert not missing, f"__all__ names that do not resolve: {missing}"

@@ -13,6 +13,8 @@ from repro import (
     parse_program,
     parse_query,
 )
+from repro.generators import random_database, random_stratified_datalog
+from repro.query import perfect_model
 from repro.stable import (
     StableModelEngine,
     Universe,
@@ -194,3 +196,25 @@ class TestExistentialWitnessChoice:
         database = parse_database("s(a).")
         candidate = interp("s(a) p(a,b) p(a,c)")
         assert not is_stable_model(candidate, database, rules)
+
+
+class TestPerfectModelOracle:
+    """Stratified Datalog¬ has exactly one stable model under Definition 1,
+    the perfect model that every differential test uses as its oracle."""
+
+    @pytest.mark.parametrize(
+        "layers, predicates_per_layer, constants, facts",
+        [(2, 3, 3, 5), (3, 2, 2, 3)],
+    )
+    @pytest.mark.parametrize("seed", range(20))
+    def test_unique_stable_model_is_the_perfect_model(
+        self, seed, layers, predicates_per_layer, constants, facts
+    ):
+        rules = random_stratified_datalog(
+            layers=layers, predicates_per_layer=predicates_per_layer, seed=seed
+        )
+        edb = sorted(rules.extensional_predicates(), key=lambda p: p.name)
+        database = random_database(edb, constants=constants, facts=facts, seed=seed)
+        models = solve(database, rules, max_nulls=0)
+        assert len(models) == 1
+        assert models[0].positive == perfect_model(rules, database.atoms)
