@@ -35,7 +35,7 @@ sharing of flat int structures.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Protocol, Sequence
+from typing import Dict, Iterable, Iterator, Protocol, Sequence
 
 from ..core.atoms import Atom, Predicate
 from .intern import Row, SymbolTable, TupleRelation, global_symbols
@@ -102,15 +102,17 @@ class MemoryBackend:
     and marks it ``shared``; the first subsequent write to a shared relation
     — from either side — copies it, so a snapshot costs O(#predicates) and
     later mutations cost O(|mutated relation|) once.  What is shared and
-    copied are dicts of small int tuples, never term-object graphs.
+    copied are dicts of small int tuples, never term-object graphs.  Rows
+    are encoded against the process-wide
+    :func:`~repro.engine.intern.global_symbols` table.
     """
 
     __slots__ = ("_rows", "_size", "_symbols")
 
-    def __init__(self, symbols: Optional[SymbolTable] = None) -> None:
+    def __init__(self) -> None:
         self._rows: Dict[Predicate, TupleRelation] = {}
         self._size = 0
-        self._symbols = symbols if symbols is not None else global_symbols()
+        self._symbols = global_symbols()
 
     @property
     def symbols(self) -> SymbolTable:
@@ -173,7 +175,7 @@ class MemoryBackend:
         so chains of snapshots stay safe: sharing with a newer view cannot
         un-protect an older one.
         """
-        clone = MemoryBackend(self._symbols)
+        clone = MemoryBackend()
         for predicate, relation in self._rows.items():
             relation.shared = True
             clone._rows[predicate] = relation
@@ -225,7 +227,7 @@ class OverlayBackend:
 
     def __init__(self, base: MemoryBackend) -> None:
         self._base = base
-        self._local = MemoryBackend(base.symbols)
+        self._local = MemoryBackend()
 
     # ------------------------------------------------------------ layering
     @property

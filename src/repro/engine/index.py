@@ -270,9 +270,6 @@ class RelationIndex:
     ----------
     atoms:
         Initial contents.
-    symbols:
-        The interning table rows are encoded against (defaults to the
-        process-wide :func:`~repro.engine.intern.global_symbols`).
     statistics:
         Optional shared counters; the index reports lazily built hash indexes,
         derived/removed/encoded tuples, snapshots, forks, and pattern-table
@@ -295,10 +292,9 @@ class RelationIndex:
         self,
         atoms: Iterable[Atom] = (),
         *,
-        symbols: Optional[SymbolTable] = None,
         statistics: Optional[EngineStatistics] = None,
     ):
-        self._init_state(MemoryBackend(symbols), statistics)
+        self._init_state(MemoryBackend(), statistics)
         for atom in atoms:
             self.add(atom)
 
@@ -854,8 +850,8 @@ class OverlayRelationIndex(RelationIndex):
     base concurrently; the base snapshot stays immutable while the fork is
     alive (copy-on-write).
 
-    A fork only grows: :meth:`remove` and :meth:`remove_row` (hence
-    :meth:`retract`) raise ``TypeError``, and so do :meth:`snapshot` and
+    A fork only grows: :meth:`remove`, :meth:`remove_row` and
+    :meth:`retract` raise ``TypeError``, and so do :meth:`snapshot` and
     :meth:`fork`, because a fork is a leaf.  Remove from, snapshot and fork
     the head index instead.
 
@@ -885,6 +881,10 @@ class OverlayRelationIndex(RelationIndex):
         # Raise before encoding: an atom the symbol table never interned
         # would otherwise return False instead of reporting the misuse.
         raise TypeError("forks are add-only: remove from the head index")
+
+    def retract(self, atom: Atom, *, support=None) -> Tuple[Atom, ...]:
+        # Raise before a support table's cascade changes the table.
+        raise TypeError("forks are add-only: retract from the head index")
 
     # ----------------------------------------------------------- access paths
     def _lookup(

@@ -337,9 +337,9 @@ def _unify(
 
 
 def _decoded_membership(symbols: SymbolTable, oracle):
-    """A ``contains_row`` for a negation oracle whose ids are not
-    *symbols*' (another table's index, or any container of atoms): the row
-    is decoded and the atom looked up.
+    """A ``contains_row`` for a negation oracle without *symbols* (any
+    container of atoms, such as a set): the row is decoded and the atom
+    looked up.
 
     Built here rather than inside :func:`enumerate_bindings`, whose
     per-call setup runs for every round and delta position of a fixpoint:
@@ -656,12 +656,12 @@ def enumerate_bindings(
     candidate and every binding is a flat int structure.  At the leaf,
     hidden slots are decomposed (:func:`_unify`) and the negative literals
     checked for absence from *negative_against* (default: *index*; an
-    oracle on another symbol table is checked by decoded atoms); an unbound
-    variable in a negative literal raises ``ValueError`` (unsafe pattern).
-    A body with no positive literal has an empty programme: its one
-    binding is checked at the leaf.  **Yields the live binding list** —
-    callers that retain bindings across iterations must copy
-    (``tuple(b)``).
+    oracle without *index*'s symbol table, such as a set of atoms, is
+    checked by decoded atoms); an unbound variable in a negative literal
+    raises ``ValueError`` (unsafe pattern).  A body with no positive
+    literal has an empty programme: its one binding is checked at the
+    leaf.  **Yields the live binding list** — callers that retain bindings
+    across iterations must copy (``tuple(b)``).
 
     *steps* may carry a programme built for the same pre-bound slots as
     *binding* and the same *delta_position* (:func:`delta_steps`, or

@@ -22,6 +22,7 @@ from repro.engine import (
     OverlayRelationIndex,
     RelationIndex,
     RelationSnapshot,
+    SupportTable,
     VersionedRelationIndex,
     compile_rule,
     enumerate_matches,
@@ -317,14 +318,23 @@ class TestVersionedIndex:
         fork = head.fork()
         fork.add(edge(a, d))
         never_interned = edge(Constant("never-interned"), a)
-        for atom in (edge(a, b), edge(a, d), never_interned):
+        # A protected atom stays alive, so a cascade would never reach
+        # ``remove``: the fork must refuse before the table changes.
+        support = SupportTable()
+        support.base.update({edge(a, b), edge(a, d)})
+        support.protected.add(edge(a, c))
+        for atom in (edge(a, b), edge(a, c), edge(a, d), never_interned):
             with pytest.raises(TypeError):
                 fork.remove(atom)
             with pytest.raises(TypeError):
                 fork.retract(atom)
+            with pytest.raises(TypeError):
+                fork.retract(atom, support=support)
         with pytest.raises(TypeError):
             fork.remove_row(edge, fork.symbols.encode_atom(edge(a, b)))
-        # The failed removals left the branch exactly as it was.
+        # The failed removals left the branch and the table as they were.
+        assert support.base == {edge(a, b), edge(a, d)}
+        assert support.protected == {edge(a, c)}
         assert len(fork) == 3
         assert fork.count(edge) == 3
         assert set(fork.candidates_for(edge(a, X))) == {
