@@ -2,8 +2,11 @@
 
 The engine has one join executor: ``EncodedRule`` / ``enumerate_bindings``
 over dense integer ids, which ``fixpoint``, the maintenance layer and
-``enumerate_matches`` all run.  This module times it on two join-heavy
-shapes and records the numbers in ``BENCH_results.json``:
+``enumerate_matches`` all run.  Each join plan is generated once into a
+Python function with one nested loop per body literal, which yields every
+binding as a tuple of ids.  This module times it (planning and generation
+included, memoised after the first round) on two join-heavy shapes and
+records the numbers in ``BENCH_results.json``:
 
 * the **magic-sets shape** — the recursive reachability join of
   bench_magic_sets, run over the materialised closure of its largest
@@ -105,7 +108,7 @@ def triangle_graph() -> RelationIndex:
 
 
 def count_interned(pattern: CompiledRule, index: RelationIndex) -> int:
-    """Consume the row plane the way fixpoint/maintenance do: raw bindings."""
+    """Consume the row plane the way fixpoint/maintenance do: binding tuples."""
     encoded = encode_rule(pattern, index.symbols)
     return sum(1 for _ in enumerate_bindings(encoded, index))
 

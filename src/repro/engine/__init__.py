@@ -22,9 +22,11 @@ loops.  It has five parts:
 * :mod:`~repro.engine.planner` — join planning: :class:`CompiledRule` and the
   greedy bound-connectivity / smallest-relation-first literal ordering, plus
   the one join executor, :class:`EncodedRule` / :func:`enumerate_bindings`
-  (slot bindings over interned ids; function terms with variables inside
-  are matched by decomposing stored ids), and its object-level edge
-  :func:`enumerate_matches` (assignments are decoded only at yield);
+  (each plan generated once into a Python function with one nested loop
+  per body literal, yielding slot-binding tuples of interned ids; function
+  terms with variables inside are matched by decomposing stored ids), and
+  its object-level edge :func:`enumerate_matches` (assignments are decoded
+  only at yield);
 * :mod:`~repro.engine.seminaive` — the generic semi-naive :func:`fixpoint`
   driver (delta rules, no rederivation) and the counter-propagation
   :class:`GroundProgramEvaluator` for ground programs;

@@ -808,7 +808,7 @@ class MaterializedView:
             delta_position=delta_position,
             statistics=self._stats,
         ):
-            yield (compiled, encoded, tuple(binding))
+            yield (compiled, encoded, binding)
 
     def _delta_join(
         self, stratum: int, grouped: Dict[Predicate, List[Atom]]

@@ -25,8 +25,11 @@ nested-loop join over interned rows.  An :class:`EncodedRule` lowers a
 compiled rule onto a symbol table's integer ids; each step of its plan
 probes the pattern hash table of the positions bound by the prefix
 (``RelationIndex.rows_for``) and binds the rest of the row into flat int
-slots.  :func:`enumerate_matches` is its object-level edge: it encodes a
-partial assignment and delta atoms, and decodes each binding at yield.
+slots.  Each plan is generated once into a Python function
+(:func:`generate_join`) with one nested ``for`` per step, and memoised
+on the rule; nothing interprets the plan at run time.
+:func:`enumerate_matches` is its object-level edge: it encodes a partial
+assignment and delta atoms, and decodes each binding at yield.
 
 Paper provenance: the planner is the engine-side realisation of the
 homomorphism machinery of **Section 2** — matching a rule body (or query) is
@@ -43,7 +46,18 @@ rewritten programs probe exactly the hash indexes the planner would pick.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from types import CodeType
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..core.atoms import Atom, Predicate
 from ..core.terms import FunctionTerm, Null, Term
@@ -60,7 +74,6 @@ __all__ = [
     "order_body",
     "enumerate_matches",
     "enumerate_bindings",
-    "delta_steps",
 ]
 
 
@@ -265,10 +278,16 @@ def order_body(
 #
 # A hidden slot binds to the stored term's id like any other slot.  At the
 # join's leaf that id is decomposed (``SymbolTable.structure``) against the
-# term's spec by :func:`_unify`, which binds or compares the slots inside;
-# a pattern null inside binds like a variable, as it does at the top level.
-# Hidden slots are not in ``slot_of``, so decoded assignments never show
-# them.
+# term's spec, binding or comparing the slots inside; a pattern null inside
+# binds like a variable, as it does at the top level.  Hidden slots are not
+# in ``slot_of``, so decoded assignments never show them.
+#
+# Joins and head builders are generated Python functions
+# (:func:`generate_join`, :func:`generate_heads`) with slot ``n`` in the
+# local ``s<n>``.  Their source holds only ints and names the generator
+# mints; every predicate, id, key, function name and message is bound in
+# the function's namespace, so no user string reaches ``compile`` and
+# programmes of the same shape share one code object.
 
 _Spec = Union[int, Tuple[int, int], Tuple[str, tuple]]
 
@@ -294,64 +313,287 @@ def _resolve_spec(
     return symbols.encode_function(first, tuple(argument_ids))
 
 
-def _unify(
-    spec: Tuple[str, tuple],
-    tid: int,
-    binding: List[Optional[int]],
-    marks: List[int],
-    symbols: SymbolTable,
-) -> bool:
-    """Match the stored term *tid* against a function-term *spec*.
-
-    Slots inside are bound (and appended to *marks*, for the caller to
-    unbind on backtrack) or compared with their binding; nested function
-    terms recurse.
-    """
-    shape = symbols.structure(tid)
-    if shape is None:
-        return False
-    function, argument_ids = shape
-    name, arguments = spec
-    if function != name or len(argument_ids) != len(arguments):
-        return False
-    for sub, value in zip(arguments, argument_ids):
-        if type(sub) is int:
-            if sub >= 0:
-                if sub != value:
-                    return False
-                continue
-            slot = -sub - 1
-        elif type(sub[0]) is int:  # (slot, null_id): a pattern null binds
-            slot = sub[0]
-        else:
-            if not _unify(sub, value, binding, marks, symbols):
-                return False
-            continue
-        current = binding[slot]
-        if current is None:
-            binding[slot] = value
-            marks.append(slot)
-        elif current != value:
-            return False
-    return True
-
-
 def _decoded_membership(symbols: SymbolTable, oracle):
     """A ``contains_row`` for a negation oracle without *symbols* (any
     container of atoms, such as a set): the row is decoded and the atom
-    looked up.
-
-    Built here rather than inside :func:`enumerate_bindings`, whose
-    per-call setup runs for every round and delta position of a fixpoint:
-    a closure there would cost every call, not only the foreign-oracle
-    ones.
-    """
+    looked up."""
     atom_of = symbols.atom
 
     def contains_row(predicate: Predicate, row: Row) -> bool:
         return atom_of(predicate, row) in oracle
 
     return contains_row
+
+
+def negation_oracle(index: RelationIndex, negative_against=None):
+    """The ``contains_row`` a join checks its negative literals with:
+    *index*'s own (the default), *negative_against*'s when it shares
+    *index*'s symbol table, else decoded-atom membership in it."""
+    if negative_against is None:
+        return index.contains_row
+    if getattr(negative_against, "symbols", None) is index.symbols:
+        return negative_against.contains_row
+    return _decoded_membership(index.symbols, negative_against)
+
+
+#: A generated join: ``join(binding, delta_rows, rows_for, rows_of,
+#: contains_row, statistics)`` yielding slot-binding tuples.
+_Join = Callable[..., Iterator[tuple]]
+#: Code objects of generated functions, keyed by their source text.
+_CODE_CACHE: Dict[str, CodeType] = {}
+#: ``for`` loops per generated function: CPython rejects more than 20
+#: statically nested blocks, so a longer join continues in a helper.
+_MAX_LOOPS = 16
+#: The arguments of a generated join after ``(binding, delta_rows)``.
+_RUNTIME = ("rows_for", "rows_of", "contains_row", "statistics")
+
+
+def _tuple(items: Sequence[str]) -> str:
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+class _Writer:
+    """One generated module: its functions' source lines, the namespace
+    its minted names are bound in, and the slots bound at the current
+    line of a join."""
+
+    def __init__(self, symbols: SymbolTable) -> None:
+        self.functions: List[List[str]] = []
+        self.namespace: Dict[str, object] = {
+            "structure": symbols.structure,
+            "encode_function": symbols.encode_function,
+        }
+        self.minted = 0
+        self.bound: set = set()
+        self.depth = self.loops = 0
+
+    def name(self, prefix: str, value: object) -> str:
+        """A fresh name bound to *value* in the namespace."""
+        self.minted += 1
+        self.namespace[f"{prefix}{self.minted}"] = value
+        return f"{prefix}{self.minted}"
+
+    def temporary(self) -> str:
+        self.minted += 1
+        return f"t{self.minted}"
+
+    def entry(self, entry: int) -> str:
+        """Source of a literal entry: a named id, or a slot's local."""
+        return self.name("c", entry) if entry >= 0 else f"s{-entry - 1}"
+
+    def open(self, name: str, parameters: Sequence[str]) -> None:
+        self.functions.append([f"def {name}({', '.join(parameters)}):"])
+        self.depth, self.loops = 1, 0
+
+    def line(self, text: str) -> None:
+        self.functions[-1].append("    " * self.depth + text)
+
+    def reject_if(self, conditions: Sequence[str]) -> None:
+        if conditions:
+            self.line(f"if {' or '.join(conditions)}:")
+            self.line("    continue" if self.loops else "    return")
+
+    def loop(self, target: str, rows: str) -> None:
+        """Count *rows* as scanned and iterate over them."""
+        self.line("if statistics is not None:")
+        self.line(f"    statistics.tuples_scanned += len({rows})")
+        self.line(f"for {target} in {rows}:")
+        self.depth += 1
+        self.loops += 1
+
+    def unpack(self, columns: Sequence) -> Tuple[str, List[str], list]:
+        """The unpacking target of a row or argument tuple matched against
+        *columns*, the conditions that reject it, and the nested function
+        terms left to decompose.  A column ``None`` is matched already (by
+        the probe key); an unbound slot code binds; a bound slot code or
+        an id is compared; a function spec is decomposed."""
+        names: List[str] = []
+        conditions: List[str] = []
+        nested: List[Tuple[str, tuple]] = []
+        for column in columns:
+            if column is None:
+                names.append("_")
+            elif type(column) is tuple:
+                names.append(self.temporary())
+                nested.append((names[-1], column))
+            elif column < 0 and -column - 1 not in self.bound:
+                self.bound.add(-column - 1)
+                names.append(f"s{-column - 1}")
+            else:
+                names.append(self.temporary())
+                conditions.append(f"{names[-1]} != {self.entry(column)}")
+        return _tuple(names), conditions, nested
+
+    def verify(self, conditions: List[str], nested: list) -> None:
+        self.reject_if(conditions)
+        for name, spec in nested:
+            self.decompose(name, spec)
+
+    def decompose(self, source: str, spec: Tuple[str, tuple]) -> None:
+        """Match the stored term *source* names against a function spec;
+        a pattern null ``(slot, null id)`` inside binds like a variable."""
+        shape = self.temporary()
+        self.line(f"{shape} = structure({source})")
+        self.reject_if(
+            [
+                f"{shape} is None",
+                f"{shape}[0] != {self.name('f', spec[0])}",
+                f"len({shape}[1]) != {len(spec[1])}",
+            ]
+        )
+        target, conditions, nested = self.unpack(
+            [
+                sub if type(sub) is int or type(sub[0]) is not int else -sub[0] - 1
+                for sub in spec[1]
+            ]
+        )
+        self.line(f"{target} = {shape}[1]")
+        self.verify(conditions, nested)
+
+    def probe(self, predicate: Predicate, entries: tuple) -> None:
+        """One literal of the plan: fetch the rows that agree with its
+        fixed ids and the slots bound before it, and loop over them."""
+        if self.loops == _MAX_LOOPS:
+            arguments = _RUNTIME + tuple(f"s{slot}" for slot in sorted(self.bound))
+            helper = f"join{len(self.functions)}"
+            self.line(f"yield from {helper}({', '.join(arguments)})")
+            self.open(helper, arguments)
+        keyed = [
+            position
+            for position, entry in enumerate(entries)
+            if entry >= 0 or -entry - 1 in self.bound
+        ]
+        name = self.name("p", predicate)
+        if not keyed:
+            self.line(f"rows = rows_of({name})")
+        else:
+            key = [entries[position] for position in keyed]
+            if all(entry >= 0 for entry in key):
+                key_source = self.name("k", tuple(key))
+            else:
+                key_source = _tuple([self.entry(entry) for entry in key])
+            positions = _tuple([str(position) for position in keyed])
+            self.line(f"rows = rows_for({name}, {positions}, {key_source})")
+        target, conditions, nested = self.unpack(
+            [None if p in keyed else entry for p, entry in enumerate(entries)]
+        )
+        self.loop(target, "rows")
+        self.verify(conditions, nested)
+
+    def value(self, spec: _Spec) -> Optional[str]:
+        """Source of the id *spec* denotes here, ``None`` while a variable
+        in it is unbound."""
+        if type(spec) is int:
+            if spec >= 0 or -spec - 1 in self.bound:
+                return self.entry(spec)
+            return None
+        if type(spec[0]) is int:  # a pattern null: its binding, else itself
+            return f"s{spec[0]}" if spec[0] in self.bound else self.name("c", spec[1])
+        arguments = [self.value(sub) for sub in spec[1]]
+        if None in arguments:
+            return None
+        return f"encode_function({self.name('f', spec[0])}, {_tuple(arguments)})"
+
+    def build(self, entry: str):
+        """Compile the module, or reuse the code of the same source, run it
+        in the namespace and return its function *entry*."""
+        source = "\n".join(line for lines in self.functions for line in lines) + "\n"
+        code = _CODE_CACHE.get(source)
+        if code is None:
+            code = compile(source, "<generated>", "exec")
+            if len(_CODE_CACHE) >= _COMPILE_CACHE_LIMIT:
+                _CODE_CACHE.clear()
+            _CODE_CACHE[source] = code
+        exec(code, self.namespace)
+        return self.namespace[entry]
+
+
+def generate_join(
+    encoded: "EncodedRule",
+    plan: Tuple[int, ...],
+    bound_slots: frozenset,
+    delta_position: int = -1,
+) -> _Join:
+    """Lower one join programme to a generated generator function.
+
+    *plan* orders the positive literals after the one at *delta_position*
+    (-1: none), which is matched against the delta rows first, and
+    *bound_slots* are read from the caller's binding.  The function
+    is called as ``join(binding, delta_rows, rows_for, rows_of,
+    contains_row, statistics)`` and yields a fresh tuple of
+    ``len(encoded.slots)`` ids per binding, ``None`` for slots the join
+    leaves unbound.  It counts ``statistics.tuples_scanned`` once per
+    delta list and at every probe.  At the leaf it decomposes the hidden
+    slots and checks the negative literals in order; one with an unbound
+    variable raises ``ValueError`` (unsafe pattern).
+    """
+    writer = _Writer(encoded.symbols)
+    writer.open("join", ("binding", "delta_rows") + _RUNTIME)
+    for slot in sorted(bound_slots):
+        writer.line(f"s{slot} = binding[{slot}]")
+    writer.bound.update(bound_slots)
+    if delta_position >= 0:
+        predicate, entries = encoded.positive[delta_position]
+        writer.loop("predicate, row", "delta_rows")
+        writer.reject_if([f"predicate is not {writer.name('p', predicate)}"])
+        target, conditions, nested = writer.unpack(entries)
+        writer.line(f"{target} = row")
+        writer.verify(conditions, nested)
+    for literal in plan:
+        writer.probe(*encoded.positive[literal])
+    for slot, spec in encoded.structures:
+        writer.decompose(f"s{slot}", spec)
+    for atom, predicate, specs in encoded.negatives:
+        values = [writer.value(spec) for spec in specs]
+        if None in values:
+            message = f"negative atom {atom} not fully bound (unsafe pattern)"
+            writer.line(f"raise ValueError({writer.name('e', message)})")
+            break
+        writer.reject_if(
+            [f"contains_row({writer.name('p', predicate)}, {_tuple(values)})"]
+        )
+    # Unreachable after a raise, but it keeps the function a generator, so
+    # nothing runs before the caller iterates.
+    slots = range(len(encoded.slots))
+    writer.line(
+        f"yield {_tuple([f's{s}' if s in writer.bound else 'None' for s in slots])}"
+    )
+    return writer.build("join")
+
+
+def generate_heads(
+    encoded: "EncodedRule",
+) -> Callable[[Sequence[Optional[int]]], List[Tuple[Predicate, Row]]]:
+    """Lower the rule's heads to one generated ``build_head_rows``: a head
+    with an unbound variable is skipped (it is not ground), an unbound
+    pattern null stands for itself."""
+    writer = _Writer(encoded.symbols)
+    writer.open("heads", ("binding",))
+    if encoded.slots:
+        writer.line(f"{_tuple([f's{s}' for s in range(len(encoded.slots))])} = binding")
+    writer.line("rows = []")
+
+    def value(spec: _Spec, required: Dict[str, None]) -> str:
+        if type(spec) is int:
+            if spec < 0:
+                required[f"s{-spec - 1} is not None"] = None
+            return writer.entry(spec)
+        if type(spec[0]) is int:
+            null = writer.name("c", spec[1])
+            return f"(s{spec[0]} if s{spec[0]} is not None else {null})"
+        arguments = [value(sub, required) for sub in spec[1]]
+        return f"encode_function({writer.name('f', spec[0])}, {_tuple(arguments)})"
+
+    for predicate, specs in encoded.head_specs:
+        required: Dict[str, None] = {}
+        row = _tuple([value(spec, required) for spec in specs])
+        append = f"rows.append(({writer.name('p', predicate)}, {row}))"
+        if required:
+            writer.line(f"if {' and '.join(required)}:")
+            append = f"    {append}"
+        writer.line(append)
+    writer.line("return rows")
+    return writer.build("heads")
 
 
 class EncodedRule:
@@ -361,9 +603,13 @@ class EncodedRule:
     the negative body and the heads are numbered into dense **slots** in
     first-occurrence order, and so is each distinct function term with
     flexibles inside that a positive body literal holds (a hidden slot,
-    see the term coding above); a join binding is then a flat
-    ``list[Optional[int]]`` indexed by slot — no term-keyed dict is
-    allocated anywhere between the storage boundary and the API edge.
+    see the term coding above); a join binding is then a flat tuple of
+    ``Optional[int]`` indexed by slot — no term-keyed dict is allocated
+    anywhere between the storage boundary and the API edge.
+
+    ``build_head_rows(binding)`` is the rule's generated head builder
+    (:func:`generate_heads`): the ground head rows *binding* derives, as
+    ``(predicate, row)`` pairs, non-ground heads skipped.
     """
 
     __slots__ = (
@@ -375,7 +621,8 @@ class EncodedRule:
         "structures",
         "negatives",
         "head_specs",
-        "_plans",
+        "build_head_rows",
+        "_joins",
         "_programmes",
     )
 
@@ -436,30 +683,14 @@ class EncodedRule:
             for atom in compiled.heads
         )
         self.slots = tuple(slots)
-        #: (plan, initially-bound slots) -> compiled step list
-        self._plans: Dict[tuple, tuple] = {}
+        self.build_head_rows = generate_heads(self)
+        #: (plan, pre-bound slots, delta position) -> generated join
+        self._joins: Dict[tuple, _Join] = {}
         #: delta position (-1: the full body) -> the fixpoint's programme
-        self._programmes: Dict[int, tuple] = {}
+        self._programmes: Dict[int, _Join] = {}
 
     def new_binding(self) -> List[Optional[int]]:
         return [None] * len(self.slots)
-
-    def build_head_rows(
-        self, binding: Sequence[Optional[int]]
-    ) -> List[Tuple[Predicate, Row]]:
-        """The ground head rows this binding derives (non-ground heads skipped)."""
-        symbols = self.symbols
-        out: List[Tuple[Predicate, Row]] = []
-        for predicate, specs in self.head_specs:
-            row: List[int] = []
-            for spec in specs:
-                value = _resolve_spec(spec, binding, symbols)
-                if value is None:
-                    break
-                row.append(value)
-            else:
-                out.append((predicate, tuple(row)))
-        return out
 
     def build_positive_atoms(self, binding: Sequence[Optional[int]]) -> Tuple[Atom, ...]:
         """The ground positive body under *binding* (canonical cached atoms).
@@ -515,75 +746,52 @@ class EncodedRule:
                 result[term] = decode(value)
         return result
 
-    def steps_for(
-        self, plan: Tuple[int, ...], bound_slots: frozenset
-    ) -> tuple:
-        """The per-literal probe programme for *plan* given pre-bound slots.
+    def join(
+        self,
+        index: RelationIndex,
+        delta_position: int = -1,
+        bound_slots: frozenset = frozenset(),
+    ) -> _Join:
+        """The generated join of the body given pre-bound slots.
 
-        Each step is ``(predicate, bound positions, key builders, static
-        key, unbound (position, slot) pairs)``; builders reuse the literal
-        entry coding (id or negative slot code).
+        With a *delta_position* that literal is matched against the delta
+        rows first.  The rest follow in :func:`order_body`'s greedy order,
+        ranked by the cardinalities *index* has **now**; the function
+        (:func:`generate_join`) is memoised per (plan, pre-bound slots,
+        delta position).
         """
-        cache_key = (plan, bound_slots)
-        steps = self._plans.get(cache_key)
-        if steps is not None:
-            return steps
-        bound = set(bound_slots)
-        built: List[tuple] = []
-        for literal_index in plan:
-            predicate, entries = self.positive[literal_index]
-            positions: List[int] = []
-            builders: List[int] = []
-            unbound: List[Tuple[int, int]] = []
-            static = True
-            new_slots: List[int] = []
-            for position, entry in enumerate(entries):
-                if entry >= 0:
-                    positions.append(position)
-                    builders.append(entry)
-                else:
-                    slot = -entry - 1
-                    if slot in bound:
-                        positions.append(position)
-                        builders.append(entry)
-                        static = False
-                    else:
-                        # Repeats of a slot first seen in this literal also
-                        # land here: the first occurrence binds, the rest
-                        # compare (bind-or-compare below).
-                        unbound.append((position, slot))
-                        new_slots.append(slot)
-            bound.update(new_slots)
-            static_key = tuple(builders) if (static and positions) else None
-            built.append(
-                (predicate, tuple(positions), tuple(builders), static_key, tuple(unbound))
-            )
-        steps = tuple(built)
-        self._plans[cache_key] = steps
-        return steps
+        compiled = self.compiled
+        bound = frozenset(self.slots[slot] for slot in bound_slots)
+        if delta_position >= 0:
+            bound |= compiled.positive_terms[delta_position]
+        plan = order_body(compiled, index=index, bound=bound, skip=delta_position)
+        key = (plan, bound_slots, delta_position)
+        join = self._joins.get(key)
+        if join is None:
+            join = generate_join(self, plan, bound_slots, delta_position)
+            # Racing threads may both generate; all of them use the first stored.
+            join = self._joins.setdefault(key, join)
+        return join
 
-    def programme(self, index: RelationIndex, delta_position: int = -1) -> tuple:
-        """The step programme :func:`~repro.engine.seminaive.fixpoint` joins
-        this rule with, memoised on the rule.
+    def programme(
+        self, index: RelationIndex, delta_position: int = -1
+    ) -> _Join:
+        """The join :func:`~repro.engine.seminaive.fixpoint` runs for this
+        rule at *delta_position* (-1: the full body, round 1), memoised on
+        the rule.
 
-        ``delta_position`` -1 is the full body (round 1); any other value is
-        :func:`delta_steps` for that delta position.  The first call plans
-        with :func:`order_body` on the cardinalities *index* has then; every
-        later round and every later fixpoint over this rule and symbol table
-        reuses that programme.  Join order affects only cost, never the
-        bindings enumerated.
+        The first call plans with :func:`order_body` on the cardinalities
+        *index* has then; every later round and every later fixpoint over
+        this rule and symbol table reuses that function.  Join order
+        affects only cost, never the bindings enumerated.
         """
-        steps = self._programmes.get(delta_position)
-        if steps is None:
-            if delta_position < 0:
-                steps = self.steps_for(
-                    order_body(self.compiled, index=index), frozenset()
-                )
-            else:
-                steps = delta_steps(self, index, delta_position)
+        join = self._programmes.get(delta_position)
+        if join is None:
             # Racing threads may both plan; all of them use the first stored.
-            steps = self._programmes.setdefault(delta_position, steps)
-        return steps
+            join = self._programmes.setdefault(
+                delta_position, self.join(index, delta_position)
+            )
+        return join
 
 
 _ENCODE_CACHE: Dict[Tuple[int, int], EncodedRule] = {}
@@ -602,192 +810,51 @@ def encode_rule(compiled: CompiledRule, symbols: SymbolTable) -> EncodedRule:
     return encoded
 
 
-def _bound_slots(binding: Sequence[Optional[int]]) -> frozenset:
-    return frozenset(slot for slot, value in enumerate(binding) if value is not None)
-
-
-def delta_steps(
-    encoded: EncodedRule,
-    index: RelationIndex,
-    delta_position: int,
-    bound_slots: frozenset = frozenset(),
-) -> tuple:
-    """The step programme joining the rest of the body to a delta row.
-
-    The literal at *delta_position* is matched against a delta row first;
-    the others follow in :func:`order_body`'s greedy order, ranked by the
-    cardinalities *index* has **now**.  :func:`enumerate_bindings` plans
-    this on every delta call unless handed one through ``steps=``.
-    :func:`~repro.engine.seminaive.fixpoint` takes it from
-    :meth:`EncodedRule.programme`, which plans it once per (rule, delta
-    position), at the first fixpoint whose delta reaches that position,
-    and memoises it on the rule for every later round and fixpoint.
-    """
-    compiled = encoded.compiled
-    _, entries = encoded.positive[delta_position]
-    plan = order_body(
-        compiled,
-        index=index,
-        bound=frozenset(encoded.slots[slot] for slot in bound_slots)
-        | compiled.positive_terms[delta_position],
-        skip=delta_position,
-    )
-    return encoded.steps_for(
-        plan,
-        bound_slots | frozenset(-entry - 1 for entry in entries if entry < 0),
-    )
-
-
 def enumerate_bindings(
     encoded: EncodedRule,
     index: RelationIndex,
     *,
-    binding: Optional[List[Optional[int]]] = None,
+    binding: Optional[Sequence[Optional[int]]] = None,
     negative_against=None,
     delta_rows: Optional[Sequence[Tuple["Predicate", Row]]] = None,
     delta_position: Optional[int] = None,
-    steps: Optional[tuple] = None,
+    steps: Optional[_Join] = None,
     statistics: Optional[EngineStatistics] = None,
-) -> Iterator[List[Optional[int]]]:
+) -> Iterator[tuple]:
     """Enumerate slot bindings matching the encoded body into *index*.
 
-    The join executor: a greedy plan (:func:`order_body`) over the pattern
-    hash tables (``RelationIndex.rows_for``), where every probe key, every
+    The join executor: the generated function of a greedy plan
+    (:func:`order_body`, :meth:`EncodedRule.join`) over the pattern hash
+    tables (``RelationIndex.rows_for``), where every probe key, every
     candidate and every binding is a flat int structure.  At the leaf,
-    hidden slots are decomposed (:func:`_unify`) and the negative literals
-    checked for absence from *negative_against* (default: *index*; an
-    oracle without *index*'s symbol table, such as a set of atoms, is
-    checked by decoded atoms); an unbound variable in a negative literal
-    raises ``ValueError`` (unsafe pattern).  A body with no positive
-    literal has an empty programme: its one binding is checked at the
-    leaf.  **Yields the live binding list** — callers that retain bindings
-    across iterations must copy (``tuple(b)``).
+    hidden slots are decomposed and the negative literals checked for
+    absence from *negative_against* (default: *index*; an oracle without
+    *index*'s symbol table, such as a set of atoms, is checked by decoded
+    atoms); an unbound variable in a negative literal raises
+    ``ValueError`` (unsafe pattern).  A body with no positive literal has
+    no loop: its one binding is checked at the leaf.  Yields each binding
+    as a fresh tuple of ``len(encoded.slots)`` ids, ``None`` for slots the
+    join leaves unbound.
 
-    *steps* may carry a programme built for the same pre-bound slots as
-    *binding* and the same *delta_position* (:func:`delta_steps`, or
-    :meth:`EncodedRule.programme` for a fresh binding); the call then does
-    no planning.
+    *steps* may carry a generated join built for the same pre-bound slots
+    as *binding* and the same *delta_position* (:meth:`EncodedRule.join`,
+    or :meth:`EncodedRule.programme` for a fresh binding); the call then
+    does no planning.
     """
-    symbols = encoded.symbols
-    if negative_against is None:
-        contains_row = index.contains_row
-    elif getattr(negative_against, "symbols", None) is symbols:
-        contains_row = negative_against.contains_row
-    else:
-        contains_row = _decoded_membership(symbols, negative_against)
-    if binding is None:
-        binding = encoded.new_binding()
-    negatives = encoded.negatives
-    structures = encoded.structures
-    rows_for = index.rows_for
-    rows_of = index.rows_of
-
-    def verify_negatives() -> bool:
-        for atom, predicate, specs in negatives:
-            row: List[int] = []
-            for spec in specs:
-                value = _resolve_spec(spec, binding, symbols)
-                if value is None:
-                    raise ValueError(
-                        f"negative atom {atom} not fully bound (unsafe pattern)"
-                    )
-                row.append(value)
-            if contains_row(predicate, tuple(row)):
-                return False
-        return True
-
-    def run(steps: tuple, depth: int) -> Iterator[List[Optional[int]]]:
-        if depth == len(steps):
-            if not structures:
-                if verify_negatives():
-                    yield binding
-                return
-            inner: List[int] = []
-            for slot, spec in structures:
-                if not _unify(spec, binding[slot], binding, inner, symbols):
-                    break
-            else:
-                if verify_negatives():
-                    yield binding
-            for slot in inner:
-                binding[slot] = None
-            return
-        predicate, positions, builders, static_key, unbound = steps[depth]
-        if positions:
-            key = static_key
-            if key is None:
-                key = tuple(
-                    entry if entry >= 0 else binding[-entry - 1]
-                    for entry in builders
-                )
-            rows = rows_for(predicate, positions, key)
-        else:
-            rows = rows_of(predicate)
-        if statistics is not None:
-            statistics.tuples_scanned += len(rows)
-        for row in rows:
-            marks: Optional[List[int]] = None
-            matched = True
-            for position, slot in unbound:
-                value = row[position]
-                current = binding[slot]
-                if current is None:
-                    binding[slot] = value
-                    if marks is None:
-                        marks = [slot]
-                    else:
-                        marks.append(slot)
-                elif current != value:
-                    matched = False
-                    break
-            if matched:
-                yield from run(steps, depth + 1)
-            if marks is not None:
-                for slot in marks:
-                    binding[slot] = None
-
-    if delta_position is None:
-        if steps is None:
-            bound_slots = _bound_slots(binding)
-            plan = order_body(
-                encoded.compiled,
-                index=index,
-                bound=frozenset(encoded.slots[slot] for slot in bound_slots),
-            )
-            steps = encoded.steps_for(plan, bound_slots)
-        yield from run(steps, 0)
-        return
-
-    predicate, entries = encoded.positive[delta_position]
+    position = -1 if delta_position is None else delta_position
     if steps is None:
-        steps = delta_steps(encoded, index, delta_position, _bound_slots(binding))
-    rows = delta_rows if delta_rows is not None else ()
-    if statistics is not None:
-        statistics.tuples_scanned += len(rows)
-    for delta_predicate, row in rows:
-        if delta_predicate != predicate:
-            continue
-        marks: List[int] = []
-        matched = True
-        for position, entry in enumerate(entries):
-            value = row[position]
-            if entry >= 0:
-                if entry != value:
-                    matched = False
-                    break
-            else:
-                slot = -entry - 1
-                current = binding[slot]
-                if current is None:
-                    binding[slot] = value
-                    marks.append(slot)
-                elif current != value:
-                    matched = False
-                    break
-        if matched:
-            yield from run(steps, 0)
-        for slot in marks:
-            binding[slot] = None
+        bound_slots = frozenset(
+            slot for slot, value in enumerate(binding or ()) if value is not None
+        )
+        steps = encoded.join(index, position, bound_slots)
+    return steps(
+        binding,
+        delta_rows if delta_rows is not None else (),
+        index.rows_for,
+        index.rows_of,
+        negation_oracle(index, negative_against),
+        statistics,
+    )
 
 
 def enumerate_matches(
@@ -831,7 +898,7 @@ def enumerate_matches(
         encode = symbols.encode_atom
         delta_rows = [(atom.predicate, encode(atom)) for atom in (delta or ())]
     decode_binding = encoded.decode_binding
-    for live in enumerate_bindings(
+    for found in enumerate_bindings(
         encoded,
         index,
         binding=binding,
@@ -840,4 +907,4 @@ def enumerate_matches(
         delta_position=delta_position,
         statistics=statistics,
     ):
-        yield decode_binding(live, partial)
+        yield decode_binding(found, partial)

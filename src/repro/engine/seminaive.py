@@ -26,18 +26,21 @@ round's delta by predicate in one pass.  A delta rule whose ``Δbi`` has no
 rows this round cannot fire anything new, so that (rule, position) is
 skipped without entering the join; every other position is handed only
 its own predicate's rows.  Round 1 joins every rule's full body, including
-rules with no positive body, whose programme is empty: they fire there
-once, after their negative literals are checked.  The join step
-programme of each (rule, delta position), and of each rule's full body
-for round 1, is memoised on the rule's
+rules with no positive body, whose join has no loop: they fire there
+once, after their negative literals are checked.  The join of each
+(rule, delta position), and of each rule's full body for round 1, is a
+generated Python function memoised on the rule's
 :class:`~repro.engine.planner.EncodedRule`
-(:meth:`~repro.engine.planner.EncodedRule.programme`: ``order_body`` plus
-``EncodedRule.steps_for``).  It is planned the first time any fixpoint
-needs it, from the relation cardinalities of that moment, and every later
-round and every later fixpoint over the same rule object reuses it.  A
-query plan's magic rules live as long as the plan, so a query shape is
-planned once, not once per read or per round.  Join order affects only
-cost: the bindings enumerated are the same in any order.
+(:meth:`~repro.engine.planner.EncodedRule.programme`: ``order_body``
+plans it, :func:`~repro.engine.planner.generate_join` writes it);
+:func:`fixpoint` calls it directly and builds head rows with the rule's
+generated ``build_head_rows``.  A join is planned and generated the first
+time any fixpoint needs it, from the relation cardinalities of that
+moment, and every later round and every later fixpoint over the same rule
+object reuses it.  A query plan's magic rules live as long as the plan,
+so a query shape is planned once, not once per read or per round.  Join
+order affects only cost: the bindings enumerated are the same in any
+order.
 
 :func:`fixpoint` packages this loop for arbitrary rule shapes (normal rules,
 NTGDs, pre-compiled rules); :class:`GroundProgramEvaluator` is the
@@ -62,7 +65,7 @@ from .planner import (
     EncodedRule,
     compile_rule,
     encode_rule,
-    enumerate_bindings,
+    negation_oracle,
 )
 from .stats import EngineStatistics
 
@@ -162,6 +165,8 @@ def fixpoint(
         )
         for rule in rules
     ]
+    rows_for, rows_of = target.rows_for, target.rows_of
+    contains_row = negation_oracle(target, negative_against)
     tracing = tracer is not None and tracer.enabled
     fixpoint_span = (
         tracer.start("engine.fixpoint", rules=len(encoded_rules)) if tracing else None
@@ -233,14 +238,11 @@ def fixpoint(
                     rule_t0 = perf_counter()
                     rule_n0 = len(pending)
                 if first_round:
-                    for binding in enumerate_bindings(
-                        encoded,
-                        target,
-                        steps=encoded.programme(target),
-                        negative_against=negative_against,
-                        statistics=statistics,
+                    join = encoded.programme(target)
+                    for binding in join(
+                        None, (), rows_for, rows_of, contains_row, statistics
                     ):
-                        pending.append((encoded, tuple(binding)))
+                        pending.append((encoded, binding))
                 else:
                     for position, atom in enumerate(encoded.compiled.positive):
                         group = delta.get(atom.predicate)
@@ -248,16 +250,11 @@ def fixpoint(
                             # No rows for this position's predicate: no new
                             # firing can come from it this round.
                             continue
-                        for binding in enumerate_bindings(
-                            encoded,
-                            target,
-                            delta_rows=group,
-                            delta_position=position,
-                            steps=encoded.programme(target, position),
-                            negative_against=negative_against,
-                            statistics=statistics,
+                        join = encoded.programme(target, position)
+                        for binding in join(
+                            None, group, rows_for, rows_of, contains_row, statistics
                         ):
-                            pending.append((encoded, tuple(binding)))
+                            pending.append((encoded, binding))
                 if profiler is not None:
                     profiler.record(
                         encoded.compiled,

@@ -471,6 +471,8 @@ class TestHotPathMemoRaces:
         from repro.engine import planner
 
         original = planner.order_body
+        original_generate = planner.generate_join
+        original_programme = planner.EncodedRule.programme
 
         def slow_order_body(*args, **kwargs):
             # Widen the window between a memo miss and its fill, so readers
@@ -478,7 +480,21 @@ class TestHotPathMemoRaces:
             time.sleep(0.002)
             return original(*args, **kwargs)
 
+        def slow_generate_join(*args, **kwargs):
+            time.sleep(0.002)
+            return original_generate(*args, **kwargs)
+
+        # Every join function fixpoint is handed, per (rule, delta position).
+        handed: dict = {}
+
+        def recording_programme(encoded, index, delta_position=-1):
+            join = original_programme(encoded, index, delta_position)
+            handed.setdefault((encoded, delta_position), set()).add(join)
+            return join
+
         monkeypatch.setattr(planner, "order_body", slow_order_body)
+        monkeypatch.setattr(planner, "generate_join", slow_generate_join)
+        monkeypatch.setattr(planner.EncodedRule, "programme", recording_programme)
         rules = parse_program(
             """
             link(X, Y) -> reachable(X, Y)
@@ -533,3 +549,8 @@ class TestHotPathMemoRaces:
         assert any(answers for _, answers in observed)
         for query, answers in observed:
             assert answers == full_fixpoint_answers(facts, rules, query)
+        # Racing readers all ran the first stored function of each memo
+        # entry, whichever of them generated it.
+        assert handed
+        for (encoded, position), joins in handed.items():
+            assert joins == {encoded._programmes[position]}

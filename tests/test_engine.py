@@ -566,49 +566,68 @@ class TestRoundStructure:
         from repro.query import magic_rewrite
 
         calls = []
+        generated = []
         original = planner.order_body
+        original_generate = planner.generate_join
 
         def counting(*args, **kwargs):
             calls.append(kwargs.get("skip", -1))
             return original(*args, **kwargs)
 
+        def counting_generate(*args, **kwargs):
+            generated.append(args)
+            return original_generate(*args, **kwargs)
+
         monkeypatch.setattr(planner, "order_body", counting)
+        monkeypatch.setattr(planner, "generate_join", counting_generate)
         query = parse_query("?(Y) :- open(v0, Y)")
 
         def evaluate(program, links):
             calls.clear()
+            generated.clear()
             stats = EngineStatistics()
             answers = program.evaluate(chain_atoms(links), statistics=stats)
             assert len(answers) == links
-            return len(calls), stats.iterations
+            return len(calls), len(generated), stats.iterations
 
         program = magic_rewrite(self.CHAIN_PROGRAM, query)
-        short_plans, short_rounds = evaluate(program, 10)
-        long_plans, long_rounds = evaluate(program, 40)
+        short_plans, short_functions, short_rounds = evaluate(program, 10)
+        long_plans, long_functions, long_rounds = evaluate(program, 40)
         assert long_rounds > short_rounds + 20
         assert short_plans > 0
-        # The longer evaluation of the same rule objects plans nothing.
+        assert short_functions > 0
+        # The longer evaluation of the same rule objects plans nothing and
+        # generates no join function.
         assert long_plans == 0
-        # A fresh rewrite has new rule objects, so it plans again.
-        fresh_plans, _ = evaluate(magic_rewrite(self.CHAIN_PROGRAM, query), 40)
+        assert long_functions == 0
+        # A fresh rewrite has new rule objects, so it plans and generates
+        # again.
+        fresh_plans, fresh_functions, _ = evaluate(
+            magic_rewrite(self.CHAIN_PROGRAM, query), 40
+        )
         assert fresh_plans > 0
+        assert fresh_functions > 0
 
     def test_empty_delta_positions_are_never_entered(self, monkeypatch):
-        from repro.engine import seminaive
+        from repro.engine.planner import EncodedRule
 
         entered = []
-        original = seminaive.enumerate_bindings
+        original = EncodedRule.programme
 
-        def recording(encoded, index, **kwargs):
-            position = kwargs.get("delta_position")
-            if position is not None:
-                predicate = encoded.positive[position][0]
-                rows = kwargs["delta_rows"]
-                assert rows and all(p == predicate for p, _ in rows)
+        def recording(encoded, index, delta_position=-1):
+            join = original(encoded, index, delta_position)
+            if delta_position < 0:
+                return join
+
+            def entering(binding, delta_rows, *args):
+                predicate = encoded.positive[delta_position][0]
+                assert delta_rows and all(p == predicate for p, _ in delta_rows)
                 entered.append(predicate)
-            return original(encoded, index, **kwargs)
+                return join(binding, delta_rows, *args)
 
-        monkeypatch.setattr(seminaive, "enumerate_bindings", recording)
+            return entering
+
+        monkeypatch.setattr(EncodedRule, "programme", recording)
         result = fixpoint(TRANSITIVE_CLOSURE, chain_atoms(6))
         assert sum(1 for atom in result.atoms() if atom.predicate == path) == 21
         # edge never grows after the seed facts, so its delta position in

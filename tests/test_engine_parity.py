@@ -633,6 +633,139 @@ class TestInternedExecutorParity:
         }
         assert {atom for atom in result.atoms() if atom.predicate == s} == expected
 
+    def test_generated_source_holds_no_user_text(self):
+        """Predicate, constant, null and function-term names that are not
+        Python (quotes, a backslash, a newline, an expression, a keyword,
+        non-ASCII text) reach the generated joins and head builders only
+        through their namespaces.  The executor still agrees with the
+        references, and every cached source is made of identifiers, ints,
+        spaces, newlines and ``()[],:.=!<>+-``: no quote, no backslash."""
+        import re
+
+        from repro.core.atoms import Predicate
+        from repro.core.terms import Constant, FunctionTerm, Null, Variable
+        from repro.engine import RelationIndex, fixpoint, planner
+        from repro.engine.planner import CompiledRule
+        from repro.lp.programs import NormalRule
+
+        hostile = "__import__('os').system('false')"
+        edge = Predicate('e"dge\\', 2)
+        mark = Predicate(hostile, 1)
+        out = Predicate("lambda", 2)
+        made = Predicate("made\nhere \u2200", 1)
+        a, b, c = Constant("it's"), Constant("Z\u00fcrich\\n"), Constant("class")
+        wrap = lambda *args: FunctionTerm(hostile, args)
+        tag = lambda *args: FunctionTerm('d\u00e9j\u00e0 "vu"', args)
+        null = Null("n'1\n")
+        X, Y = Variable("X"), Variable("Y")
+        facts = [
+            edge(a, wrap(b, a)),
+            edge(b, wrap(a, b)),
+            edge(c, c),
+            edge(c, wrap(c, null)),
+            mark(a),
+        ]
+        index = RelationIndex(facts)
+        oracle = list(index.atoms())
+        patterns = [
+            # an inner variable bound by decomposition, under negation
+            CompiledRule(
+                heads=(), positive=(edge(X, wrap(Y, X)),), negative=(mark(Y),)
+            ),
+            # a pattern null inside a function term, in the positive body
+            # and inside a negative literal's function term
+            CompiledRule(
+                heads=(),
+                positive=(edge(X, wrap(X, null)),),
+                negative=(made(tag(X, null)),),
+            ),
+            # a pattern null at the top level
+            CompiledRule(
+                heads=(), positive=(edge(X, Y), edge(null, Y)), negative=(out(X, c),)
+            ),
+        ]
+        found = 0
+        for pattern in patterns:
+            found += len(self._both_ways(pattern, index, oracle))
+            for position in range(len(pattern.positive)):
+                self._both_ways(
+                    pattern,
+                    index,
+                    oracle,
+                    delta=[edge(a, wrap(b, a)), edge(c, wrap(c, null)), mark(a)],
+                    delta_position=position,
+                )
+        assert found
+
+        rules = [
+            NormalRule(out(X, Y), (edge(X, wrap(Y, X)),), (mark(Y),)),
+            # an unbound pattern null in a head stands for itself
+            NormalRule(made(tag(X, null)), (edge(X, X),), ()),
+            NormalRule(out(X, c), (made(tag(X, null)),), ()),
+        ]
+        expected = set(facts) | {out(a, b), made(tag(c, null)), out(c, c)}
+        assert fixpoint(rules, facts).atoms() == expected
+
+        allowed = re.compile(r"[A-Za-z0-9_()\[\],:.=!<>+\- \n]*")
+        assert planner._CODE_CACHE
+        for source in planner._CODE_CACHE:
+            assert allowed.fullmatch(source), source
+
+    def test_unsafe_negative_literal_raises_only_at_the_leaf(self):
+        """A negative literal with a variable nothing binds raises
+        ``ValueError`` once a binding reaches the join's leaf and every
+        earlier negative literal has passed, and never otherwise."""
+        from repro.core.atoms import Predicate
+        from repro.core.terms import Constant, Variable
+        from repro.engine import RelationIndex
+        from repro.engine.planner import CompiledRule, enumerate_matches
+
+        p, q = Predicate("p", 1), Predicate("q", 2)
+        X, Y = Variable("X"), Variable("Y")
+        a, b = Constant("a"), Constant("b")
+        unsafe = CompiledRule(heads=(), positive=(p(X),), negative=(q(X, Y),))
+        with pytest.raises(ValueError, match="not fully bound"):
+            list(enumerate_matches(unsafe, RelationIndex([p(a)])))
+        # No binding reaches the leaf.
+        assert list(enumerate_matches(unsafe, RelationIndex())) == []
+        assert list(enumerate_matches(unsafe, RelationIndex([q(a, b)]))) == []
+        # The first negative literal rejects the binding first.
+        guarded = CompiledRule(
+            heads=(), positive=(p(X),), negative=(p(X), q(X, Y))
+        )
+        assert list(enumerate_matches(guarded, RelationIndex([p(a)]))) == []
+
+    def test_long_bodies_continue_in_helper_functions(self):
+        """CPython allows 20 nested blocks in one function, so a join with
+        more steps continues in a generated helper.  A 24-literal path
+        pattern still finds exactly the 24-edge paths of a 30-node chain,
+        in full and in delta mode, and a fixpoint derives their ends."""
+        from repro.core.atoms import Predicate
+        from repro.core.terms import Constant, Variable
+        from repro.engine import RelationIndex, fixpoint, planner
+        from repro.engine.planner import CompiledRule, enumerate_matches
+        from repro.lp.programs import NormalRule
+
+        e, ends = Predicate("long_e", 2), Predicate("long_ends", 2)
+        n = [Constant(f"n{i}") for i in range(30)]
+        chain = [e(n[i], n[i + 1]) for i in range(29)]
+        index = RelationIndex(chain)
+        V = [Variable(f"V{i}") for i in range(25)]
+        body = tuple(e(V[i], V[i + 1]) for i in range(24))
+        pattern = CompiledRule(heads=(), positive=body, negative=())
+        starts = [m[V[0]] for m in enumerate_matches(pattern, index)]
+        assert sorted(starts, key=n.index) == n[:6]
+        assert any("yield from join" in source for source in planner._CODE_CACHE)
+        for position, atom in ((0, chain[0]), (23, chain[-1])):
+            found = list(
+                enumerate_matches(
+                    pattern, index, delta=[atom], delta_position=position
+                )
+            )
+            assert len(found) == 1
+        rule = NormalRule(ends(V[0], V[24]), body, ())
+        derived = {a for a in fixpoint([rule], chain).atoms() if a.predicate == ends}
+        assert derived == {ends(n[i], n[i + 24]) for i in range(6)}
 
 
 def _shape_case(name):
