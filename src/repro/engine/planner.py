@@ -606,10 +606,6 @@ class EncodedRule:
     see the term coding above); a join binding is then a flat tuple of
     ``Optional[int]`` indexed by slot — no term-keyed dict is allocated
     anywhere between the storage boundary and the API edge.
-
-    ``build_head_rows(binding)`` is the rule's generated head builder
-    (:func:`generate_heads`): the ground head rows *binding* derives, as
-    ``(predicate, row)`` pairs, non-ground heads skipped.
     """
 
     __slots__ = (
@@ -621,7 +617,7 @@ class EncodedRule:
         "structures",
         "negatives",
         "head_specs",
-        "build_head_rows",
+        "_heads",
         "_joins",
         "_programmes",
     )
@@ -683,7 +679,8 @@ class EncodedRule:
             for atom in compiled.heads
         )
         self.slots = tuple(slots)
-        self.build_head_rows = generate_heads(self)
+        #: the generated head builder, made at the first build_head_rows call
+        self._heads: Optional[Callable] = None
         #: (plan, pre-bound slots, delta position) -> generated join
         self._joins: Dict[tuple, _Join] = {}
         #: delta position (-1: the full body) -> the fixpoint's programme
@@ -691,6 +688,19 @@ class EncodedRule:
 
     def new_binding(self) -> List[Optional[int]]:
         return [None] * len(self.slots)
+
+    def build_head_rows(
+        self, binding: Sequence[Optional[int]]
+    ) -> List[Tuple[Predicate, Row]]:
+        """The ground head rows *binding* derives, as ``(predicate, row)``
+        pairs, non-ground heads skipped.  The builder is generated
+        (:func:`generate_heads`) at the first call, so a pattern that is
+        only matched never compiles one."""
+        heads = self._heads
+        if heads is None:
+            # Racing threads may both generate; the builders are equivalent.
+            heads = self._heads = generate_heads(self)
+        return heads(binding)
 
     def build_positive_atoms(self, binding: Sequence[Optional[int]]) -> Tuple[Atom, ...]:
         """The ground positive body under *binding* (canonical cached atoms).
@@ -818,7 +828,6 @@ def enumerate_bindings(
     negative_against=None,
     delta_rows: Optional[Sequence[Tuple["Predicate", Row]]] = None,
     delta_position: Optional[int] = None,
-    steps: Optional[_Join] = None,
     statistics: Optional[EngineStatistics] = None,
 ) -> Iterator[tuple]:
     """Enumerate slot bindings matching the encoded body into *index*.
@@ -835,19 +844,14 @@ def enumerate_bindings(
     no loop: its one binding is checked at the leaf.  Yields each binding
     as a fresh tuple of ``len(encoded.slots)`` ids, ``None`` for slots the
     join leaves unbound.
-
-    *steps* may carry a generated join built for the same pre-bound slots
-    as *binding* and the same *delta_position* (:meth:`EncodedRule.join`,
-    or :meth:`EncodedRule.programme` for a fresh binding); the call then
-    does no planning.
     """
-    position = -1 if delta_position is None else delta_position
-    if steps is None:
-        bound_slots = frozenset(
-            slot for slot, value in enumerate(binding or ()) if value is not None
-        )
-        steps = encoded.join(index, position, bound_slots)
-    return steps(
+    bound_slots = frozenset(
+        slot for slot, value in enumerate(binding or ()) if value is not None
+    )
+    join = encoded.join(
+        index, -1 if delta_position is None else delta_position, bound_slots
+    )
+    return join(
         binding,
         delta_rows if delta_rows is not None else (),
         index.rows_for,

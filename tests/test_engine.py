@@ -565,48 +565,55 @@ class TestRoundStructure:
         from repro.engine import planner
         from repro.query import magic_rewrite
 
-        calls = []
-        generated = []
-        original = planner.order_body
-        original_generate = planner.generate_join
+        calls, generated, heads = [], [], []
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("skip", -1))
-            return original(*args, **kwargs)
+        def count(name, into):
+            original = getattr(planner, name)
 
-        def counting_generate(*args, **kwargs):
-            generated.append(args)
-            return original_generate(*args, **kwargs)
+            def counting(*args, **kwargs):
+                into.append(args)
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(planner, "order_body", counting)
-        monkeypatch.setattr(planner, "generate_join", counting_generate)
+            monkeypatch.setattr(planner, name, counting)
+
+        count("order_body", calls)
+        count("generate_join", generated)
+        count("generate_heads", heads)
         query = parse_query("?(Y) :- open(v0, Y)")
 
         def evaluate(program, links):
-            calls.clear()
-            generated.clear()
+            for counted in (calls, generated, heads):
+                counted.clear()
             stats = EngineStatistics()
             answers = program.evaluate(chain_atoms(links), statistics=stats)
             assert len(answers) == links
-            return len(calls), len(generated), stats.iterations
+            return len(calls), len(generated), len(heads), stats.iterations
 
         program = magic_rewrite(self.CHAIN_PROGRAM, query)
-        short_plans, short_functions, short_rounds = evaluate(program, 10)
-        long_plans, long_functions, long_rounds = evaluate(program, 40)
+        short_plans, short_functions, short_heads, short_rounds = evaluate(program, 10)
+        long_plans, long_functions, long_heads, long_rounds = evaluate(program, 40)
         assert long_rounds > short_rounds + 20
         assert short_plans > 0
         assert short_functions > 0
+        assert short_heads > 0
         # The longer evaluation of the same rule objects plans nothing and
-        # generates no join function.
+        # generates no join function and no head builder.
         assert long_plans == 0
         assert long_functions == 0
+        assert long_heads == 0
         # A fresh rewrite has new rule objects, so it plans and generates
         # again.
-        fresh_plans, fresh_functions, _ = evaluate(
+        fresh_plans, fresh_functions, fresh_heads, _ = evaluate(
             magic_rewrite(self.CHAIN_PROGRAM, query), 40
         )
         assert fresh_plans > 0
         assert fresh_functions > 0
+        assert fresh_heads > 0
+        # Matching a body builds no heads, so it generates no head builder.
+        heads.clear()
+        rule = compile_rule(NormalRule(path(X, Y), (edge(X, Y),)))
+        assert len(list(enumerate_matches(rule, RelationIndex(chain_atoms(3))))) == 3
+        assert heads == []
 
     def test_empty_delta_positions_are_never_entered(self, monkeypatch):
         from repro.engine.planner import EncodedRule
