@@ -12,9 +12,9 @@ Three claims of :mod:`repro.service.net.replication` are measured:
   gated on ≥3 usable CPUs (CI runners have 4; a 1-core container still
   runs the correctness and staleness checks below).
 * **Replicas are exact, not approximately fresh.**  After catching up,
-  every replica's answers equal a from-scratch oracle session evaluated
-  over the writer's facts — at the replica's applied revision, which
-  must equal the writer's.
+  every replica's answers equal the perfect-model oracle
+  (``full_fixpoint_answers``) over the writer's facts — at the replica's
+  applied revision, which must equal the writer's.
 * **Staleness is bounded by the publish cadence.**  While the writer
   publishes a delta every ``PUBLISH_INTERVAL_S``, a background-pumped
   replica's per-record apply staleness stays within the interval plus
@@ -40,7 +40,7 @@ from repro.core.atoms import Atom, Predicate
 from repro.core.queries import ConjunctiveQuery
 from repro.core.terms import Constant, Variable
 from repro.obs.metrics import MetricsRegistry
-from repro.query import QuerySession
+from repro.query import full_fixpoint_answers
 from repro.service import DatalogService
 from repro.service.net import (
     LocalReplicaLink,
@@ -124,7 +124,7 @@ def ask(worker: subprocess.Popen, command: dict) -> dict:
 
 def oracle_first_column(facts, query) -> list[str]:
     return sorted(
-        str(row[0]) for row in QuerySession(facts, RULES).answers(query)
+        str(row[0]) for row in full_fixpoint_answers(facts, RULES, query)
     )
 
 

@@ -7,8 +7,8 @@ Two claims are measured:
   answer-cache miss with a filtered read of its plan view's goal relation;
   a fresh constant costs one magic-seed delta over the relevant chain only.
   Re-indexing the whole fact base per cache miss, which is what
-  ``QueryPlan.execute_for`` over raw facts does, is measured alongside as
-  the linear reference.  The hard assertion pins sublinear growth: with a
+  ``QueryPlan.execute_on(RelationIndex(facts), ...)`` over raw facts does,
+  is measured alongside as the linear reference.  The hard assertion pins sublinear growth: with a
   ~9x larger database, the steady-state per-query time must grow by well
   under half the linear factor.
 * **CQA evaluates each repair as two deltas.**
@@ -31,7 +31,7 @@ from repro.core.database import Database
 from repro.core.queries import ConjunctiveQuery
 from repro.core.terms import Constant, Variable
 from repro.encodings import DenialConstraint, consistent_answers, subset_repairs
-from repro.engine import EngineStatistics
+from repro.engine import EngineStatistics, RelationIndex
 from repro.query import QuerySession, compile_query_plan
 
 RULES = parse_program(
@@ -107,7 +107,8 @@ def test_rebuild_baseline_per_query(benchmark, chains, length):
     source = iter(range(10**9))
 
     def probe():
-        return plan.execute_for(facts, selective_query(next(source) % chains))
+        query = selective_query(next(source) % chains)
+        return plan.execute_on(RelationIndex(facts), query)
 
     answers = benchmark(probe)
     assert len(answers) == length
@@ -198,7 +199,7 @@ def test_cqa_per_repair_baseline(benchmark):
         repairs = subset_repairs(CQA_DATABASE, CQA_CONSTRAINTS)
         answers = None
         for repair in repairs:
-            current = set(plan.execute(repair))
+            current = set(plan.execute_on(RelationIndex(repair), CQA_QUERY))
             answers = current if answers is None else answers & current
         return frozenset(answers)
 

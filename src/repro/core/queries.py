@@ -185,6 +185,7 @@ def certain_answers(
     """
     # Deferred import: repro.query builds on core; this convenience entry
     # point dispatches upward without making core depend on it at load time.
+    from ..engine import RelationIndex
     from ..query.session import compile_query_plan, full_fixpoint_answers
     from .database import Database
 
@@ -192,4 +193,4 @@ def certain_answers(
         return full_fixpoint_answers(database, rules, query, max_atoms=max_atoms)
     plan = compile_query_plan(rules, query)
     atoms = database.atoms if isinstance(database, Database) else database
-    return plan.execute_for(atoms, query, max_atoms=max_atoms)
+    return plan.execute_on(RelationIndex(atoms), query, max_atoms=max_atoms)

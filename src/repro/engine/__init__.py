@@ -45,7 +45,7 @@ See the "Engine internals" section of the top-level README for how the pieces
 fit together.
 """
 
-from .backend import MemoryBackend, OverlayBackend, StorageBackend
+from .backend import MemoryBackend, OverlayBackend
 from .index import (
     OverlayRelationIndex,
     RelationIndex,
@@ -83,7 +83,6 @@ __all__ = [
     "RelationIndex",
     "RelationSnapshot",
     "Row",
-    "StorageBackend",
     "SupportTable",
     "SymbolTable",
     "Tick",

@@ -35,62 +35,15 @@ sharing of flat int structures.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Protocol, Sequence
+from typing import Dict, Iterable, Iterator, Sequence
 
 from ..core.atoms import Atom, Predicate
 from .intern import Row, SymbolTable, TupleRelation, global_symbols
 
 __all__ = [
-    "StorageBackend",
     "MemoryBackend",
     "OverlayBackend",
 ]
-
-
-class StorageBackend(Protocol):
-    """The storage contract the engine requires (atom plane + row plane)."""
-
-    @property
-    def symbols(self) -> SymbolTable:
-        """The interning table rows of this backend are encoded against."""
-        ...
-
-    # ------------------------------------------------------------ atom plane
-    def snapshot(self) -> "StorageBackend":
-        """A read-only view of the current contents that stays valid across
-        later mutations of the base (copy-on-write)."""
-        ...
-
-    def __contains__(self, atom: Atom) -> bool: ...
-
-    def __len__(self) -> int: ...
-
-    def __iter__(self) -> Iterator[Atom]: ...
-
-    def atoms_of(self, predicate: Predicate) -> Sequence[Atom]:
-        """All stored atoms over *predicate*, in insertion order."""
-        ...
-
-    def count(self, predicate: Predicate) -> int:
-        """The number of stored atoms over *predicate* (cardinality estimate)."""
-        ...
-
-    def predicates(self) -> Iterable[Predicate]: ...
-
-    # ------------------------------------------------------------- row plane
-    def insert_row(self, predicate: Predicate, row: Row) -> bool:
-        """Store an already-encoded row; ``True`` iff it was new."""
-        ...
-
-    def remove_row(self, predicate: Predicate, row: Row) -> bool:
-        """Delete an already-encoded row; ``True`` iff it was present."""
-        ...
-
-    def contains_row(self, predicate: Predicate, row: Row) -> bool: ...
-
-    def rows_of(self, predicate: Predicate) -> Sequence[Row]:
-        """All stored rows over *predicate*, in insertion order."""
-        ...
 
 
 class MemoryBackend:

@@ -67,7 +67,7 @@ from typing import (
 
 from ..core.atoms import Atom, Predicate
 from ..core.terms import Constant, FunctionTerm, Null, Term, Variable
-from .backend import MemoryBackend, OverlayBackend, StorageBackend
+from .backend import MemoryBackend, OverlayBackend
 from .intern import Row, SymbolTable
 from .stats import EngineStatistics
 
@@ -243,7 +243,7 @@ def _encoded_key(
 
 
 def _build_table(
-    backend: StorageBackend, predicate: Predicate, positions: Tuple[int, ...]
+    backend: MemoryBackend, predicate: Predicate, positions: Tuple[int, ...]
 ) -> _PatternTable:
     table = _PatternTable()
     buckets = table.buckets
@@ -299,9 +299,11 @@ class RelationIndex:
             self.add(atom)
 
     def _init_state(
-        self, backend: StorageBackend, statistics: Optional[EngineStatistics]
+        self,
+        backend: MemoryBackend | OverlayBackend,
+        statistics: Optional[EngineStatistics],
     ) -> None:
-        self._backend: StorageBackend = backend
+        self._backend: MemoryBackend | OverlayBackend = backend
         #: append-only delta log of (predicate, row) entries; removals blank
         #: entries to ``None`` in place so outstanding ticks (positions)
         #: stay valid.

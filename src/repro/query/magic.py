@@ -32,19 +32,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.atoms import Atom, Literal, Predicate, apply_substitution
 from ..core.queries import ConjunctiveQuery
 from ..core.terms import Constant, Term, Variable
 from ..engine import RelationIndex
-from ..engine.stats import EngineStatistics
 from ..errors import UnsupportedClassError
 from ..lp.programs import NormalRule
 from .adornment import AdornedPredicate, AdornedRule, adorn_atom, adorn_rule
 from .stratify import (
     Stratification,
-    evaluate_stratified,
     normalize_rules,
     relevant_predicates,
     stratify,
@@ -110,7 +108,7 @@ class MagicProgram:
         with :meth:`seed` to run the plan for concrete constants.
     parameters / constants:
         The parameter variables and the constant values they had in the query
-        the plan was compiled from (the defaults for :meth:`evaluate`).
+        the plan was compiled from (the defaults for :meth:`seed`).
     answer_arity:
         Number of answer positions (the query's arity).
     stratification:
@@ -136,27 +134,6 @@ class MagicProgram:
             self.seed_template, dict(zip(self.parameters, values))
         )
 
-    def evaluate(
-        self,
-        facts: Iterable[Atom],
-        constants: Optional[Sequence[Constant]] = None,
-        *,
-        max_atoms: Optional[int] = None,
-        statistics: Optional[EngineStatistics] = None,
-        tracer=None,
-        profiler=None,
-    ) -> frozenset[Tuple[Term, ...]]:
-        """Run the plan over *facts* and return the answer tuples."""
-        index = self.evaluate_index(
-            facts,
-            constants,
-            max_atoms=max_atoms,
-            statistics=statistics,
-            tracer=tracer,
-            profiler=profiler,
-        )
-        return self.collect_answers(index)
-
     def collect_answers(
         self,
         index: RelationIndex,
@@ -170,7 +147,7 @@ class MagicProgram:
         adorned predicate occurs only positively).  Pass *constants* to
         collect only the answers of that seed; with ``None`` every goal atom
         is collected, which is only meaningful for single-seed evaluations
-        (the historical behaviour of ``evaluate``/``evaluate_on``).
+        (:meth:`repro.query.QueryPlan.execute_on`).
         """
         answers: Set[Tuple[Term, ...]] = set()
         wanted = tuple(constants) if constants is not None else None
@@ -196,57 +173,6 @@ class MagicProgram:
             if all(isinstance(term, Constant) for term in answer):
                 answers.add(answer)
         return frozenset(answers)
-
-    def evaluate_index(
-        self,
-        facts: Iterable[Atom],
-        constants: Optional[Sequence[Constant]] = None,
-        *,
-        max_atoms: Optional[int] = None,
-        statistics: Optional[EngineStatistics] = None,
-        tracer=None,
-        profiler=None,
-    ) -> RelationIndex:
-        """Run the plan and return the full relation index (for inspection)."""
-        return evaluate_stratified(
-            self.rules,
-            chain(facts, (self.seed(constants),)),
-            stratification=self.stratification,
-            max_atoms=max_atoms,
-            statistics=statistics,
-            tracer=tracer,
-            profiler=profiler,
-        )
-
-    def evaluate_on(
-        self,
-        base,
-        constants: Optional[Sequence[Constant]] = None,
-        *,
-        max_atoms: Optional[int] = None,
-        statistics: Optional[EngineStatistics] = None,
-        tracer=None,
-        profiler=None,
-    ) -> frozenset[Tuple[Term, ...]]:
-        """Run the plan over a *base* snapshot without re-indexing it.
-
-        *base* is a :class:`~repro.engine.index.RelationSnapshot` (or a head
-        index) already holding the database; only the magic seed is injected,
-        and all derivations go to a throwaway overlay fork sharing the base's
-        pattern tables.  Any base is safe: the plan's magic and adorned
-        relations are generated predicates, which no fact can share.
-        """
-        index = evaluate_stratified(
-            self.rules,
-            (self.seed(constants),),
-            base=base,
-            stratification=self.stratification,
-            max_atoms=max_atoms,
-            statistics=statistics,
-            tracer=tracer,
-            profiler=profiler,
-        )
-        return self.collect_answers(index)
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return "\n".join(str(rule) for rule in self.rules)

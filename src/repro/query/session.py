@@ -1,13 +1,18 @@
-"""Goal-directed query sessions: compiled plans, caches, invalidation.
+"""Goal-directed query sessions: one evaluator, maintained views, caches.
 
 :class:`QuerySession` is the front door of the subsystem.  It holds a mutable
 fact base plus a fixed rule set and answers conjunctive queries through
 
-* a **plan cache** — magic-set rewritten programs
-  (:class:`~repro.query.magic.MagicProgram`), memoised per *query shape*: the
-  key is ``(program digest, canonical query)`` where the canonical form
-  replaces every constant by a parameter, so ``path(c1, X)`` and
-  ``path(c7, X)`` share one compiled plan and differ only in the magic seed;
+* one **evaluator** (:class:`QueryEvaluator`) — it decides once whether the
+  rules are in stratified Datalog¬, compiles magic-set rewritten plans
+  (:class:`QueryPlan` over a :class:`~repro.query.magic.MagicProgram`) into a
+  cache keyed by *query shape* — every constant abstracted to a parameter, so
+  ``path(c1, X)`` and ``path(c7, X)`` share one plan and differ only in the
+  magic seed — and answers outside the fragment by cautious stable-model
+  reasoning.  It is thread-safe: the session's misses, ``explain`` and
+  budget forks, a :class:`repro.service.DatalogService`'s reader misses (on
+  published epoch snapshots) and a replica's session all run plans through
+  :meth:`QueryPlan.execute_on`, and share one plan per shape;
 * a **persistent base index** — the facts live in one
   :class:`~repro.engine.index.RelationIndex` head whose access-pattern hash
   tables survive across queries *and revisions*; the plan views below are
@@ -25,10 +30,11 @@ fact base plus a fixed rule set and answers conjunctive queries through
   ``max_atoms`` budget or its seed pruned, the query left the fragment, or
   the fallback (non-stratified) mode, which has no plans and evicts
   wholesale;
-* a **materialised view per cached plan** — each compiled plan owns one
-  :class:`~repro.engine.maintenance.MaterializedView` of its magic program
-  over the plan's dependency cone of the fact base.  A cache miss injects
-  the query's magic seed as a *delta* (incremental, monotone), and
+* a **materialised view per hot shape** — an LRU of plan views, bounded by
+  ``plan_cache_size``; each holds its plan and one
+  :class:`~repro.engine.maintenance.MaterializedView` of the plan's magic
+  program over the plan's dependency cone of the fact base.  A cache miss
+  injects the query's magic seed as a *delta* (incremental, monotone), and
   ``add_facts``/``remove_facts`` repair the view — counting for
   non-recursive strata, Delete-and-Rederive for recursive ones — in time
   proportional to the affected cone instead of re-deriving.  The
@@ -50,6 +56,7 @@ rewriting against it.
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -80,6 +87,7 @@ from .stratify import (
 __all__ = [
     "AnswerExport",
     "ExplainReport",
+    "QueryEvaluator",
     "QueryPlan",
     "QuerySession",
     "QueryStatistics",
@@ -136,54 +144,13 @@ class QueryPlan:
 
     ``depends`` is the plan's dependency cone: the predicates whose facts can
     influence the answers.  :class:`QuerySession` uses it for predicate-level
-    answer invalidation; ``None`` means unknown (invalidate conservatively).
+    answer invalidation and to build the plan's view over the cone only.
     """
 
     digest: str
     shape: str
     program: MagicProgram
-    depends: Optional[frozenset[Predicate]] = None
-
-    def execute(
-        self,
-        facts: Iterable[Atom],
-        constants: Optional[Tuple[Constant, ...]] = None,
-        *,
-        max_atoms: Optional[int] = None,
-        statistics: Optional[EngineStatistics] = None,
-        tracer=None,
-        profiler=None,
-    ) -> frozenset[Tuple[Term, ...]]:
-        """Run the plan over *facts*, seeding the given constant values."""
-        return self.program.evaluate(
-            facts,
-            constants,
-            max_atoms=max_atoms,
-            statistics=statistics,
-            tracer=tracer,
-            profiler=profiler,
-        )
-
-    def execute_for(
-        self,
-        facts: Iterable[Atom],
-        query: ConjunctiveQuery,
-        *,
-        max_atoms: Optional[int] = None,
-        statistics: Optional[EngineStatistics] = None,
-        tracer=None,
-        profiler=None,
-    ) -> frozenset[Tuple[Term, ...]]:
-        """Run the plan for a concrete *query* of this plan's shape."""
-        _, _, constants = canonicalize_query(query)
-        return self.execute(
-            facts,
-            constants,
-            max_atoms=max_atoms,
-            statistics=statistics,
-            tracer=tracer,
-            profiler=profiler,
-        )
+    depends: frozenset[Predicate]
 
     def execute_on(
         self,
@@ -195,29 +162,37 @@ class QueryPlan:
         tracer=None,
         profiler=None,
     ) -> frozenset[Tuple[Term, ...]]:
-        """Run the plan over a *base* snapshot without re-indexing it.
+        """Run the plan for a concrete *query* of this plan's shape over a
+        *base* snapshot (or head index) without re-indexing it.
 
-        The derivations go to a throwaway overlay fork sharing the base's
-        pattern tables (see :meth:`MagicProgram.evaluate_on`).  Service
-        readers, :meth:`QuerySession.explain` and a session miss that trips
-        ``max_atoms`` on the shared view evaluate here.
+        Only the query's magic seed is injected, and all derivations go to
+        a throwaway overlay fork sharing the base's pattern tables.  Any
+        base is safe: the plan's magic and adorned relations are generated
+        predicates, which no fact can share.  This is the one way a plan
+        runs: service readers, :meth:`QuerySession.explain`, a session miss
+        that trips ``max_atoms`` on the shared view, and callers holding a
+        plain fact collection (as ``RelationIndex(facts)``) all come here.
         """
         _, _, constants = canonicalize_query(query)
-        return self.program.evaluate_on(
-            base,
-            constants,
+        program = self.program
+        index = evaluate_stratified(
+            program.rules,
+            (program.seed(constants),),
+            base=base,
+            stratification=program.stratification,
             max_atoms=max_atoms,
             statistics=statistics,
             tracer=tracer,
             profiler=profiler,
         )
+        return program.collect_answers(index)
 
 
 def compile_query_plan(rules, query: ConjunctiveQuery) -> QueryPlan:
     """Compile a reusable goal-directed plan for ``(rules, query)``.
 
     The plan is parameterised over the query's constants; reuse it for any
-    query of the same shape via :meth:`QueryPlan.execute_for`.
+    query of the same shape via :meth:`QueryPlan.execute_on`.
     """
     # Normalise once: digesting and rewriting both accept the normalised
     # rules verbatim, so NTGD-to-NormalRule conversion happens a single time.
@@ -228,6 +203,147 @@ def compile_query_plan(rules, query: ConjunctiveQuery) -> QueryPlan:
         program=magic_rewrite(normal, query),
         depends=_dependency_cone(normal, query),
     )
+
+
+class QueryEvaluator:
+    """Plans and answers the queries of one rule set; safe to share.
+
+    The one query-evaluation path of the stack.  It decides once, at
+    construction, whether the rules are in the rewritable fragment
+    (existential-free, stratified); keeps the compiled :class:`QueryPlan`\\ s
+    in a cache keyed by query shape; and answers outside the fragment by
+    cautious stable-model reasoning (:func:`repro.stable.cautious_answers`)
+    when *fallback* is on.  A :class:`QuerySession` owns one and builds its
+    maintained views from its plans; a :class:`repro.service.DatalogService`
+    runs it on published epoch snapshots from any number of reader threads.
+
+    Cache hits take no lock; a miss compiles under the evaluator's lock, so
+    racing readers of a new shape rewrite it once.  Past *plan_cache_size*
+    plans the oldest one is dropped.
+    """
+
+    def __init__(
+        self,
+        rules,
+        *,
+        plan_cache_size: int = 64,
+        fallback: bool = True,
+        stable_options: Optional[dict] = None,
+        max_atoms: Optional[int] = None,
+    ) -> None:
+        from ..core.rules import RuleSet
+        from ..lp.programs import NormalProgram
+
+        # Materialise one-shot iterables: the rules are re-walked on every
+        # plan compilation and by the fallback.
+        self.rules = (
+            rules
+            if isinstance(rules, (RuleSet, NormalProgram))
+            else tuple(rules)
+        )
+        #: the per-evaluation budget every plan run enforces
+        self.max_atoms = max_atoms
+        self._fallback = fallback
+        self._stable_options = dict(stable_options or {})
+        # Keep the normalised form so plan compilation does not re-walk the
+        # NTGDs; the scope error is re-raised for every plan request.
+        self._normal: Optional[tuple] = None
+        self._scope_error: Optional[Exception] = None
+        try:
+            self._normal = normalize_rules(self.rules)
+            stratify(self._normal)
+        except (UnsupportedClassError, StratificationError) as error:
+            self._scope_error = error
+        self.digest = program_digest_or_none(
+            self._normal if self._normal is not None else self.rules
+        )
+        self._plan_cache_size = max(1, plan_cache_size)
+        self._plans: dict = {}
+        self._lock = threading.Lock()
+
+    @property
+    def rewritable(self) -> bool:
+        """``True`` iff the rules are in stratified Datalog¬."""
+        return self._scope_error is None
+
+    def plan(
+        self,
+        query: ConjunctiveQuery,
+        statistics: Optional[SessionStatistics] = None,
+    ) -> QueryPlan:
+        """The compiled plan for the query's shape.
+
+        Raises the rules' scope error outside the fragment, and
+        :class:`~repro.errors.UnsupportedClassError` for a query with terms
+        outside Datalog (nulls, function terms).  *statistics* (a
+        :class:`SessionStatistics`, bumped only by its owning thread) counts
+        the lookup as a plan hit or miss.
+        """
+        if self._scope_error is not None:
+            raise self._scope_error
+        key = _query_shape(query)
+        plan = self._plans.get(key)
+        if plan is None:
+            with self._lock:
+                plan = self._plans.get(key)
+                if plan is None:
+                    plan = compile_query_plan(self._normal, query)
+                    if len(self._plans) >= self._plan_cache_size:
+                        del self._plans[next(iter(self._plans))]
+                    self._plans[key] = plan
+                    if statistics is not None:
+                        statistics.plan_misses += 1
+                    return plan
+        if statistics is not None:
+            statistics.plan_hits += 1
+        return plan
+
+    def answers(
+        self,
+        base: RelationSnapshot | RelationIndex,
+        query: ConjunctiveQuery,
+        *,
+        statistics: Optional[EngineStatistics] = None,
+        tracer=None,
+    ) -> Tuple[frozenset[Tuple[Term, ...]], bool]:
+        """The answers of *query* over *base*, and whether the cautious
+        fallback gave them (the query or the rules left the fragment)."""
+        try:
+            plan = self.plan(query)
+        except (UnsupportedClassError, StratificationError) as error:
+            return self.fallback_answers(base, query, error), True
+        answers = plan.execute_on(
+            base,
+            query,
+            max_atoms=self.max_atoms,
+            statistics=statistics,
+            tracer=tracer,
+        )
+        return answers, False
+
+    def fallback_answers(
+        self,
+        base: RelationSnapshot | RelationIndex,
+        query: ConjunctiveQuery,
+        error: Exception,
+    ) -> frozenset:
+        """Cautious stable-model answers over *base*'s facts; re-raises
+        *error* (why no plan exists) when the fallback is off."""
+        if not self._fallback:
+            raise error
+        # Deferred import: repro.stable sits above this subsystem in the
+        # layer map and imports nothing from it at module scope.
+        from ..stable import cautious_answers
+
+        # goal_directed=False: the plan request already failed, so skip the
+        # doomed re-attempt.
+        return cautious_answers(
+            Database.of(base.atoms()),
+            _as_rule_set(self.rules),
+            query,
+            goal_directed=False,
+            **self._stable_options,
+        )
 
 
 def full_fixpoint_answers(
@@ -398,13 +514,13 @@ class ExplainReport:
 
 @dataclass
 class _PlanView:
-    """One plan's maintained materialisation plus the seeds injected so far.
+    """One plan, its maintained materialisation, and the seeds injected so far.
 
-    The view holds the magic program evaluated over the plan's dependency
-    cone of the session facts; each distinct constant vector adds its magic
-    seed once (``seeds``), as an incremental delta — magic programs are
-    monotone in their seeds, and the goal relation carries the parameters,
-    so per-seed answers are recovered by a filtered scan.
+    The view holds the plan's magic program evaluated over the plan's
+    dependency cone of the session facts; each distinct constant vector adds
+    its magic seed once (``seeds``), as an incremental delta — magic
+    programs are monotone in their seeds, and the goal relation carries the
+    parameters, so per-seed answers are recovered by a filtered scan.
 
     ``seeds`` is LRU-ordered: a session serving unboundedly many distinct
     constants would otherwise grow the view without bound, so past the
@@ -416,13 +532,14 @@ class _PlanView:
     ``pins`` maps seeds claimed by standing queries
     (:meth:`QuerySession.register_standing`) to the registration tokens
     holding them.  A pinned seed is never pruned and a view holding any pin
-    is never evicted with its plan — a standing query's exactness contract
+    is never evicted — a standing query's exactness contract
     is that its seed's derivation cone stays materialised and repaired, so
     the per-epoch :class:`~repro.engine.maintenance.ViewDelta` accounts for
     every answer change.  Pins die with the view (budget drop): the
     subscription layer detects the loss and re-registers through a gap.
     """
 
+    plan: QueryPlan
     view: MaterializedView
     seeds: "OrderedDict[Atom, None]" = field(default_factory=OrderedDict)
     pins: dict = field(default_factory=dict)
@@ -435,10 +552,10 @@ class StandingQuery:
     deltas without re-evaluation.
 
     Produced by :meth:`QuerySession.register_standing`.  ``plan_key``
-    addresses the plan (and its pinned materialised view) inside the
-    session; ``goal``/``answer_arity``/``constants`` describe how answer
-    tuples are read off the view's goal relation (answer prefix, parameter
-    suffix); ``seed`` is the pinned magic seed; ``depends`` the dependency
+    (the query shape) addresses the pinned plan view inside the session;
+    ``goal``/``answer_arity``/``constants`` describe how answer tuples are
+    read off the view's goal relation (answer prefix, parameter suffix);
+    ``seed`` is the pinned magic seed; ``depends`` the dependency
     cone used to skip irrelevant epochs; ``answers`` the registration-time
     answer set (the subscriber's fold starting point).
     """
@@ -449,7 +566,7 @@ class StandingQuery:
     seed: Atom
     goal: Predicate
     answer_arity: int
-    depends: Optional[frozenset[Predicate]]
+    depends: frozenset[Predicate]
     answers: frozenset
 
 
@@ -537,7 +654,8 @@ class QuerySession:
         A :class:`~repro.core.rules.RuleSet`, iterable of NTGDs, or a
         :class:`~repro.lp.programs.NormalProgram`.
     plan_cache_size / answer_cache_size:
-        LRU bounds for the two caches.
+        Bounds on the compiled plans (and, separately, the maintained plan
+        views) and on the answer cache.
     fallback:
         When the rules fall outside stratified Datalog¬, answer through
         cautious stable-model reasoning instead of raising (default).  The
@@ -560,11 +678,12 @@ class QuerySession:
         :func:`repro.obs.global_registry`.
 
     The facts live in one persistent :class:`~repro.engine.index.RelationIndex`
-    head.  Each compiled plan keeps one incrementally maintained
-    :class:`~repro.engine.maintenance.MaterializedView`: a cache miss
-    injects the query's magic seed as a delta into it, touching only the
-    delta cone of the new seed, and mutations — **deletions included** —
-    repair the view and the affected cached answers in place instead of
+    head.  Plans come from the session's :class:`QueryEvaluator`
+    (:attr:`evaluator`), and each hot query shape keeps one incrementally
+    maintained :class:`~repro.engine.maintenance.MaterializedView`: a cache
+    miss injects the query's magic seed as a delta into it, touching only
+    the delta cone of the new seed, and mutations — **deletions included**
+    — repair the view and the affected cached answers in place instead of
     re-deriving.
 
     For stratified Datalog¬ the unique stable model is the perfect model, so
@@ -578,7 +697,8 @@ class QuerySession:
     caller-held lock).  What the session *does* guarantee is a safe export
     surface: :meth:`epoch` returns an immutable :class:`SessionEpoch`
     (detached snapshot + answer-cache copy) that any number of threads may
-    read concurrently while the owning thread keeps mutating the session.
+    read concurrently while the owning thread keeps mutating the session,
+    and :attr:`evaluator` may be run on such a snapshot from any thread.
     :class:`repro.service.DatalogService` is the packaged single-writer /
     many-reader arrangement built on exactly this contract.
     """
@@ -597,6 +717,13 @@ class QuerySession:
         metrics=None,
     ) -> None:
         facts = database.atoms if isinstance(database, Database) else database
+        self._evaluator = QueryEvaluator(
+            rules,
+            plan_cache_size=plan_cache_size,
+            fallback=fallback,
+            stable_options=stable_options,
+            max_atoms=max_atoms,
+        )
         self.statistics = SessionStatistics()
         #: explicit per-session tracer; ``None`` defers to the process-global
         #: one (:func:`repro.obs.get_tracer`) at each call, so flipping
@@ -613,26 +740,13 @@ class QuerySession:
         self._snapshot: Optional[RelationSnapshot] = None
         #: per-revision memo of the detached snapshot exported by epoch()
         self._export_snapshot: Optional[RelationSnapshot] = None
-        # Materialise one-shot iterables: the rules are re-walked on every
-        # plan compilation and by the fallback path.
-        from ..core.rules import RuleSet
-        from ..lp.programs import NormalProgram
-
-        self._rules = (
-            rules
-            if isinstance(rules, (RuleSet, NormalProgram))
-            else tuple(rules)
-        )
         self._plan_cache_size = max(1, plan_cache_size)
         self._answer_cache_size = max(1, answer_cache_size)
         #: seeds retained per plan view; past it the coldest seed is pruned
         #: from the view as a deletion delta (see _PlanView)
         self._view_seed_cap = max(256, answer_cache_size)
-        self._fallback = fallback
-        self._stable_options = dict(stable_options or {})
-        self._max_atoms = max_atoms
-        self._plans: OrderedDict[tuple, QueryPlan] = OrderedDict()
-        #: plan key -> (MaterializedView over the plan's cone, injected seeds)
+        #: query shape -> its plan view, LRU-ordered and bounded by
+        #: plan_cache_size (views pinned by standing queries excepted)
         self._views: "OrderedDict[tuple, _PlanView]" = OrderedDict()
         #: query -> (answers, dependency cone or None, plan key or None);
         #: the plan key is set only when the answer came from a view and can
@@ -662,20 +776,6 @@ class QuerySession:
         #: net base-fact change since the last drain: (added, removed)
         self._pending_fact_added: set[Atom] = set()
         self._pending_fact_removed: set[Atom] = set()
-        # Decide once whether the rules are in the rewritable fragment; keep
-        # the normalised form so plan compilation does not re-normalise.
-        self._rewritable = True
-        self._scope_error: Optional[Exception] = None
-        self._normal: Optional[tuple] = None
-        try:
-            self._normal = normalize_rules(self._rules)
-            stratify(self._normal)
-        except (UnsupportedClassError, StratificationError) as error:
-            self._rewritable = False
-            self._scope_error = error
-        self._digest = program_digest_or_none(
-            self._normal if self._normal is not None else self._rules
-        )
 
     # -------------------------------------------------------------- fact base
     @property
@@ -692,12 +792,18 @@ class QuerySession:
     @property
     def is_goal_directed(self) -> bool:
         """``True`` iff queries run through magic-set rewriting."""
-        return self._rewritable
+        return self._evaluator.rewritable
 
     @property
     def rules(self):
         """The session's (materialised) rule collection, read-only."""
-        return self._rules
+        return self._evaluator.rules
+
+    @property
+    def evaluator(self) -> QueryEvaluator:
+        """The session's thread-safe :class:`QueryEvaluator`; a service runs
+        it on published epoch snapshots from its reader threads."""
+        return self._evaluator
 
     def epoch(self) -> SessionEpoch:
         """Export the current revision as an immutable :class:`SessionEpoch`.
@@ -736,7 +842,7 @@ class QuerySession:
         stores it in checkpoints so warm state is never restored onto a
         session compiled from different rules.
         """
-        return self._digest
+        return self._evaluator.digest
 
     def export_warm_state(self) -> WarmState:
         """Export the maintained views and cached answers as a
@@ -752,13 +858,10 @@ class QuerySession:
         """
         views: List[ViewExport] = []
         for key, entry in self._views.items():
-            plan = self._plans.get(key)
-            if plan is None or plan.depends is None:
-                continue
             state = entry.view.export_state()
             if state is None:
                 continue
-            query = self._representative_query(key, plan)
+            query = self._representative_query(key, entry.plan)
             if query is None:
                 continue
             base, atoms, records = state
@@ -793,11 +896,10 @@ class QuerySession:
         restore is skipped (the session stays correct, just colder).
         Returns the number of views restored.
         """
-        if not self._rewritable:
+        if not self._evaluator.rewritable:
             return 0
         restored = 0
         for export in state.views:
-            key = None
             try:
                 key, plan = self._plan_entry(export.query)
                 view = MaterializedView.restore(
@@ -807,18 +909,14 @@ class QuerySession:
                     records=export.records,
                     stratification=plan.program.stratification,
                     statistics=self.statistics.engine,
-                    max_atoms=self._max_atoms,
+                    max_atoms=self._evaluator.max_atoms,
                 )
-                entry = _PlanView(view=view)
-                for seed in export.seeds:
-                    entry.seeds[seed] = None
-                self._views[key] = entry
-                self.statistics.views_built += 1
-                restored += 1
             except Exception:  # pragma: no cover - defensive best effort
-                if key is not None:
-                    self._views.pop(key, None)
                 continue
+            entry = self._store_view(key, plan, view)
+            for seed in export.seeds:
+                entry.seeds[seed] = None
+            restored += 1
         for export in state.answers:
             try:
                 key, plan = self._plan_entry(export.query)
@@ -842,13 +940,13 @@ class QuerySession:
     ) -> Optional[ConjunctiveQuery]:
         """A concrete query whose shape recompiles to exactly this plan.
 
-        The plan cache key carries the canonical (constant-abstracted)
-        literals and the parameter order; substituting the plan program's
-        recorded constant vector back in inverts
+        The view key (the query shape) carries the canonical
+        (constant-abstracted) literals and the parameter order; substituting
+        the plan program's recorded constant vector back in inverts
         :func:`~repro.query.magic.canonicalize_query`.
         """
         try:
-            literals, answer_variables, parameters = key[1]
+            literals, answer_variables, parameters = key
             constants = plan.program.constants
             if len(parameters) != len(constants):
                 return None
@@ -953,11 +1051,10 @@ class QuerySession:
         view or seed is gone (:meth:`standing_exact` is ``False``)."""
         if not self.standing_exact(standing):
             return None
-        plan = self._plans.get(standing.plan_key)
-        if plan is None:  # pragma: no cover - pinned plans are not evicted
-            return None
         entry = self._views[standing.plan_key]
-        return plan.program.collect_answers(entry.view.index, standing.constants)
+        return entry.plan.program.collect_answers(
+            entry.view.index, standing.constants
+        )
 
     def set_fact_capture(self, enabled: bool) -> None:
         """Turn base-fact delta capture on or off (replication support).
@@ -1170,7 +1267,7 @@ class QuerySession:
         # it empty so it never pins atoms across revisions.
         self._index.compact(self._index.tick())
         self.statistics.invalidations += 1
-        if not self._rewritable:
+        if not self._evaluator.rewritable:
             # No dependency cones without plans: evict everything.
             self._answers.clear()
             self.statistics.wholesale_invalidations += 1
@@ -1179,14 +1276,9 @@ class QuerySession:
         # answer pass below can re-read repaired materialisations.
         for key in list(self._views):
             entry = self._views[key]
-            plan = self._plans.get(key)
-            if plan is None or plan.depends is None:  # pragma: no cover - guard
-                del self._views[key]
-                if self._capture_deltas:
-                    self._pending_lost.add(key)
-                continue
-            relevant_added = [a for a in added if a.predicate in plan.depends]
-            relevant_removed = [a for a in removed if a.predicate in plan.depends]
+            depends = entry.plan.depends
+            relevant_added = [a for a in added if a.predicate in depends]
+            relevant_removed = [a for a in removed if a.predicate in depends]
             if relevant_added or relevant_removed:
                 try:
                     delta = entry.view.apply_delta(
@@ -1213,17 +1305,17 @@ class QuerySession:
                 self.statistics.answers_retained += 1
                 continue
             entry = self._views.get(plan_key) if plan_key is not None else None
-            plan = self._plans.get(plan_key) if plan_key is not None else None
-            if entry is not None and plan is not None:
+            if entry is not None:
+                program = entry.plan.program
                 _, _, constants = canonicalize_query(cache_key)
                 # Repairable only while the view still holds this answer's
                 # seed (a rebuilt or budget-dropped view starts seedless —
                 # collecting from it would silently return nothing).
-                if plan.program.seed(constants) in entry.seeds:
+                if program.seed(constants) in entry.seeds:
                     # Repair in place: the view is already consistent with
                     # the new fact base, so the answer is one filtered scan
                     # of its goal relation — no re-derivation.
-                    repaired = plan.program.collect_answers(
+                    repaired = program.collect_answers(
                         entry.view.index, constants
                     )
                     self._answers[cache_key] = (repaired, depends, plan_key)
@@ -1238,75 +1330,59 @@ class QuerySession:
 
     # ------------------------------------------------------------------ plans
     def plan_for(self, query: ConjunctiveQuery) -> QueryPlan:
-        """The memoised compiled plan for the query's shape."""
+        """The compiled plan for the query's shape."""
         return self._plan_entry(query)[1]
 
     def _plan_entry(self, query: ConjunctiveQuery) -> Tuple[tuple, QueryPlan]:
-        """The plan *and* its cache key (the key also addresses its view)."""
-        if not self._rewritable:
-            assert self._scope_error is not None
-            raise self._scope_error
-        key = (self._digest or "", _query_shape(query))
-        plan = self._plans.get(key)
-        if plan is not None:
-            self._plans.move_to_end(key)
+        """The plan *and* its view key (the query shape): a live view's own
+        plan, else the evaluator's."""
+        key = _query_shape(query)
+        entry = self._views.get(key)
+        if entry is not None:
+            self._views.move_to_end(key)
             self.statistics.plan_hits += 1
-            return key, plan
-        self.statistics.plan_misses += 1
-        assert self._normal is not None  # rewritable implies normalised
-        plan = QueryPlan(
-            digest=key[0],
-            shape=_query_shape_key(query),
-            program=magic_rewrite(self._normal, query),
-            depends=_dependency_cone(self._normal, query),
-        )
-        self._plans[key] = plan
-        while len(self._plans) > self._plan_cache_size:
-            # Standing queries pin their plan: evicting it would orphan the
-            # maintained view their exact deltas come from.  Evict the
-            # coldest *unpinned* plan instead; if every plan is pinned the
-            # cache runs over its bound (the subscriber count is the floor).
-            evicted_key = next(
-                (
-                    key_
-                    for key_ in self._plans
-                    if not (
-                        key_ in self._views and self._views[key_].pins
-                    )
-                ),
-                None,
-            )
-            if evicted_key is None:
-                break
-            del self._plans[evicted_key]
-            # A view is only as alive as its plan: repairing it without the
-            # plan's cone would be blind, so it leaves the cache together.
-            self._views.pop(evicted_key, None)
-        return key, plan
+            return key, entry.plan
+        return key, self._evaluator.plan(query, self.statistics)
 
     def _view_entry(self, key: tuple, plan: QueryPlan) -> _PlanView:
         """The plan's maintained view, built once over its dependency cone."""
         entry = self._views.get(key)
         if entry is None:
-            if plan.depends is None:
-                facts = list(self._index)
-            else:
-                # Per-predicate fetch keeps construction O(cone), not O(|DB|).
-                facts = [
-                    atom
-                    for predicate in plan.depends
-                    for atom in self._index.candidates(predicate)
-                ]
+            # Per-predicate fetch keeps construction O(cone), not O(|DB|).
+            facts = [
+                atom
+                for predicate in plan.depends
+                for atom in self._index.candidates(predicate)
+            ]
             view = MaterializedView(
                 plan.program.rules,
                 facts,
                 stratification=plan.program.stratification,
                 statistics=self.statistics.engine,
-                max_atoms=self._max_atoms,
+                max_atoms=self._evaluator.max_atoms,
             )
-            entry = _PlanView(view=view)
-            self._views[key] = entry
-            self.statistics.views_built += 1
+            entry = self._store_view(key, plan, view)
+        return entry
+
+    def _store_view(
+        self, key: tuple, plan: QueryPlan, view: MaterializedView
+    ) -> _PlanView:
+        """Register a new plan view, evicting the coldest past the bound."""
+        while len(self._views) >= self._plan_cache_size:
+            # Standing queries pin their view: evicting it would break the
+            # exact deltas they are served from.  Evict the coldest
+            # *unpinned* view instead; if every view is pinned the cache
+            # runs over its bound (the subscriber count is the floor).
+            cold = next(
+                (key_ for key_, entry_ in self._views.items() if not entry_.pins),
+                None,
+            )
+            if cold is None:
+                break
+            del self._views[cold]
+        entry = _PlanView(plan=plan, view=view)
+        self._views[key] = entry
+        self.statistics.views_built += 1
         return entry
 
     # ---------------------------------------------------------------- answers
@@ -1371,10 +1447,7 @@ class QuerySession:
         outside the rewritable fragment (fallback mode) have no plan to
         attribute and raise their scope error instead.
         """
-        if not self._rewritable:
-            assert self._scope_error is not None
-            raise self._scope_error
-        plan_key, plan = self._plan_entry(query)
+        _, plan = self._plan_entry(query)
         tracer = Tracer(capacity=4096)
         profiler = RuleProfiler()
         from time import perf_counter as _now
@@ -1383,7 +1456,7 @@ class QuerySession:
         answers = plan.execute_on(
             self._ensure_snapshot(),
             query,
-            max_atoms=self._max_atoms,
+            max_atoms=self._evaluator.max_atoms,
             statistics=self.statistics.engine,
             tracer=tracer,
             profiler=profiler,
@@ -1418,101 +1491,79 @@ class QuerySession:
         # under the session.answers span; ``None`` when disabled keeps the
         # engine's per-call guard to one identity check.
         tracer = active if active.enabled else None
-        if self._rewritable:
+        try:
+            plan_key, plan = self._plan_entry(query)
+        except (UnsupportedClassError, StratificationError) as error:
+            # The rules, or just the *query* (nulls, function terms), leave
+            # the fragment; the homomorphism matcher of the stable path
+            # evaluates such queries fine.
+            result = self._evaluator.fallback_answers(self._index, query, error)
+            self.statistics.fallback_queries += 1
+            return result, None, None
+        # Maintained-view path: inject this query's magic seed as an
+        # incremental delta (a no-op for an already-seen constant
+        # vector) and read the goal relation filtered to it.  The
+        # answer is tagged with the plan key so later mutations can
+        # repair it in place.
+        entry = self._view_entry(plan_key, plan)
+        _, _, constants = canonicalize_query(query)
+        seed = plan.program.seed(constants)
+        if seed in entry.seeds:
+            entry.seeds.move_to_end(seed)  # LRU recency
+        else:
             try:
-                plan_key, plan = self._plan_entry(query)
-            except UnsupportedClassError:
-                # The *query* leaves the fragment (nulls, function terms)
-                # even though the rules are rewritable; the homomorphism
-                # matcher of the stable path evaluates such queries fine.
-                if not self._fallback:
-                    raise
-                return self._fallback_answers(query), None, None
-            # Maintained-view path: inject this query's magic seed as an
-            # incremental delta (a no-op for an already-seen constant
-            # vector) and read the goal relation filtered to it.  The
-            # answer is tagged with the plan key so later mutations can
-            # repair it in place.
-            entry = self._view_entry(plan_key, plan)
-            _, _, constants = canonicalize_query(query)
-            seed = plan.program.seed(constants)
-            if seed in entry.seeds:
-                entry.seeds.move_to_end(seed)  # LRU recency
-            else:
-                try:
-                    entry.view.apply_delta(additions=[seed])
-                except SolverLimitError:
-                    # The shared view accumulates every seed's derivation
-                    # cone, so the budget can trip on a query that fits on
-                    # its own under the documented per-evaluation
-                    # semantics.  A half-injected seed would also leave
-                    # the view silently under-derived for this constant
-                    # vector forever: drop the view and answer this query
-                    # on a throwaway fork instead, which enforces
-                    # max_atoms per evaluation — only a genuinely
-                    # over-budget query still raises.
-                    self._views.pop(plan_key, None)
-                    result = plan.execute_on(
-                        self._ensure_snapshot(),
-                        query,
-                        max_atoms=self._max_atoms,
-                        statistics=self.statistics.engine,
-                        tracer=tracer,
+                entry.view.apply_delta(additions=[seed])
+            except SolverLimitError:
+                # The shared view accumulates every seed's derivation
+                # cone, so the budget can trip on a query that fits on
+                # its own under the documented per-evaluation
+                # semantics.  A half-injected seed would also leave
+                # the view silently under-derived for this constant
+                # vector forever: drop the view and answer this query
+                # on a throwaway fork instead, which enforces
+                # max_atoms per evaluation — only a genuinely
+                # over-budget query still raises.
+                self._views.pop(plan_key, None)
+                result = plan.execute_on(
+                    self._ensure_snapshot(),
+                    query,
+                    max_atoms=self._evaluator.max_atoms,
+                    statistics=self.statistics.engine,
+                    tracer=tracer,
+                )
+                return result, plan.depends, None
+            # Recorded only after the cascade succeeded.
+            entry.seeds[seed] = None
+        result = plan.program.collect_answers(entry.view.index, constants)
+        if len(entry.seeds) > self._view_seed_cap:
+            try:
+                while len(entry.seeds) > self._view_seed_cap:
+                    # Prune the coldest seed: its magic cone cascades
+                    # away as a deletion delta (O(cone), no rebuild),
+                    # bounding the view's growth in a long session.
+                    # Seeds pinned by standing queries are exempt —
+                    # pruning one would silently break its exact
+                    # delta stream; with every seed pinned the view
+                    # runs over the cap (subscribers are the floor).
+                    cold = next(
+                        (
+                            seed_
+                            for seed_ in entry.seeds
+                            if seed_ not in entry.pins
+                        ),
+                        None,
                     )
-                    return result, plan.depends, None
-                # Recorded only after the cascade succeeded.
-                entry.seeds[seed] = None
-            result = plan.program.collect_answers(entry.view.index, constants)
-            if len(entry.seeds) > self._view_seed_cap:
-                try:
-                    while len(entry.seeds) > self._view_seed_cap:
-                        # Prune the coldest seed: its magic cone cascades
-                        # away as a deletion delta (O(cone), no rebuild),
-                        # bounding the view's growth in a long session.
-                        # Seeds pinned by standing queries are exempt —
-                        # pruning one would silently break its exact
-                        # delta stream; with every seed pinned the view
-                        # runs over the cap (subscribers are the floor).
-                        cold = next(
-                            (
-                                seed_
-                                for seed_ in entry.seeds
-                                if seed_ not in entry.pins
-                            ),
-                            None,
-                        )
-                        if cold is None:
-                            break
-                        del entry.seeds[cold]
-                        entry.view.apply_delta(deletions=[cold])
-                except SolverLimitError:
-                    # A half-pruned view must never stay registered (it
-                    # would silently under-answer); the answer already
-                    # collected above is still valid, so drop the view
-                    # and let the next miss rebuild it cleanly.
-                    self._views.pop(plan_key, None)
-            return result, plan.depends, plan_key
-        if not self._fallback:
-            assert self._scope_error is not None
-            raise self._scope_error
-        return self._fallback_answers(query), None, None
-
-    def _fallback_answers(self, query: ConjunctiveQuery) -> frozenset:
-        self.statistics.fallback_queries += 1
-        # Deferred import: repro.stable sits above this subsystem in the
-        # layer map and imports nothing from it at module scope.
-        from ..stable import cautious_answers
-
-        database = Database.of(self._index.atoms())
-        # goal_directed=False: the session already determined the rules are
-        # outside the rewritable fragment, so skip the doomed re-attempt.
-        return cautious_answers(
-            database,
-            _as_rule_set(self._rules),
-            query,
-            goal_directed=False,
-            **self._stable_options,
-        )
+                    if cold is None:
+                        break
+                    del entry.seeds[cold]
+                    entry.view.apply_delta(deletions=[cold])
+            except SolverLimitError:
+                # A half-pruned view must never stay registered (it
+                # would silently under-answer); the answer already
+                # collected above is still valid, so drop the view
+                # and let the next miss rebuild it cleanly.
+                self._views.pop(plan_key, None)
+        return result, plan.depends, plan_key
 
 
 def try_goal_directed(
@@ -1535,7 +1586,7 @@ def try_goal_directed(
     except (UnsupportedClassError, StratificationError):
         return None
     facts = database.atoms if isinstance(database, Database) else database
-    return plan.execute_for(facts, query, max_atoms=max_atoms)
+    return plan.execute_on(RelationIndex(facts), query, max_atoms=max_atoms)
 
 
 def program_digest_or_none(rules) -> Optional[str]:

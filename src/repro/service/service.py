@@ -21,10 +21,14 @@ versioned store**:
 * any number of **reader threads** call :meth:`DatalogService.answers`
   concurrently on the last published epoch without ever waiting on the
   writer or on each other's evaluations: a published or epoch-local cached
-  answer is a dictionary probe; a miss evaluates the query's compiled plan
-  against the epoch's snapshot in a private overlay fork.  (The only locks
-  a read touches are one brief counter update and, first-use-per-pattern,
-  the snapshot's cold-table build lock — never around evaluation.)  Reads
+  answer is a dictionary probe; a miss runs the session's thread-safe
+  :class:`~repro.query.session.QueryEvaluator` on the epoch's snapshot —
+  the same plan cache the writer's session compiles into, the plan run in
+  a private overlay fork, or the cautious stable-model fallback outside the
+  fragment.  (The only locks a read touches are one brief counter update,
+  the evaluator's compile lock on a shape's first miss and,
+  first-use-per-pattern, the snapshot's cold-table build lock — never
+  around evaluation.)  Reads
   are snapshot-isolated — a reader observes exactly the fact base of *some*
   published revision, never a half-applied batch — and the revision a
   reader observes is monotone over its lifetime;
@@ -37,10 +41,11 @@ versioned store**:
 
 Cache flow: a reader miss is memoised on its epoch (so within one epoch a
 hot query is computed once) and recorded as a *warm hint*; before the next
-publish the writer replays warm hints through the session, whose maintained
-views then repair those answers in place under future mutations — so a hot
-query's answers keep arriving pre-computed in every subsequent epoch without
-ever being recomputed from scratch.
+publish the writer replays warm hints through the session, which builds the
+shape's maintained view from the plan the reader already compiled and then
+repairs those answers in place under future mutations — so a hot query's
+answers keep arriving pre-computed in every subsequent epoch without ever
+being recomputed from scratch.
 
 Beyond polling, clients can **subscribe**: :meth:`DatalogService.subscribe`
 registers a standing query and streams ordered per-epoch answer deltas
@@ -75,17 +80,8 @@ from ..errors import (
     DurabilityError,
     ServiceClosedError,
     ServiceOverloadedError,
-    StratificationError,
-    UnsupportedClassError,
 )
-from ..query.session import (
-    QueryPlan,
-    QuerySession,
-    SessionEpoch,
-    _as_rule_set,
-    _query_shape,
-    compile_query_plan,
-)
+from ..query.session import QuerySession, SessionEpoch
 from .durability import DurabilityConfig, DurabilityManager
 from .subscriptions import Subscription, SubscriptionRegistry
 
@@ -257,10 +253,6 @@ class DatalogService:
         draining the queue; bursts submitted within the window ride one
         batch — one ``apply_batch``, one epoch — instead of one publish
         each.  ``0`` (default) drains immediately.
-    warm_cache:
-        Replay reader cache-misses through the session before each publish
-        (default).  Warmed answers are maintained incrementally by the
-        session's views and arrive pre-computed in every later epoch.
     fallback / max_atoms / session options:
         Forwarded to the session (see :class:`QuerySession`).
     metrics:
@@ -300,7 +292,6 @@ class DatalogService:
         backpressure: str = "block",
         enqueue_timeout: Optional[float] = None,
         coalesce_window: float = 0.0,
-        warm_cache: bool = True,
         plan_cache_size: int = 64,
         fallback: bool = True,
         max_atoms: Optional[int] = None,
@@ -377,14 +368,13 @@ class DatalogService:
                 facts=self._session.facts,
                 warm=None,
             )
-        self._fallback = fallback
-        self._stable_options = dict(stable_options or {})
-        self._max_atoms = max_atoms
+        # Readers run the session's evaluator, never the session itself:
+        # it is the one object of the session that is safe to share.
+        self._evaluator = self._session.evaluator
         self._max_pending = max(1, max_pending)
         self._backpressure = backpressure
         self._enqueue_timeout = enqueue_timeout
         self._coalesce_window = coalesce_window
-        self._warm_cache = warm_cache
         self.statistics = ServiceStatistics()
         self._subscriptions = SubscriptionRegistry(
             self, self._session, self.statistics
@@ -456,15 +446,6 @@ class DatalogService:
         ]
         for gauge, callback in self._gauge_callbacks:
             gauge.add_callback(callback)
-
-        # Reader-side compiled-plan cache: query shape -> plan (or the scope
-        # error that made compilation impossible).  Plans are immutable, the
-        # dict is only ever extended; reads are lock-free dict probes and
-        # compilation is serialised by _plan_lock.
-        self._plan_cache_size = max(1, plan_cache_size)
-        self._plans: Dict[tuple, QueryPlan] = {}
-        self._plan_failures: Dict[tuple, Exception] = {}
-        self._plan_lock = threading.Lock()
 
         self._stats_lock = threading.Lock()
         #: reader cache-misses to replay through the session pre-publish
@@ -549,7 +530,9 @@ class DatalogService:
         )
         local = EngineStatistics()
         try:
-            result, fell_back = self._evaluate(epoch, query, local, tracer)
+            result, fell_back = self._evaluator.answers(
+                epoch.snapshot, query, statistics=local, tracer=tracer
+            )
         except BaseException as error:
             self._read_latency.observe(time.perf_counter() - t0)
             if span is not None:
@@ -566,92 +549,12 @@ class DatalogService:
             # a fallback (out-of-fragment) answer has no plan or view, so
             # replaying it would put a from-scratch stable-model evaluation
             # on the serialised write path at every publish.
-            if (
-                self._warm_cache
-                and not fell_back
-                and len(self._hot) < self._hot_cap
-            ):
+            if not fell_back and len(self._hot) < self._hot_cap:
                 self._hot[query] = None
         self._read_latency.observe(time.perf_counter() - t0)
         if span is not None:
             span.finish(answers=len(result), fallback=fell_back)
         return result
-
-    def _evaluate(
-        self,
-        epoch: Epoch,
-        query: ConjunctiveQuery,
-        local: EngineStatistics,
-        tracer,
-    ) -> Tuple[frozenset[Tuple[Term, ...]], bool]:
-        """Evaluate on the epoch; returns (answers, used-the-fallback)."""
-        plan, error = self._plan_for(query)
-        if plan is None:
-            assert error is not None
-            if not self._fallback:
-                raise error
-            return self._fallback_answers(epoch, query), True
-        result = plan.execute_on(
-            epoch.snapshot,
-            query,
-            max_atoms=self._max_atoms,
-            statistics=local,
-            tracer=tracer,
-        )
-        return result, False
-
-    def _plan_for(
-        self, query: ConjunctiveQuery
-    ) -> Tuple[Optional[QueryPlan], Optional[Exception]]:
-        """The memoised reader-side plan for the query's shape (or the
-        memoised compilation failure)."""
-        try:
-            key = _query_shape(query)
-        except UnsupportedClassError as error:
-            # Query terms outside the Datalog fragment (nulls, function
-            # terms): not memoisable by shape, fall back per query.
-            return None, error
-        plan = self._plans.get(key)
-        if plan is not None:
-            return plan, None
-        failure = self._plan_failures.get(key)
-        if failure is not None:
-            return None, failure
-        with self._plan_lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                return plan, None
-            failure = self._plan_failures.get(key)
-            if failure is not None:
-                return None, failure
-            try:
-                plan = compile_query_plan(self._session.rules, query)
-            except (UnsupportedClassError, StratificationError) as error:
-                if len(self._plan_failures) >= self._plan_cache_size:
-                    self._plan_failures.clear()
-                self._plan_failures[key] = error
-                return None, error
-            if len(self._plans) >= self._plan_cache_size:
-                # Wholesale reset: plan compilation is cheap relative to the
-                # evaluations a plan amortises, and a bounded dict with no
-                # LRU bookkeeping keeps the read path lock-free.
-                self._plans.clear()
-            self._plans[key] = plan
-            return plan, None
-
-    def _fallback_answers(
-        self, epoch: Epoch, query: ConjunctiveQuery
-    ) -> frozenset:
-        # Deferred import: repro.stable sits above the query subsystem.
-        from ..stable import cautious_answers
-
-        return cautious_answers(
-            Database.of(epoch.facts()),
-            _as_rule_set(self._session.rules),
-            query,
-            goal_directed=False,
-            **self._stable_options,
-        )
 
     # ---------------------------------------------------------------- writes
     def add_facts(self, atoms: Iterable[Atom]) -> "Future[int]":
@@ -1089,8 +992,6 @@ class DatalogService:
 
     def _warm(self) -> int:
         """Replay reader cache-misses through the session pre-publish."""
-        if not self._warm_cache:
-            return 0
         with self._stats_lock:
             if not self._hot:
                 return 0

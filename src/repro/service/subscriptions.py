@@ -435,11 +435,7 @@ class SubscriptionRegistry:
         for subscription in subscribers:
             standing = subscription._standing
             lost = standing.plan_key in deltas.lost
-            if (
-                not lost
-                and standing.depends is not None
-                and deltas.touched.isdisjoint(standing.depends)
-            ):
+            if not lost and deltas.touched.isdisjoint(standing.depends):
                 continue  # the epoch cannot have changed this query's answers
             try:
                 if not lost and self._session.standing_exact(standing):

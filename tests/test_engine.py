@@ -132,8 +132,8 @@ class TestRelationIndex:
 # ---------------------------------------------------------------------------
 
 
-#: every class implementing the StorageBackend protocol, including the
-#: overlay (constructed over an empty memory base).
+#: both storage backends: the memory backend and the add-only overlay
+#: (constructed over an empty memory base).
 BACKEND_FACTORIES = [
     MemoryBackend,
     lambda: OverlayBackend(MemoryBackend()),
@@ -563,7 +563,7 @@ class TestRoundStructure:
     def test_planning_does_not_grow_with_chain_length(self, monkeypatch):
         from repro import parse_query
         from repro.engine import planner
-        from repro.query import magic_rewrite
+        from repro.query import compile_query_plan
 
         calls, generated, heads = [], [], []
 
@@ -581,17 +581,18 @@ class TestRoundStructure:
         count("generate_heads", heads)
         query = parse_query("?(Y) :- open(v0, Y)")
 
-        def evaluate(program, links):
+        def evaluate(plan, links):
+            base = RelationIndex(chain_atoms(links))
             for counted in (calls, generated, heads):
                 counted.clear()
             stats = EngineStatistics()
-            answers = program.evaluate(chain_atoms(links), statistics=stats)
+            answers = plan.execute_on(base, query, statistics=stats)
             assert len(answers) == links
             return len(calls), len(generated), len(heads), stats.iterations
 
-        program = magic_rewrite(self.CHAIN_PROGRAM, query)
-        short_plans, short_functions, short_heads, short_rounds = evaluate(program, 10)
-        long_plans, long_functions, long_heads, long_rounds = evaluate(program, 40)
+        plan = compile_query_plan(self.CHAIN_PROGRAM, query)
+        short_plans, short_functions, short_heads, short_rounds = evaluate(plan, 10)
+        long_plans, long_functions, long_heads, long_rounds = evaluate(plan, 40)
         assert long_rounds > short_rounds + 20
         assert short_plans > 0
         assert short_functions > 0
@@ -604,7 +605,7 @@ class TestRoundStructure:
         # A fresh rewrite has new rule objects, so it plans and generates
         # again.
         fresh_plans, fresh_functions, fresh_heads, _ = evaluate(
-            magic_rewrite(self.CHAIN_PROGRAM, query), 40
+            compile_query_plan(self.CHAIN_PROGRAM, query), 40
         )
         assert fresh_plans > 0
         assert fresh_functions > 0

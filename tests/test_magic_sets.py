@@ -17,8 +17,10 @@ from repro.core.queries import ConjunctiveQuery, certain_answers
 from repro.core.terms import Constant, Variable
 from repro.errors import StratificationError, UnsupportedClassError
 from repro.generators import random_database, random_stratified_datalog
+from repro.engine import RelationIndex
 from repro.query import (
     QuerySession,
+    evaluate_stratified,
     full_fixpoint_answers,
     magic_rewrite,
     normalize_rules,
@@ -94,8 +96,13 @@ class TestMagicParityHandwritten:
     def test_magic_prunes_irrelevant_component(self):
         """The goal-directed run must not derive path atoms of the far component."""
         session = QuerySession(CHAIN, TRANSITIVE_CLOSURE)
-        plan = session.plan_for(parse_query("?(Y) :- path(a, Y)"))
-        index = plan.program.evaluate_index(CHAIN.atoms)
+        program = session.plan_for(parse_query("?(Y) :- path(a, Y)")).program
+        index = evaluate_stratified(
+            program.rules,
+            (program.seed(),),
+            base=RelationIndex(CHAIN.atoms),
+            stratification=program.stratification,
+        )
         derived = {
             atom
             for atom in index.atoms()
@@ -417,10 +424,14 @@ class TestNameCollisionHardening:
         from repro.query import QueryPlan
         from repro.service import DatalogService
 
-        def streaming(*args, **kwargs):
-            raise AssertionError("service reads must not stream raw facts")
+        bases = []
+        execute_on = QueryPlan.execute_on
 
-        monkeypatch.setattr(QueryPlan, "execute_for", streaming)
+        def recording(plan, base, query, **kwargs):
+            bases.append(base)
+            return execute_on(plan, base, query, **kwargs)
+
+        monkeypatch.setattr(QueryPlan, "execute_on", recording)
         facts = self._decoy_facts()
         with DatalogService(
             facts, TRANSITIVE_CLOSURE, metrics=MetricsRegistry()
@@ -429,6 +440,8 @@ class TestNameCollisionHardening:
                 facts, TRANSITIVE_CLOSURE, self.DECOY_QUERY
             )
             assert service.statistics.read_cache_hits == 0
+            # The reader ran the plan over the published snapshot itself.
+            assert bases == [service.epoch().snapshot]
 
     def test_decoy_in_generated_namespace_cqa_repairs_as_deltas(self):
         from repro.core.atoms import Atom, Predicate

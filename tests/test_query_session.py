@@ -8,6 +8,7 @@ from repro import parse_database, parse_program, parse_query
 from repro.chase import query_driven_chase, restricted_chase
 from repro.core.atoms import Atom, Predicate
 from repro.core.terms import Constant
+from repro.engine import RelationIndex
 from repro.encodings import DenialConstraint, consistent_answers, subset_repairs
 from repro.lp import ground_program, ground_program_for_query, skolemize
 from repro.query import (
@@ -538,7 +539,8 @@ class TestFallbackBehaviour:
 
     def test_compile_query_plan_is_reusable(self):
         plan = compile_query_plan(RULES, parse_query("?(Y) :- path(a, Y)"))
-        from_a = plan.execute_for(DATABASE.atoms, parse_query("?(Y) :- path(a, Y)"))
-        from_x = plan.execute_for(DATABASE.atoms, parse_query("?(Y) :- path(x, Y)"))
+        base = RelationIndex(DATABASE.atoms)
+        from_a = plan.execute_on(base, parse_query("?(Y) :- path(a, Y)"))
+        from_x = plan.execute_on(base, parse_query("?(Y) :- path(x, Y)"))
         assert from_a == frozenset({(Constant("b"),), (Constant("c"),)})
         assert from_x == frozenset({(Constant("y"),)})

@@ -8,10 +8,11 @@ Four tiers, mirroring the module's structure:
 * **publisher tier** — backlog cursor semantics (``frames_since`` /
   ``wait_frames``), snapshot fallback when a cursor falls off the
   backlog, watermark bookkeeping, detach-on-close;
-* **replica tier** — the correctness heart: a replica's answers equal a
-  from-scratch oracle session at its applied revision, records at or
-  below the watermark are skipped exactly (at-least-once delivery made
-  exactly-once), revision gaps raise instead of applying;
+* **replica tier** — the correctness heart: a replica's answers equal the
+  perfect-model oracle (``full_fixpoint_answers``) at its applied
+  revision, records at or below the watermark are skipped exactly
+  (at-least-once delivery made exactly-once), revision gaps raise instead
+  of applying;
 * **transport tier** — the in-process link and the TCP server/client,
   including reconnect-resumes-without-double-apply.  The multi-process
   kill/restart battery (a real replica subprocess SIGKILLed and
@@ -35,7 +36,7 @@ from repro.core.atoms import Atom, Predicate
 from repro.core.terms import Constant, FunctionTerm, Null
 from repro.errors import ReplicationError
 from repro.obs.metrics import MetricsRegistry
-from repro.query import QuerySession
+from repro.query import full_fixpoint_answers
 from repro.service import DatalogService
 from repro.service.framing import frame
 from repro.service.net import (
@@ -78,8 +79,8 @@ def replica(**kwargs) -> Replica:
 
 
 def oracle_answers(facts):
-    """From-scratch evaluation of QUERY over *facts* — the replica oracle."""
-    return QuerySession(facts, RULES).answers(QUERY)
+    """The perfect-model answers of QUERY over *facts* — the replica oracle."""
+    return full_fixpoint_answers(facts, RULES, QUERY)
 
 
 # --------------------------------------------------------------------------

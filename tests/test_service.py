@@ -255,16 +255,6 @@ class TestWarmCache:
             service.answers(QUERY)
             assert service.statistics.read_cache_hits == hits + 1
 
-    def test_warm_cache_disabled(self):
-        with DatalogService(BASE, RULES, warm_cache=False) as service:
-            service.answers(QUERY)
-            service.add_facts([Atom(MARK, (Constant("a"),))]).result(5)
-            assert service.epoch().cached(QUERY) is None
-            # Reads still correct, just recomputed per epoch.
-            assert service.answers(QUERY) == full_fixpoint_answers(
-                service.facts, RULES, QUERY
-            )
-
 
 class TestBackpressure:
     def test_reject_policy_raises_when_queue_full(self):
