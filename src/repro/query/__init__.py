@@ -29,7 +29,6 @@ from .adornment import AdornedPredicate, AdornedRule, adorn_atom, adorn_rule, si
 from .magic import MagicProgram, canonicalize_query, magic_rewrite
 from .session import (
     ExplainReport,
-    QueryEvaluator,
     QueryPlan,
     QuerySession,
     QueryStatistics,
@@ -60,7 +59,6 @@ __all__ = [
     "DependencyGraph",
     "ExplainReport",
     "MagicProgram",
-    "QueryEvaluator",
     "QueryPlan",
     "QuerySession",
     "QueryStatistics",

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -87,7 +88,6 @@ from .stratify import (
 __all__ = [
     "AnswerExport",
     "ExplainReport",
-    "QueryEvaluator",
     "QueryPlan",
     "QuerySession",
     "QueryStatistics",
@@ -197,8 +197,13 @@ def compile_query_plan(rules, query: ConjunctiveQuery) -> QueryPlan:
     # Normalise once: digesting and rewriting both accept the normalised
     # rules verbatim, so NTGD-to-NormalRule conversion happens a single time.
     normal = normalize_rules(rules)
+    return _build_plan(normal, program_digest(normal), query)
+
+
+def _build_plan(normal, digest: str, query: ConjunctiveQuery) -> QueryPlan:
+    """The plan of *query* over already normalised rules and their digest."""
     return QueryPlan(
-        digest=program_digest(normal),
+        digest=digest,
         shape=_query_shape_key(query),
         program=magic_rewrite(normal, query),
         depends=_dependency_cone(normal, query),
@@ -219,17 +224,19 @@ class QueryEvaluator:
 
     Cache hits take no lock; a miss compiles under the evaluator's lock, so
     racing readers of a new shape rewrite it once.  Past *plan_cache_size*
-    plans the oldest one is dropped.
+    plans the oldest one is dropped from the cache, but a plan still held
+    elsewhere (by a session's maintained view) is found again by its shape
+    rather than compiled anew: one plan per shape while anything holds it.
     """
 
     def __init__(
         self,
         rules,
         *,
-        plan_cache_size: int = 64,
-        fallback: bool = True,
-        stable_options: Optional[dict] = None,
-        max_atoms: Optional[int] = None,
+        plan_cache_size: int,
+        fallback: bool,
+        stable_options: Optional[dict],
+        max_atoms: Optional[int],
     ) -> None:
         from ..core.rules import RuleSet
         from ..lp.programs import NormalProgram
@@ -245,8 +252,8 @@ class QueryEvaluator:
         self.max_atoms = max_atoms
         self._fallback = fallback
         self._stable_options = dict(stable_options or {})
-        # Keep the normalised form so plan compilation does not re-walk the
-        # NTGDs; the scope error is re-raised for every plan request.
+        # Keep the normalised form and its digest so plan compilation does
+        # not re-walk the NTGDs or re-hash the program.
         self._normal: Optional[tuple] = None
         self._scope_error: Optional[Exception] = None
         try:
@@ -259,12 +266,27 @@ class QueryEvaluator:
         )
         self._plan_cache_size = max(1, plan_cache_size)
         self._plans: dict = {}
+        #: every compiled plan still referenced anywhere, by shape
+        self._live: "weakref.WeakValueDictionary[tuple, QueryPlan]" = (
+            weakref.WeakValueDictionary()
+        )
         self._lock = threading.Lock()
 
     @property
     def rewritable(self) -> bool:
         """``True`` iff the rules are in stratified Datalog¬."""
         return self._scope_error is None
+
+    def _scope_failure(self) -> Exception:
+        """A fresh copy of the rules' scope error, to raise.
+
+        The stored instance is never raised: each raise would chain the
+        raising frames — and the snapshots they hold — onto its traceback
+        for the evaluator's lifetime.
+        """
+        error = self._scope_error
+        assert error is not None
+        return type(error)(*error.args)
 
     def plan(
         self,
@@ -280,22 +302,27 @@ class QueryEvaluator:
         the lookup as a plan hit or miss.
         """
         if self._scope_error is not None:
-            raise self._scope_error
+            raise self._scope_failure()
         key = _query_shape(query)
         plan = self._plans.get(key)
+        compiled = False
         if plan is None:
             with self._lock:
                 plan = self._plans.get(key)
                 if plan is None:
-                    plan = compile_query_plan(self._normal, query)
+                    plan = self._live.get(key)
+                    if plan is None:
+                        plan = _build_plan(self._normal, self.digest, query)
+                        self._live[key] = plan
+                        compiled = True
                     if len(self._plans) >= self._plan_cache_size:
                         del self._plans[next(iter(self._plans))]
                     self._plans[key] = plan
-                    if statistics is not None:
-                        statistics.plan_misses += 1
-                    return plan
         if statistics is not None:
-            statistics.plan_hits += 1
+            if compiled:
+                statistics.plan_misses += 1
+            else:
+                statistics.plan_hits += 1
         return plan
 
     def answers(
@@ -308,9 +335,12 @@ class QueryEvaluator:
     ) -> Tuple[frozenset[Tuple[Term, ...]], bool]:
         """The answers of *query* over *base*, and whether the cautious
         fallback gave them (the query or the rules left the fragment)."""
+        if self._scope_error is not None:
+            return self.fallback_answers(base, query), True
         try:
             plan = self.plan(query)
         except (UnsupportedClassError, StratificationError) as error:
+            # The *query* leaves the fragment (nulls, function terms).
             return self.fallback_answers(base, query, error), True
         answers = plan.execute_on(
             base,
@@ -325,12 +355,13 @@ class QueryEvaluator:
         self,
         base: RelationSnapshot | RelationIndex,
         query: ConjunctiveQuery,
-        error: Exception,
+        error: Optional[Exception] = None,
     ) -> frozenset:
-        """Cautious stable-model answers over *base*'s facts; re-raises
-        *error* (why no plan exists) when the fallback is off."""
+        """Cautious stable-model answers over *base*'s facts.  When the
+        fallback is off, raises *error* (why the query has no plan) or,
+        by default, the rules' scope error."""
         if not self._fallback:
-            raise error
+            raise error if error is not None else self._scope_failure()
         # Deferred import: repro.stable sits above this subsystem in the
         # layer map and imports nothing from it at module scope.
         from ..stable import cautious_answers
@@ -1491,13 +1522,18 @@ class QuerySession:
         # under the session.answers span; ``None`` when disabled keeps the
         # engine's per-call guard to one identity check.
         tracer = active if active.enabled else None
+        evaluator = self._evaluator
+        if not evaluator.rewritable:
+            result = evaluator.fallback_answers(self._index, query)
+            self.statistics.fallback_queries += 1
+            return result, None, None
         try:
             plan_key, plan = self._plan_entry(query)
         except (UnsupportedClassError, StratificationError) as error:
-            # The rules, or just the *query* (nulls, function terms), leave
-            # the fragment; the homomorphism matcher of the stable path
-            # evaluates such queries fine.
-            result = self._evaluator.fallback_answers(self._index, query, error)
+            # Just the *query* leaves the fragment (nulls, function terms);
+            # the homomorphism matcher of the stable path evaluates such
+            # queries fine.
+            result = evaluator.fallback_answers(self._index, query, error)
             self.statistics.fallback_queries += 1
             return result, None, None
         # Maintained-view path: inject this query's magic seed as an

@@ -43,7 +43,7 @@ from repro.engine import (
     EngineStatistics,
     RelationIndex,
 )
-from repro.query import full_fixpoint_answers
+from repro.query import QuerySession, full_fixpoint_answers
 
 LINK = Predicate("link", 2)
 
@@ -464,6 +464,70 @@ class TestHotPathMemoRaces:
         assert not errors, errors
         for i in range(names):
             assert len({id(predicates[i]) for predicates in built}) == 1
+
+    def test_racing_readers_past_the_plan_bound_keep_one_plan_per_shape(self):
+        """Readers racing over more shapes than ``plan_cache_size`` keep
+        evicting each other's plans from the evaluator's cache; every shape
+        a pinned view holds must still have that one plan, never a second
+        compile."""
+        rules = parse_program(
+            """
+            link(X, Y) -> reachable(X, Y)
+            reachable(X, Y), link(Y, Z) -> reachable(X, Z)
+            """
+        )
+        nodes = [f"v{i}" for i in range(8)]
+        facts = [link(a, b) for a, b in zip(nodes, nodes[1:])]
+        shapes = [
+            "?(Y) :- reachable({}, Y)",
+            "?(X) :- reachable(X, {})",
+            "?(X) :- reachable({}, X), link(X, v7)",
+            "?(Y) :- link({}, Y), reachable(Y, v7)",
+        ]
+        session = QuerySession(facts, rules, plan_cache_size=2)
+        held = {}
+        for position, shape in enumerate(shapes):
+            query = parse_query(shape.format(nodes[0]))
+            session.register_standing(query, token=position)
+            held[position] = session.plan_for(query)
+        evaluator = session.evaluator
+        snapshot = session.epoch().snapshot
+        readers, rounds = 8, 12
+        barrier = threading.Barrier(readers)
+        seen: list = []
+        errors: list = []
+
+        def reader(worker: int) -> None:
+            try:
+                barrier.wait(10)
+                for i in range(rounds):
+                    position = (worker + i) % len(shapes)
+                    # v7 stays out: a repeated constant is another shape.
+                    node = nodes[(worker + i) % (len(nodes) - 1)]
+                    query = parse_query(shapes[position].format(node))
+                    seen.append((position, evaluator.plan(query)))
+                    answers, fell_back = evaluator.answers(snapshot, query)
+                    assert not fell_back
+                    assert answers == full_fixpoint_answers(facts, rules, query)
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(worker,))
+                for worker in range(readers)
+            ]
+            for thread in threads:
+                thread.start()
+            _join_all(threads)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not errors, errors
+        assert len(seen) == readers * rounds
+        for position, plan in seen:
+            assert plan is held[position], shapes[position]
 
     def test_first_touch_readers_race_to_fill_one_programme_memo(
         self, monkeypatch

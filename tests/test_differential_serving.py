@@ -198,19 +198,23 @@ def test_unstratifiable_paths_equal_cautious_answers(tmp_path):
         paths.close()
 
 
+PATH_RULES = parse_program(
+    """
+    edge(X, Y) -> path(X, Y)
+    edge(X, Z), path(Z, Y) -> path(X, Y)
+    """
+)
+
+
 def test_reader_then_writer_rewrites_a_shape_once():
     """A shape a service reader compiled is the plan the writer's session
     warms its view from: one ``query.magic_rewrite`` per shape."""
-    rules = parse_program(
-        """
-        edge(X, Y) -> path(X, Y)
-        edge(X, Z), path(Z, Y) -> path(X, Y)
-        """
-    )
     query = parse_query("?(Y) :- path(a, Y)")
     tracer = Tracer(capacity=4096)
     with use_tracer(tracer), DatalogService(
-        parse_database("edge(a, b). edge(b, c)."), rules, metrics=MetricsRegistry()
+        parse_database("edge(a, b). edge(b, c)."),
+        PATH_RULES,
+        metrics=MetricsRegistry(),
     ) as service:
         service.answers(query)
         assert len(tracer.spans("query.magic_rewrite")) == 1
@@ -220,3 +224,26 @@ def test_reader_then_writer_rewrites_a_shape_once():
         # Another constant of the same shape, read on the new epoch, reuses it.
         service.answers(parse_query("?(Y) :- path(b, Y)"))
         assert len(tracer.spans("query.magic_rewrite")) == 1
+
+
+def test_a_live_view_keeps_one_plan_past_the_plan_cache_bound():
+    """A shape pushed out of the evaluator's plan cache by newer shapes
+    while the writer's view still holds its plan is not rewritten again by
+    the next reader miss."""
+    query = parse_query("?(Y) :- path(a, Y)")
+    tracer = Tracer(capacity=4096)
+    with use_tracer(tracer), DatalogService(
+        parse_database("edge(a, b). edge(b, c)."),
+        PATH_RULES,
+        plan_cache_size=2,
+        metrics=MetricsRegistry(),
+    ) as service:
+        service.answers(query)
+        service.add_facts(parse_database("edge(c, d).").atoms).result(10)
+        assert service.epoch().cached(query) is not None  # the writer's view
+        # Two more shapes, read but never warmed, fill the bound of 2.
+        service.answers(parse_query("?(X) :- path(X, d)"))
+        service.answers(parse_query("?(X, Y) :- path(X, Y)"))
+        assert len(tracer.spans("query.magic_rewrite")) == 3
+        service.answers(parse_query("?(Y) :- path(b, Y)"))
+        assert len(tracer.spans("query.magic_rewrite")) == 3

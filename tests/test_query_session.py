@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro import parse_database, parse_program, parse_query
@@ -9,6 +12,7 @@ from repro.chase import query_driven_chase, restricted_chase
 from repro.core.atoms import Atom, Predicate
 from repro.core.terms import Constant
 from repro.engine import RelationIndex
+from repro.errors import StratificationError
 from repro.encodings import DenialConstraint, consistent_answers, subset_repairs
 from repro.lp import ground_program, ground_program_for_query, skolemize
 from repro.query import (
@@ -536,6 +540,42 @@ class TestFallbackBehaviour:
         session = QuerySession(database, rules, fallback=False)
         with pytest.raises(Exception):
             session.answers(parse_query("?(X) :- person(X)"))
+
+    @pytest.mark.parametrize("fallback", [True, False])
+    def test_out_of_fragment_reads_keep_no_base_alive(self, fallback):
+        """The rules' scope error is never raised as the stored instance:
+        each raise would chain the reading frames, and the bases they hold,
+        onto its traceback for the session's lifetime."""
+        rules = parse_program(
+            """
+            p(X), not q(X) -> r(X)
+            p(X), not r(X) -> q(X)
+            """
+        )
+        database = parse_database("p(a). p(b).")
+        query = parse_query("?(X) :- r(X)")
+        session = QuerySession(database, rules, fallback=fallback)
+        evaluator = session.evaluator
+
+        class Base(RelationIndex):  # weak-referenceable, unlike the index
+            pass
+
+        refs = []
+        for _ in range(3):
+            base = Base(database.atoms)
+            refs.append(weakref.ref(base))
+            if fallback:
+                answers, fell_back = evaluator.answers(base, query)
+                assert fell_back
+                assert answers == cautious_answers(database, rules, query)
+            else:
+                with pytest.raises(StratificationError):
+                    evaluator.answers(base, query)
+            with pytest.raises(StratificationError):
+                session.explain(query)
+            del base
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
 
     def test_compile_query_plan_is_reusable(self):
         plan = compile_query_plan(RULES, parse_query("?(Y) :- path(a, Y)"))
