@@ -3,7 +3,7 @@
 This package is the single evaluation substrate for the whole reproduction:
 the chase, the relevant grounding, the well-founded and stable-model engines
 all bottom out here instead of re-implementing their own scan-and-backtrack
-loops.  It has five parts:
+loops.  It has seven parts:
 
 * :mod:`~repro.engine.intern` — the interned columnar tuple core:
   :class:`SymbolTable` (ground terms ↔ dense integer ids, interned once at
@@ -27,17 +27,19 @@ loops.  It has five parts:
   terms with variables inside are matched by decomposing stored ids), and
   its object-level edge :func:`enumerate_matches` (assignments are decoded
   only at yield);
-* :mod:`~repro.engine.seminaive` — the generic semi-naive :func:`fixpoint`
-  driver (delta rules, no rederivation) and the counter-propagation
+* :mod:`~repro.engine.seminaive` — the one semi-naive :func:`fixpoint`
+  driver (delta rules, no rederivation; round 1 joins every full body, or
+  starts from a seeded delta) and the counter-propagation
   :class:`GroundProgramEvaluator` for ground programs;
-* :mod:`~repro.engine.backend` — the storage protocol, its copy-on-write
-  in-memory backend and the add-only overlay that forks write to;
+* :mod:`~repro.engine.backend` — the copy-on-write in-memory backend and
+  the add-only overlay that forks write to;
 * :mod:`~repro.engine.maintenance` — incremental maintenance of derived
   relations: :class:`SupportTable` derivation records (populated through the
-  fixpoint driver's ``on_fire`` hook), the counting cascade behind
-  :meth:`RelationIndex.retract`, and :class:`MaterializedView`, which repairs
-  a stratified materialisation under deletions (counting per non-recursive
-  stratum, Delete-and-Rederive per recursive stratum) instead of recomputing;
+  fixpoint driver's ``on_fire`` hook) and :class:`MaterializedView`, which
+  repairs a stratified materialisation under deletions (counting per
+  non-recursive stratum, Delete-and-Rederive per recursive stratum) instead
+  of recomputing, and runs what a change adds as one seeded :func:`fixpoint`
+  call per stratum;
 * :mod:`~repro.engine.stats` — :class:`EngineStatistics`, the shared counter
   object surfaced in chase and solver results.
 

@@ -406,31 +406,6 @@ class RelationIndex:
                 if not bucket:
                     del table.buckets[key]
 
-    def retract(self, atom: Atom, *, support=None) -> Tuple[Atom, ...]:
-        """Delete *atom* and cascade through a derivation-support table.
-
-        With ``support=None`` this is :meth:`remove` returning the removed
-        atoms (``(atom,)`` or ``()``).  With a
-        :class:`~repro.engine.maintenance.SupportTable` — populated by running
-        the fixpoint driver with ``on_fire=table.record`` — the cascade
-        removes every atom whose derivation count drops to zero, transitively
-        (**counting** maintenance).  Each removal goes through :meth:`remove`,
-        so pattern hash tables are maintained incrementally and the retained
-        delta-log entries of removed atoms are *blanked in place*: outstanding
-        :class:`Tick` positions stay valid and ``added_since`` never replays a
-        retracted atom.
-
-        Counting is exact only for non-recursive, negation-free support
-        (cyclic derivations keep each other's counts positive after their
-        external support is gone); recursive strata and stratified negation
-        need the Delete-and-Rederive repair of
-        :class:`~repro.engine.maintenance.MaterializedView`, which layers it
-        over the same table.
-        """
-        if support is None:
-            return (atom,) if self.remove(atom) else ()
-        return support.cascade_retract(self, atom)
-
     def update(self, atoms: Iterable[Atom]) -> None:
         for atom in atoms:
             self.add(atom)
@@ -852,10 +827,10 @@ class OverlayRelationIndex(RelationIndex):
     base concurrently; the base snapshot stays immutable while the fork is
     alive (copy-on-write).
 
-    A fork only grows: :meth:`remove`, :meth:`remove_row` and
-    :meth:`retract` raise ``TypeError``, and so do :meth:`snapshot` and
-    :meth:`fork`, because a fork is a leaf.  Remove from, snapshot and fork
-    the head index instead.
+    A fork only grows: :meth:`remove` and :meth:`remove_row` raise
+    ``TypeError``, and so do :meth:`snapshot` and :meth:`fork`, because a
+    fork is a leaf.  Remove from, snapshot and fork the head index
+    instead.
 
     The branch has its own delta log starting empty at the fork point (the
     base atoms are *not* replayed — semi-naive drivers scan the full index on
@@ -883,10 +858,6 @@ class OverlayRelationIndex(RelationIndex):
         # Raise before encoding: an atom the symbol table never interned
         # would otherwise return False instead of reporting the misuse.
         raise TypeError("forks are add-only: remove from the head index")
-
-    def retract(self, atom: Atom, *, support=None) -> Tuple[Atom, ...]:
-        # Raise before a support table's cascade changes the table.
-        raise TypeError("forks are add-only: retract from the head index")
 
     # ----------------------------------------------------------- access paths
     def _lookup(

@@ -1,12 +1,14 @@
 """Incremental maintenance of derived relations: counting and DRed.
 
-Everything below PR 3 made *additions* cheap — snapshots, overlay forks,
-predicate-cone invalidation — but a deletion still threw derived work away
-and recomputed.  This module closes that gap: it keeps, per materialised
-relation, a **derivation-support table** populated during semi-naive
-evaluation, and repairs the materialisation under base-fact deletions (and
-additions) by cascading through that table instead of re-running the
-fixpoint.
+Snapshots, overlay forks and predicate-cone invalidation make *additions*
+cheap, but a deletion would still throw derived work away and recompute.
+This module closes that gap: it keeps, per materialised relation, a
+**derivation-support table** populated during semi-naive evaluation, and
+repairs the materialisation under base-fact deletions by cascading through
+that table instead of re-running the fixpoint.  Additions (and the
+rederivations a deletion below a negation enables) run through the one
+semi-naive driver, :func:`~repro.engine.seminaive.fixpoint`, started from
+the call's new atoms.
 
 Two classical algorithms are combined, chosen **per stratum**:
 
@@ -34,13 +36,19 @@ the delta, never to |DB|; :class:`~repro.engine.stats.EngineStatistics`
 exposes ``deltas_applied``/``overdeletions``/``rederivations`` so callers
 (and tests) can see exactly that.
 
+The add phase of each stratum is one seeded
+:func:`~repro.engine.seminaive.fixpoint` call over the stratum's rules
+(the insert step of DRed): the view adds its base atoms, then hands the
+driver the call's net-added atoms as the round-1 delta, plus the rules a
+deletion below a negation re-opened, which join their full body.  The
+driver's ``on_fire`` hook records each firing's support and notes each
+head the index does not hold yet in the call's net change.
+
 The public surface:
 
 * :class:`SupportTable` — the derivation-count table.  Feed it to the
-  fixpoint driver via ``fixpoint(..., on_fire=table.record)`` and it records
-  one entry per distinct firing; :meth:`SupportTable.cascade_retract` is the
-  counting-only cascade primitive behind
-  :meth:`repro.engine.index.RelationIndex.retract`.
+  fixpoint driver via ``fixpoint(..., on_fire=table.record_firing_binding)``
+  and it records one entry per distinct firing.
 * :class:`MaterializedView` — a stratified Datalog¬ program materialised
   with full support recording, repaired in place by
   :meth:`MaterializedView.apply_delta`, which returns the net
@@ -56,20 +64,17 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.atoms import Atom, Predicate, apply_substitution
+from ..core.atoms import Atom, Predicate
 from ..errors import SolverLimitError
 from ..obs.trace import get_tracer
 from .index import RelationIndex
-from .planner import (
-    CompiledRule,
-    EncodedRule,
-    compile_rule,
-    encode_rule,
-    enumerate_bindings,
-)
+from .planner import CompiledRule, EncodedRule, compile_rule
+from .seminaive import fixpoint
 from .stats import EngineStatistics
 
 __all__ = ["SupportTable", "MaterializedView", "ViewDelta"]
+
+_LIMIT_MESSAGE = "incremental maintenance exceeded max_atoms"
 
 #: One distinct rule firing: ``(rule id, derived head, ground positive body)``.
 #: The rule id disambiguates two rules deriving the same head from the same
@@ -93,11 +98,9 @@ class SupportTable:
     ``base`` holds the extensional facts (self-supporting; deletable) and
     ``protected`` the ground heads of the program's fact rules (derived
     unconditionally — never deletable).  Records are registered through
-    :meth:`record` (the ``on_fire`` hook of the fixpoint driver),
-    :meth:`record_firing_binding` (its ``on_fire_bindings`` hook) or
-    :meth:`record_firing`; re-discovery of a known firing is a no-op, which
-    is what makes the table exact under semi-naive evaluation's overlapping
-    delta rules.
+    :meth:`record_firing_binding` (the ``on_fire`` hook of the fixpoint
+    driver); re-discovery of a known firing is a no-op, which is what makes
+    the table exact under semi-naive evaluation's overlapping delta rules.
     """
 
     __slots__ = (
@@ -135,10 +138,6 @@ class SupportTable:
             self._rule_refs.append(source)
         return rid
 
-    def record(self, rule: CompiledRule, assignment: dict) -> None:
-        """The ``on_fire`` hook: register a firing, ignoring duplicates."""
-        self.record_firing(rule, assignment)
-
     def _insert(
         self,
         key: SupportKey,
@@ -155,36 +154,11 @@ class SupportTable:
         if self._stats is not None:
             self._stats.supports_recorded += 1
 
-    def record_firing(
-        self, rule: CompiledRule, assignment: dict
-    ) -> List[Tuple[SupportKey, Atom]]:
-        """Register a firing; return the ``(key, head)`` pairs that were new."""
-        body = tuple(
-            apply_substitution(atom, assignment) for atom in rule.positive
-        )
-        rid = self._rule_id(rule)
-        fresh: List[Tuple[SupportKey, Atom]] = []
-        negative: Optional[Tuple[Atom, ...]] = None
-        for template in rule.heads:
-            head = apply_substitution(template, assignment)
-            if not head.is_ground:
-                continue
-            key: SupportKey = (rid, head, body)
-            if key in self.derivations:
-                continue
-            if negative is None:
-                negative = tuple(
-                    apply_substitution(atom, assignment) for atom in rule.negative
-                )
-            self._insert(key, head, body, negative)
-            fresh.append((key, head))
-        return fresh
-
     def record_firing_binding(
         self, rule: CompiledRule, encoded: EncodedRule, payload: tuple
     ) -> List[Tuple[SupportKey, Atom]]:
-        """Row-plane :meth:`record_firing`, and the ``on_fire_bindings``
-        hook of the fixpoint driver: *payload* is *encoded*'s slot binding.
+        """Register a firing, ignoring duplicates: the ``on_fire`` hook of
+        the fixpoint driver, where *payload* is *encoded*'s slot binding.
 
         The ground body/head/negative atoms are reconstructed through the
         symbol table's canonical decode cache (two dict probes per atom after
@@ -273,33 +247,6 @@ class SupportTable:
             or bool(self.supports.get(atom))
         )
 
-    def cascade_retract(self, index: RelationIndex, atom: Atom) -> Tuple[Atom, ...]:
-        """Counting-only deletion cascade (the engine of ``RelationIndex.retract``).
-
-        Withdraws *atom*'s base status, then repeatedly removes every atom
-        whose support emptied, dropping the records that used it.  Exact for
-        **non-recursive** support (no cycle of records) and **negation-free**
-        programs; recursive strata need over-deletion/rederivation and
-        negation needs cross-stratum re-evaluation — both are provided by
-        :class:`MaterializedView`, which layers them over this table.
-        Returns the removed atoms in cascade order.
-        """
-        self.base.discard(atom)
-        removed: List[Atom] = []
-        work: List[Atom] = [atom]
-        while work:
-            current = work.pop()
-            if self.is_alive(current):
-                continue
-            if not index.remove(current):
-                continue
-            removed.append(current)
-            for key in list(self.uses.get(current, ())):
-                head = key[1]
-                self.drop(key)
-                work.append(head)
-        return tuple(removed)
-
 
 class ViewDelta:
     """The net change of one :meth:`MaterializedView.apply_delta` call."""
@@ -336,8 +283,9 @@ class MaterializedView:
     The constructor evaluates the program once with full support recording
     (``on_fire``); from then on :meth:`apply_delta` maintains the
     materialisation incrementally: counting for non-recursive strata, DRed
-    for recursive ones, and cross-stratum negation repair in both directions
-    (an addition below can delete above, a deletion below can add above).
+    for recursive ones, seeded semi-naive rounds for what a call adds, and
+    cross-stratum negation repair in both directions (an addition below can
+    delete above, a deletion below can add above).
     """
 
     def __init__(
@@ -365,7 +313,7 @@ class MaterializedView:
             stratification=self._strat,
             statistics=statistics,
             max_atoms=max_atoms,
-            on_fire_bindings=self._support.record_firing_binding,
+            on_fire=self._support.record_firing_binding,
         )
         # Net-change bookkeeping of the apply_delta call in flight.
         self._call_added: Set[Atom] = set()
@@ -380,8 +328,8 @@ class MaterializedView:
         max_atoms: Optional[int],
     ) -> None:
         """Compile the program structure (shared by ``__init__`` and
-        :meth:`restore`): normalisation, stratification, per-stratum
-        recursiveness, delta-join sites, and an empty support table."""
+        :meth:`restore`): normalisation, stratification, per-stratum rules
+        and recursiveness, negation sites, and an empty support table."""
         # Deferred import: repro.query sits above the engine in the layer
         # map, but only for its *analysis* helpers, which depend solely on
         # engine + lp rule shapes — the cycle is broken at module scope.
@@ -399,38 +347,27 @@ class MaterializedView:
         # body predicate.  Stratum equality is NOT the right test: positive
         # edges never raise strata, so unrelated non-recursive predicates
         # routinely share a stratum and would wrongly lose the exact (and
-        # cheaper) counting path.  ``component_of`` is populated by
-        # ``stratify`` (the only Stratification producer).
+        # cheaper) counting path.
         component = self._strat.component_of
-        if not component:
-            # A Stratification built with the pre-existing 3-arg form carries
-            # no SCC ids; recompute them rather than silently classifying
-            # every stratum as non-recursive (counting deletion is unsound
-            # on recursive strata — mutually supporting derivations keep
-            # their counts positive and survive as stale atoms).
-            from ..query.stratify import _strongly_connected_components
-
-            component = _strongly_connected_components(self._strat.graph)
-        # Per-stratum compiled rules and delta-join sites.
+        #: per stratum: its compiled rules, and their positive body predicates
+        self._stratum_rules: List[Tuple[CompiledRule, ...]] = []
+        self._body_predicates: List[frozenset] = []
         self._recursive: List[bool] = []
-        #: predicate -> [(stratum, compiled rule, body position)]
-        self._positive_sites: Dict[
-            Predicate, List[Tuple[int, CompiledRule, int]]
-        ] = {}
         #: predicate -> [(stratum, compiled rule)] for negative occurrences
         self._negative_sites: Dict[Predicate, List[Tuple[int, CompiledRule]]] = {}
         for stratum, stratum_rules in enumerate(self._strat.strata):
+            compiled_rules: List[CompiledRule] = []
+            body_predicates: Set[Predicate] = set()
             recursive = False
             for rule in stratum_rules:
                 if rule.is_fact and rule.head.is_ground:
                     self._support.protected.add(rule.head)
                     continue
                 compiled = compile_rule(rule, statistics=statistics)
+                compiled_rules.append(compiled)
                 head_component = component.get(rule.head.predicate)
-                for position, atom in enumerate(compiled.positive):
-                    self._positive_sites.setdefault(atom.predicate, []).append(
-                        (stratum, compiled, position)
-                    )
+                for atom in compiled.positive:
+                    body_predicates.add(atom.predicate)
                     if (
                         head_component is not None
                         and component.get(atom.predicate) == head_component
@@ -440,6 +377,8 @@ class MaterializedView:
                     self._negative_sites.setdefault(atom.predicate, []).append(
                         (stratum, compiled)
                     )
+            self._stratum_rules.append(tuple(compiled_rules))
+            self._body_predicates.append(frozenset(body_predicates))
             self._recursive.append(recursive)
 
     # --------------------------------------------------- checkpoint state
@@ -459,9 +398,9 @@ class MaterializedView:
         body)`` where the rule position indexes the view's normalised rule
         tuple — a process-independent identifier, unlike the ``id()``-keyed
         rule ids of the live :class:`SupportTable`.  Returns ``None`` when a
-        record's rule cannot be mapped to a position (it was registered
-        through an external cascade, e.g. ``RelationIndex.retract`` sharing
-        the table) — callers then skip checkpointing this view rather than
+        record's rule cannot be mapped to a position (it was recorded into
+        :attr:`support` from outside the view, for a rule the view does not
+        hold) — callers then skip checkpointing this view rather than
         persist an unrestorable table.  Round-trips through
         :meth:`restore`.
         """
@@ -595,7 +534,7 @@ class MaterializedView:
                 # delete phase runs before the add phase, so the add wins).
                 if atom not in self._support.base or atom in scheduled_deletions:
                     base_add.setdefault(self._stratum_of(atom.predicate), []).append(atom)
-            for stratum in range(len(self._strat.strata) or 1):
+            for stratum in range(len(self._stratum_rules)):
                 self._delete_phase(stratum, base_del.get(stratum, ()))
                 self._add_phase(stratum, base_add.get(stratum, ()))
             delta = ViewDelta(
@@ -609,15 +548,18 @@ class MaterializedView:
                 span.finish()
 
     # ------------------------------------------------------- index plumbing
-    def _add_atom(self, atom: Atom) -> bool:
-        if not self._index.add(atom):
-            return False
+    def _note_added(self, atom: Atom) -> None:
         if atom in self._call_removed:
             self._call_removed.discard(atom)
         else:
             self._call_added.add(atom)
+
+    def _add_atom(self, atom: Atom) -> bool:
+        if not self._index.add(atom):
+            return False
+        self._note_added(atom)
         if self._max_atoms is not None and len(self._index) > self._max_atoms:
-            raise SolverLimitError("incremental maintenance exceeded max_atoms")
+            raise SolverLimitError(_LIMIT_MESSAGE)
         return True
 
     def _remove_atom(self, atom: Atom) -> None:
@@ -652,8 +594,7 @@ class MaterializedView:
             seeds.append(key[1])
         if not seeds:
             return
-        recursive = stratum < len(self._recursive) and self._recursive[stratum]
-        if recursive:
+        if self._recursive[stratum]:
             self._delete_rederive(stratum, seeds)
         else:
             self._delete_counting(stratum, seeds)
@@ -751,91 +692,53 @@ class MaterializedView:
             if self._add_atom(atom) and atom not in self._call_added:
                 # Deleted earlier in this very apply (net-unchanged, so it
                 # is absent from _call_added) yet physically re-inserted:
-                # it must still drive the delta joins below, or the
+                # it must still seed the delta round below, or the
                 # derivations dropped by the delete phase stay lost.
                 readded.append(atom)
-        pending: List[Tuple[CompiledRule, EncodedRule, tuple]] = []
         # Deletions below a negation re-open derivations the negation had
-        # suppressed; those rules are re-evaluated in full against the
-        # repaired state (their join is part of the affected cone).
-        removed_predicates = {atom.predicate for atom in self._call_removed}
-        rescanned: Set[int] = set()
-        for predicate in removed_predicates:
-            for site_stratum, compiled in self._negative_sites.get(predicate, ()):
-                if site_stratum == stratum and id(compiled) not in rescanned:
-                    rescanned.add(id(compiled))
-                    pending.extend(self._matches(compiled))
-        # Delta joins: every net-added atom (lower strata and this stratum's
-        # base additions) plus the re-added overlap atoms drive the body
-        # positions that mention them.
-        delta_pool: Dict[Predicate, List[Atom]] = {}
-        for atom in self._call_added:
-            delta_pool.setdefault(atom.predicate, []).append(atom)
-        for atom in readded:
-            delta_pool.setdefault(atom.predicate, []).append(atom)
-        pending.extend(self._delta_join(stratum, delta_pool))
-        # Semi-naive within the stratum until no firing yields a new atom.
-        while pending:
-            fresh = self._process_firings(pending)
-            if not fresh:
-                break
-            grouped: Dict[Predicate, List[Atom]] = {}
-            for atom in fresh:
-                grouped.setdefault(atom.predicate, []).append(atom)
-            pending = self._delta_join(stratum, grouped)
-
-    def _matches(
-        self,
-        compiled: CompiledRule,
-        *,
-        delta: Optional[List[Atom]] = None,
-        delta_position: Optional[int] = None,
-    ):
-        """Enumerate one rule's firings as ``(compiled, encoded, slot-binding
-        tuple)`` triples, which the support table records through
-        :meth:`SupportTable.record_firing_binding` without ever decoding an
-        assignment."""
-        symbols = self._index.symbols
-        encoded = encode_rule(compiled, symbols)
-        delta_rows = None
-        if delta_position is not None:
-            encode = symbols.encode_atom
-            delta_rows = [(atom.predicate, encode(atom)) for atom in delta]
-        for binding in enumerate_bindings(
-            encoded,
-            self._index,
-            delta_rows=delta_rows,
-            delta_position=delta_position,
+        # suppressed; those rules join their full body against the repaired
+        # state (their join is part of the affected cone).
+        reopened = [
+            compiled
+            for predicate in {atom.predicate for atom in self._call_removed}
+            for site_stratum, compiled in self._negative_sites.get(predicate, ())
+            if site_stratum == stratum
+        ]
+        # The seed: every net-added atom (lower strata and this stratum's
+        # base additions) plus the re-added overlap atoms, where a body
+        # literal of this stratum can use it.
+        body_predicates = self._body_predicates[stratum]
+        encode = self._index.symbols.encode_atom
+        seed = [
+            (atom.predicate, encode(atom))
+            for added in (self._call_added, readded)
+            for atom in added
+            if atom.predicate in body_predicates
+        ]
+        if not seed and not reopened:
+            return
+        fixpoint(
+            self._stratum_rules[stratum],
+            index=self._index,
+            delta=seed,
+            rescan=reopened,
+            on_fire=self._on_fire,
+            max_atoms=self._max_atoms,
+            limit_message=_LIMIT_MESSAGE,
             statistics=self._stats,
-        ):
-            yield (compiled, encoded, binding)
+        )
 
-    def _delta_join(
-        self, stratum: int, grouped: Dict[Predicate, List[Atom]]
-    ) -> List[Tuple[CompiledRule, EncodedRule, tuple]]:
-        pending: List[Tuple[CompiledRule, EncodedRule, tuple]] = []
-        for predicate, atoms in grouped.items():
-            for site_stratum, compiled, position in self._positive_sites.get(
-                predicate, ()
-            ):
-                if site_stratum != stratum:
-                    continue
-                pending.extend(
-                    self._matches(compiled, delta=atoms, delta_position=position)
-                )
-        return pending
-
-    def _process_firings(
-        self, pending: List[Tuple[CompiledRule, EncodedRule, tuple]]
-    ) -> List[Atom]:
-        fresh: List[Atom] = []
-        for compiled, encoded, payload in pending:
-            for _, head in self._support.record_firing_binding(
-                compiled, encoded, payload
-            ):
-                if self._add_atom(head):
-                    fresh.append(head)
-        return fresh
+    def _on_fire(
+        self, compiled: CompiledRule, encoded: EncodedRule, payload: tuple
+    ) -> None:
+        """The add phase's ``on_fire`` hook, run before the driver inserts
+        the firing's heads: record the firing's support, and note each head
+        of a new record that the index does not hold yet as net-added (a
+        known record's head is stored already)."""
+        index = self._index
+        for _, head in self._support.record_firing_binding(compiled, encoded, payload):
+            if head not in index:
+                self._note_added(head)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

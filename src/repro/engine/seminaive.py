@@ -42,6 +42,19 @@ so a query shape is planned once, not once per read or per round.  Join
 order affects only cost: the bindings enumerated are the same in any
 order.
 
+**Seeded start.**  An index that already holds a least fixpoint needs no
+full round 1 when a few atoms arrive: only firings that use a new atom
+can derive anything.  Given ``delta=`` — the new rows as ``(predicate,
+row)`` entries, already stored in the index — round 1 is a delta round
+over those rows instead, and only the rules in ``rescan=`` join their
+full body.  Every later round is the driver's own.  This is the insert
+step of Delete-and-Rederive (Gupta, Mumick and Subrahmanian, SIGMOD 1993):
+:class:`~repro.engine.maintenance.MaterializedView` runs each stratum's
+add phase as one seeded call, with the rules that a deletion below a
+negation re-opened as ``rescan``, and records support through
+``on_fire``, which sees every enumerated firing before its heads are
+inserted.
+
 :func:`fixpoint` packages this loop for arbitrary rule shapes (normal rules,
 NTGDs, pre-compiled rules); :class:`GroundProgramEvaluator` is the
 special-case engine for *ground* programs, where matching degenerates to
@@ -54,7 +67,16 @@ from __future__ import annotations
 
 from collections import deque
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.atoms import Atom, Predicate
 from ..errors import SolverLimitError
@@ -71,23 +93,15 @@ from .stats import EngineStatistics
 
 __all__ = ["fixpoint", "GroundProgramEvaluator"]
 
-#: callback invoked for every newly derived atom: (atom, source rule, assignment)
-DeriveCallback = Callable[[Atom, object, dict], None]
-
-#: opt-in callback invoked for EVERY enumerated rule firing — including
-#: firings that only re-derive an atom the index already holds.  This is the
-#: hook :mod:`repro.engine.maintenance` uses to build derivation-support
-#: tables (pass ``on_fire=SupportTable().record``); ``on_derive`` cannot serve
-#: that purpose because it fires only for *new* atoms, and incremental
-#: deletion needs to know about *alternative* derivations too.
-FireCallback = Callable[["CompiledRule", dict], None]
-
-#: row-plane twin of :data:`FireCallback`: invoked as ``(compiled, encoded,
-#: payload)`` where *encoded* is the rule's :class:`EncodedRule` and
-#: *payload* its interned slot-binding tuple.  Supplying this instead of
-#: ``on_fire`` keeps per-firing bookkeeping in the integer domain — no
-#: assignment dict is ever decoded for firings that merely re-derive.
-FireBindingCallback = Callable[["CompiledRule", "EncodedRule", tuple], None]
+#: opt-in callback invoked as ``(compiled, encoded, payload)`` for EVERY
+#: enumerated rule firing, before the firing's heads are inserted —
+#: including firings that only re-derive an atom the index already holds.
+#: *encoded* is the rule's :class:`EncodedRule` and *payload* its interned
+#: slot-binding tuple, so per-firing bookkeeping stays in the integer
+#: domain.  :mod:`repro.engine.maintenance` builds its derivation-support
+#: tables through it (``on_fire=SupportTable().record_firing_binding``):
+#: incremental deletion needs to know about *alternative* derivations too.
+FireCallback = Callable[["CompiledRule", "EncodedRule", tuple], None]
 
 
 def fixpoint(
@@ -95,9 +109,9 @@ def fixpoint(
     facts: Iterable[Atom] = (),
     *,
     index: Optional[RelationIndex] = None,
-    on_derive: Optional[DeriveCallback] = None,
+    delta: Optional[Sequence[Tuple[Predicate, Row]]] = None,
+    rescan: Collection = (),
     on_fire: Optional[FireCallback] = None,
-    on_fire_bindings: Optional[FireBindingCallback] = None,
     ignore_negation: bool = False,
     negative_against: Optional[RelationIndex] = None,
     max_atoms: Optional[int] = None,
@@ -115,26 +129,30 @@ def fixpoint(
         several atoms derive all of them; head instances that are not ground
         after substitution are skipped (they cannot enter an interpretation).
     facts:
-        The initial atoms (round 0 delta).
+        Atoms added to the index before round 1.
     index:
         An existing :class:`RelationIndex` to grow; a fresh in-memory index is
         created when omitted.
-    on_derive:
-        Invoked as ``on_derive(atom, rule, assignment)`` for every atom newly
-        added by a rule firing (not for the seed facts).
+    delta:
+        The seeded start (see the module docstring): ``(predicate, row)``
+        entries the index already holds, where the index is closed under
+        *rules* except for firings that use one of these rows.  Round 1
+        then joins each rule's delta positions against these rows instead
+        of its full body.  ``None`` (default): round 1 joins every full body.
+    rescan:
+        With *delta*, the rules (the same objects as in *rules*) whose full
+        body round 1 joins anyway: rules that something other than new rows
+        may have enabled, such as a deletion below a negation.
     on_fire:
-        Invoked as ``on_fire(compiled_rule, assignment)`` for **every**
-        enumerated firing, whether or not its heads are new.  Semi-naive
-        evaluation enumerates each ground firing at least once (in the round
-        after its last body atom arrives) and possibly several times (once
-        per delta position of that round); callers that need exact support
-        sets must deduplicate — :class:`repro.engine.maintenance.SupportTable`
-        does.  Opt-in: when ``None`` (default) no per-firing work happens.
-    on_fire_bindings:
-        Row-plane alternative to ``on_fire`` (see
-        :data:`FireBindingCallback`); when both are given, only this one is
-        invoked.  Firings pass the raw slot binding instead of a decoded
-        assignment dict.
+        Invoked as ``on_fire(compiled_rule, encoded_rule, payload)`` for
+        **every** enumerated firing, before its heads are inserted and
+        whether or not they are new (see :data:`FireCallback`).  Semi-naive
+        evaluation enumerates each ground firing at least once (in the
+        round after its last body atom arrives) and possibly several times
+        (once per delta position of that round); callers that need exact
+        support sets must deduplicate —
+        :class:`repro.engine.maintenance.SupportTable` does.  Opt-in: when
+        ``None`` (default) no per-firing work happens.
     ignore_negation:
         Drop negative body literals (the positive-closure approximation).
     negative_against:
@@ -158,10 +176,17 @@ def fixpoint(
     """
     target = index if index is not None else RelationIndex(statistics=statistics)
     symbols = target.symbols
-    encoded_rules: List[EncodedRule] = [
-        encode_rule(
-            compile_rule(rule, ignore_negation=ignore_negation, statistics=statistics),
-            symbols,
+    rescanned = {id(rule) for rule in rescan}
+    #: (encoded rule, whether round 1 joins its full body)
+    encoded_rules: List[Tuple[EncodedRule, bool]] = [
+        (
+            encode_rule(
+                compile_rule(
+                    rule, ignore_negation=ignore_negation, statistics=statistics
+                ),
+                symbols,
+            ),
+            delta is None or id(rule) in rescanned,
         )
         for rule in rules
     ]
@@ -172,20 +197,13 @@ def fixpoint(
         tracer.start("engine.fixpoint", rules=len(encoded_rules)) if tracing else None
     )
 
-    def derive_row(encoded: EncodedRule, predicate, row, binding) -> None:
+    def derive_row(encoded: EncodedRule, predicate, row) -> None:
         # build_head_rows already dropped non-ground heads, so *row* is ground.
         if target.add_row(predicate, row):
-            rule = encoded.compiled
             if statistics is not None:
                 statistics.triggers_fired += 1
             if profiler is not None:
-                profiler.record(rule, tuples=1)
-            if on_derive is not None:
-                on_derive(
-                    symbols.atom(predicate, row),
-                    rule.source if rule.source is not None else rule,
-                    encoded.decode_binding(binding),
-                )
+                profiler.record(encoded.compiled, tuples=1)
             if max_atoms is not None and len(target) > max_atoms:
                 raise SolverLimitError(limit_message)
 
@@ -194,37 +212,34 @@ def fixpoint(
         if max_atoms is not None and len(target) > max_atoms:
             raise SolverLimitError(limit_message)
 
-        first_round = True
         rounds = 0
+        entries: Sequence[Tuple[Predicate, Row]] = delta if delta is not None else ()
         tick = target.tick()
         while True:
+            if rounds:
+                entries = target.rows_added_since(tick)
+                if not entries:
+                    break
             # One pass groups the round's delta by predicate; the entries
             # stay encoded ``(predicate, row)`` pairs.
-            delta: Dict[Predicate, List[Tuple[Predicate, Row]]] = {}
-            if first_round:
-                delta_size = 0
-            else:
-                entries = target.rows_added_since(tick)
-                delta_size = len(entries)
-                if delta_size == 0:
-                    break
-                for entry in entries:
-                    group = delta.get(entry[0])
-                    if group is None:
-                        delta[entry[0]] = [entry]
-                    else:
-                        group.append(entry)
+            grouped: Dict[Predicate, List[Tuple[Predicate, Row]]] = {}
+            for entry in entries:
+                group = grouped.get(entry[0])
+                if group is None:
+                    grouped[entry[0]] = [entry]
+                else:
+                    group.append(entry)
             tick = target.tick()
-            # The delta is materialised (and round 1 scans everything anyway);
-            # older log entries are dead weight — compacting them keeps the log
-            # to one round of atoms.
+            # The delta is materialised (round 1's is the seed, or none: it
+            # scans every full body); older log entries are dead weight —
+            # compacting them keeps the log to one round of atoms.
             target.compact(tick)
             rounds += 1
             if statistics is not None:
                 statistics.iterations += 1
             round_span = (
                 tracer.start(
-                    "engine.fixpoint.round", round=rounds, delta=delta_size
+                    "engine.fixpoint.round", round=rounds, delta=len(entries)
                 )
                 if tracing
                 else None
@@ -233,11 +248,11 @@ def fixpoint(
             # binding tuple)`` pairs, before inserting, so the hash indexes
             # are never mutated while the join iterates over them.
             pending: List[Tuple[EncodedRule, tuple]] = []
-            for encoded in encoded_rules:
+            for encoded, full_body in encoded_rules:
                 if profiler is not None:
                     rule_t0 = perf_counter()
                     rule_n0 = len(pending)
-                if first_round:
+                if rounds == 1 and full_body:
                     join = encoded.programme(target)
                     for binding in join(
                         None, (), rows_for, rows_of, contains_row, statistics
@@ -245,7 +260,7 @@ def fixpoint(
                         pending.append((encoded, binding))
                 else:
                     for position, atom in enumerate(encoded.compiled.positive):
-                        group = delta.get(atom.predicate)
+                        group = grouped.get(atom.predicate)
                         if group is None:
                             # No rows for this position's predicate: no new
                             # firing can come from it this round.
@@ -262,15 +277,12 @@ def fixpoint(
                         triggers=len(pending) - rule_n0,
                         rounds=1,
                     )
-            first_round = False
             try:
                 for encoded, payload in pending:
-                    if on_fire_bindings is not None:
-                        on_fire_bindings(encoded.compiled, encoded, payload)
-                    elif on_fire is not None:
-                        on_fire(encoded.compiled, encoded.decode_binding(payload))
+                    if on_fire is not None:
+                        on_fire(encoded.compiled, encoded, payload)
                     for predicate, row in encoded.build_head_rows(payload):
-                        derive_row(encoded, predicate, row, payload)
+                        derive_row(encoded, predicate, row)
             finally:
                 if round_span is not None:
                     round_span.finish(firings=len(pending))

@@ -31,7 +31,6 @@ from .session import (
     ExplainReport,
     QueryPlan,
     QuerySession,
-    QueryStatistics,
     SessionEpoch,
     SessionStatistics,
     StandingDeltas,
@@ -61,7 +60,6 @@ __all__ = [
     "MagicProgram",
     "QueryPlan",
     "QuerySession",
-    "QueryStatistics",
     "SessionEpoch",
     "SessionStatistics",
     "StandingDeltas",

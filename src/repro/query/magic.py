@@ -148,25 +148,35 @@ class MagicProgram:
         collect only the answers of that seed; with ``None`` every goal atom
         is collected, which is only meaningful for single-seed evaluations
         (:meth:`repro.query.QueryPlan.execute_on`).
+
+        Collection stays on the row plane: goal rows are read as int tuples
+        and only their answer terms decoded, so no goal :class:`Atom` is
+        built — the symbol table's process-wide atom cache never holds the
+        goal rows of a throwaway reader fork.
         """
-        answers: Set[Tuple[Term, ...]] = set()
-        wanted = tuple(constants) if constants is not None else None
-        if wanted:
+        goal = self.goal.renamed
+        arity = self.answer_arity
+        symbols = index.symbols
+        if constants:
             # Indexed lookup on the parameter suffix: the goal tuples of one
             # seed come out of a hash bucket, so collecting stays O(answers
             # of this seed) no matter how many seeds share the index.
-            pattern = Atom(
-                self.goal.renamed,
-                tuple(Variable(f"$A{i}") for i in range(self.answer_arity))
-                + wanted,
+            key: List[int] = []
+            for constant in constants:
+                tid = symbols.try_encode_term(constant)
+                if tid is None:
+                    # No stored row can hold a term never interned.
+                    return frozenset()
+                key.append(tid)
+            rows = index.rows_for(
+                goal, tuple(range(arity, arity + len(key))), tuple(key)
             )
-            pool = index.candidates_for(pattern)
         else:
-            pool = index.candidates(self.goal.renamed)
-        for atom in pool:
-            if wanted is not None and atom.terms[self.answer_arity:] != wanted:
-                continue
-            answer = atom.terms[: self.answer_arity]
+            rows = index.rows_of(goal)
+        decode = symbols.decode_term
+        answers: Set[Tuple[Term, ...]] = set()
+        for row in rows:
+            answer = tuple(decode(tid) for tid in row[:arity])
             # Mirror ConjunctiveQuery.answers: non-Boolean answers must be
             # tuples of constants (nulls from chase-produced facts are not
             # answer tuples).

@@ -90,7 +90,6 @@ __all__ = [
     "ExplainReport",
     "QueryPlan",
     "QuerySession",
-    "QueryStatistics",
     "SessionEpoch",
     "SessionStatistics",
     "StandingDeltas",
@@ -428,11 +427,6 @@ class SessionStatistics:
     answers_repaired: int = 0
     views_built: int = 0
     engine: EngineStatistics = field(default_factory=EngineStatistics)
-
-
-#: Public alias: query-facing callers read these counters per query session,
-#: mirroring ``EngineStatistics`` on the storage side.
-QueryStatistics = SessionStatistics
 
 
 @dataclass(frozen=True)

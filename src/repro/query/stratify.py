@@ -26,7 +26,7 @@ unstratified re-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.atoms import Atom, Literal, Predicate
@@ -202,7 +202,7 @@ class Stratification:
     strata: Tuple[Tuple[NormalRule, ...], ...]
     stratum_of: Dict[Predicate, int]
     graph: DependencyGraph
-    component_of: Dict[Predicate, int] = field(default_factory=dict)
+    component_of: Dict[Predicate, int]
 
     @property
     def is_definite(self) -> bool:
@@ -272,7 +272,6 @@ def evaluate_stratified(
     max_atoms: Optional[int] = None,
     stratification: Optional[Stratification] = None,
     on_fire=None,
-    on_fire_bindings=None,
     tracer=None,
     profiler=None,
 ) -> RelationIndex:
@@ -297,12 +296,9 @@ def evaluate_stratified(
         the extra seeds (e.g. a magic seed), not the base facts.
     on_fire:
         Forwarded to every stratum's :func:`~repro.engine.seminaive.fixpoint`
-        call — the opt-in per-firing hook
+        call — the opt-in per-firing hook (see
+        :data:`repro.engine.seminaive.FireCallback`)
         :class:`repro.engine.maintenance.SupportTable` records through.
-    on_fire_bindings:
-        Row-plane twin of *on_fire*, likewise forwarded to every stratum
-        (see :data:`repro.engine.seminaive.FireBindingCallback`); when both
-        hooks are given, fixpoint invokes only this one.
     tracer / profiler:
         Optional :class:`~repro.obs.trace.Tracer` /
         :class:`~repro.obs.profile.RuleProfiler`, forwarded to every
@@ -346,7 +342,6 @@ def evaluate_stratified(
                 max_atoms=max_atoms,
                 statistics=statistics,
                 on_fire=on_fire,
-                on_fire_bindings=on_fire_bindings,
                 tracer=tracer,
                 profiler=profiler,
                 limit_message="stratified evaluation exceeded max_atoms",

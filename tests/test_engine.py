@@ -22,7 +22,6 @@ from repro.engine import (
     OverlayRelationIndex,
     RelationIndex,
     RelationSnapshot,
-    SupportTable,
     VersionedRelationIndex,
     compile_rule,
     enumerate_matches,
@@ -318,23 +317,12 @@ class TestVersionedIndex:
         fork = head.fork()
         fork.add(edge(a, d))
         never_interned = edge(Constant("never-interned"), a)
-        # A protected atom stays alive, so a cascade would never reach
-        # ``remove``: the fork must refuse before the table changes.
-        support = SupportTable()
-        support.base.update({edge(a, b), edge(a, d)})
-        support.protected.add(edge(a, c))
         for atom in (edge(a, b), edge(a, c), edge(a, d), never_interned):
             with pytest.raises(TypeError):
                 fork.remove(atom)
-            with pytest.raises(TypeError):
-                fork.retract(atom)
-            with pytest.raises(TypeError):
-                fork.retract(atom, support=support)
         with pytest.raises(TypeError):
             fork.remove_row(edge, fork.symbols.encode_atom(edge(a, b)))
-        # The failed removals left the branch and the table as they were.
-        assert support.base == {edge(a, b), edge(a, d)}
-        assert support.protected == {edge(a, c)}
+        # The failed removals left the branch as it was.
         assert len(fork) == 3
         assert fork.count(edge) == 3
         assert set(fork.candidates_for(edge(a, X))) == {
@@ -520,16 +508,6 @@ class TestSemiNaive:
         paths = 8 * 9 // 2
         # Every derivation is counted once: path tuples plus nothing else.
         assert stats.triggers_fired == paths
-
-    def test_on_derive_callback(self):
-        seen = []
-        fixpoint(
-            TRANSITIVE_CLOSURE,
-            chain_atoms(3),
-            on_derive=lambda atom, rule, assignment: seen.append((atom, rule)),
-        )
-        assert len(seen) == 3 * 4 // 2
-        assert all(isinstance(rule, NormalRule) for _, rule in seen)
 
     def test_max_atoms_budget(self):
         with pytest.raises(SolverLimitError, match="too many"):

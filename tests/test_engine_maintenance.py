@@ -1,9 +1,9 @@
-"""Incremental maintenance: SupportTable, retract, MaterializedView.
+"""Incremental maintenance: SupportTable and MaterializedView.
 
-Covers the counting cascade (non-recursive strata), Delete-and-Rederive
-(recursive strata, survivors rescued), cross-stratum negation repair in both
-directions, net-change reporting, the delta-log invariants of ``retract``,
-and the observability counters.  The randomized parity sweep lives in
+Covers support recording, the counting cascade (non-recursive strata),
+Delete-and-Rederive (recursive strata, survivors rescued), cross-stratum
+negation repair in both directions, net-change reporting, and the
+observability counters.  The randomized parity sweep lives in
 ``tests/test_engine_parity.py`` (``TestMaintenanceParity``) next to the
 other reference-evaluator harnesses.
 """
@@ -18,7 +18,6 @@ from repro.core.terms import Constant
 from repro.engine import (
     EngineStatistics,
     MaterializedView,
-    RelationIndex,
     SupportTable,
     fixpoint,
 )
@@ -38,31 +37,29 @@ REACH_RULES = parse_program(
 DIAMOND = parse_database("link(a, b). link(b, c). link(a, c). link(c, d).")
 
 
-class TestSupportTableAndRetract:
-    """The counting primitive: fixpoint recording + cascading retract."""
+STAFFING_RULES = parse_program(
+    """
+    employee(X, D) -> staffed(D)
+    staffed(D) -> active(D)
+    """
+)
+STAFFING = parse_database(
+    "employee(ann, law). employee(bob, law). employee(eve, it)."
+)
+EMPLOYEE = Predicate("employee", 2)
+STAFFED, ACTIVE = Predicate("staffed", 1), Predicate("active", 1)
+LAW, IT = Constant("law"), Constant("it")
 
-    def _staffing(self):
-        rules = parse_program(
-            """
-            employee(X, D) -> staffed(D)
-            staffed(D) -> active(D)
-            """
-        )
-        facts = parse_database(
-            "employee(ann, law). employee(bob, law). employee(eve, it)."
-        ).atoms
-        table = SupportTable()
-        for atom in facts:
-            table.add_base(atom)
-        index = fixpoint(rules, facts, on_fire=table.record)
-        return table, index
+
+class TestSupportTable:
+    """The derivation records the fixpoint driver's ``on_fire`` hook feeds."""
 
     def test_recording_is_deduplicated(self):
         stats = EngineStatistics()
         rules = parse_program("p(X, Y) -> q(X)\np(X, Y) -> q(X)")
         facts = parse_database("p(a, b). p(a, c).").atoms
         table = SupportTable(statistics=stats)
-        fixpoint(rules, facts, on_fire=table.record)
+        fixpoint(rules, facts, on_fire=table.record_firing_binding)
         # Two identical rules, two facts: 2 distinct records for q(a) (one
         # per body atom — the rules collapse structurally in normalize, but
         # parse keeps them distinct objects, so up to 4; dedup is per
@@ -71,52 +68,26 @@ class TestSupportTableAndRetract:
         q_a = Predicate("q", 1)(A)
         assert len(table.supports[q_a]) == stats.supports_recorded
 
-    def test_retract_keeps_alternatively_supported_atoms(self):
-        table, index = self._staffing()
-        employee = Predicate("employee", 2)
-        staffed, active = Predicate("staffed", 1), Predicate("active", 1)
-        law = Constant("law")
-        removed = index.retract(employee(Constant("ann"), law), support=table)
-        assert removed == (employee(Constant("ann"), law),)
-        assert staffed(law) in index and active(law) in index
-
-    def test_retract_cascades_when_support_empties(self):
-        table, index = self._staffing()
-        employee = Predicate("employee", 2)
-        staffed, active = Predicate("staffed", 1), Predicate("active", 1)
-        law = Constant("law")
-        index.retract(employee(Constant("ann"), law), support=table)
-        removed = index.retract(employee(Constant("bob"), law), support=table)
-        assert set(removed) == {
-            employee(Constant("bob"), law), staffed(law), active(law)
-        }
-        assert staffed(law) not in index and active(law) not in index
-        # The unrelated department is untouched.
-        assert staffed(Constant("it")) in index
-
-    def test_retract_without_support_is_plain_remove(self):
-        index = RelationIndex([LINK(A, B)])
-        assert index.retract(LINK(A, B)) == (LINK(A, B),)
-        assert index.retract(LINK(A, B)) == ()
-
-    def test_retract_blanks_delta_log_for_outstanding_ticks(self):
-        table, index = self._staffing()
-        employee = Predicate("employee", 2)
-        law, hr = Constant("law"), Constant("hr")
-        tick = index.tick()  # outstanding consumer mark
-        for atom in (employee(Constant("ann"), hr), employee(Constant("zoe"), hr)):
-            table.add_base(atom)
-            index.add(atom)
-        index.retract(employee(Constant("ann"), hr), support=table)
-        index.retract(employee(Constant("bob"), law), support=table)
-        # The outstanding tick stays valid (removals blank log entries in
-        # place, they never shift positions) and the delta never replays a
-        # retracted atom.
-        replay = set(index.added_since(tick))
-        assert replay == {employee(Constant("zoe"), hr)}
-
 
 class TestMaterializedViewCounting:
+    def test_second_support_keeps_derived_atoms(self):
+        view = MaterializedView(STAFFING_RULES, STAFFING.atoms)
+        delta = view.apply_delta(deletions=[EMPLOYEE(Constant("ann"), LAW)])
+        assert delta.removed == {EMPLOYEE(Constant("ann"), LAW)}
+        assert not delta.added
+        assert STAFFED(LAW) in view and ACTIVE(LAW) in view
+
+    def test_losing_last_support_cascades(self):
+        view = MaterializedView(STAFFING_RULES, STAFFING.atoms)
+        view.apply_delta(deletions=[EMPLOYEE(Constant("ann"), LAW)])
+        delta = view.apply_delta(deletions=[EMPLOYEE(Constant("bob"), LAW)])
+        assert delta.removed == {
+            EMPLOYEE(Constant("bob"), LAW), STAFFED(LAW), ACTIVE(LAW)
+        }
+        assert STAFFED(LAW) not in view and ACTIVE(LAW) not in view
+        # The unrelated department is untouched.
+        assert STAFFED(IT) in view and ACTIVE(IT) in view
+
     def test_addition_delta_matches_scratch(self):
         view = MaterializedView(REACH_RULES, parse_database("link(a, b).").atoms)
         delta = view.apply_delta(additions=[LINK(B, C)])
@@ -228,23 +199,6 @@ class TestMaterializedViewDRed:
         assert view.atoms() == evaluate_stratified(REACH_RULES, facts).atoms()
         # The cycle d->a->b->c->d makes every node reach every other.
         assert REACH(D, B) in delta.added
-
-    def test_legacy_stratification_without_component_ids_stays_sound(self):
-        # A Stratification built with the pre-existing 3-arg form carries an
-        # empty component_of; the view must recompute the SCC ids rather
-        # than silently classify the recursive stratum as non-recursive
-        # (counting would let the a<->b support cycle keep stale atoms).
-        from repro.query.stratify import Stratification, normalize_rules, stratify
-
-        facts = parse_database("link(a, b). link(b, a). link(b, c).").atoms
-        full = stratify(normalize_rules(REACH_RULES))
-        legacy = Stratification(full.strata, full.stratum_of, full.graph)
-        view = MaterializedView(REACH_RULES, facts, stratification=legacy)
-        view.apply_delta(deletions=[LINK(B, C)])
-        assert REACH(A, C) not in view and REACH(B, C) not in view
-        assert view.atoms() == evaluate_stratified(
-            REACH_RULES, set(facts) - {LINK(B, C)}
-        ).atoms()
 
     def test_cyclic_support_does_not_survive_counting_style(self):
         # a <-> b cycle plus an external anchor: deleting the anchor must

@@ -885,7 +885,7 @@ class TestOneJoinExecutor:
         result = fixpoint(
             [bodyless, function_pattern],
             [s(c[1], f(c[1], c[2]))],
-            on_fire_bindings=lambda rule, encoded, payload: fired.append(
+            on_fire=lambda rule, encoded, payload: fired.append(
                 (rule.source, encoded, payload)
             ),
         )
@@ -981,15 +981,15 @@ class TestMaintenanceParity:
     suite."""
 
     @staticmethod
-    def _workload(seed: int):
+    def _workload(seed: int, layers: int = 3, negation: float = 0.4):
         from repro.core.atoms import Atom, Predicate
         from repro.core.terms import Constant
         from repro.generators import random_database, random_stratified_datalog
 
         rules = random_stratified_datalog(
-            layers=3,
+            layers=layers,
             predicates_per_layer=2,
-            negation_probability=0.4,
+            negation_probability=negation,
             recursion_probability=0.6,
             seed=seed,
         )
@@ -1059,3 +1059,44 @@ class TestMaintenanceParity:
             after = view.atoms()
             assert delta.added == after - before
             assert delta.removed == before - after
+
+    @staticmethod
+    def _state(view):
+        """The view's checkpoint state — base facts, stored atoms and
+        support records — as sets."""
+        base, atoms, records = view.export_state()
+        return set(base), set(atoms), set(records)
+
+    @pytest.mark.parametrize("layers, negation", [(3, 0.4), (4, 0.5)])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_repaired_support_tables_are_exact(self, seed, layers, negation):
+        """After every repair the support table holds exactly the firings
+        a from-scratch evaluation records: a driver that skipped a firing
+        would keep the atoms right and break a later deletion."""
+        import random
+
+        from repro.engine import MaterializedView
+
+        rules, database, universe = self._workload(seed, layers, negation)
+        rng = random.Random(seed * 101 + layers)
+        facts = set(database.atoms)
+        view = MaterializedView(rules, facts)
+        for _ in range(30):
+            ordered = sorted(facts, key=lambda a: a.sort_key())
+            roll = rng.random()
+            additions, deletions = [], []
+            if roll < 0.35 and ordered:
+                deletions = [rng.choice(ordered)]
+            elif roll < 0.7:
+                additions = [rng.choice(universe)]
+            else:
+                additions = rng.sample(universe, 2)
+                deletions = rng.sample(ordered, min(2, len(ordered)))
+            before = view.atoms()
+            delta = view.apply_delta(additions=additions, deletions=deletions)
+            # An atom in both sets is deleted, then re-added: the add wins.
+            facts = (facts - set(deletions)) | set(additions)
+            after = view.atoms()
+            assert delta.added == after - before
+            assert delta.removed == before - after
+            assert self._state(view) == self._state(MaterializedView(rules, facts))

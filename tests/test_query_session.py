@@ -17,8 +17,6 @@ from repro.encodings import DenialConstraint, consistent_answers, subset_repairs
 from repro.lp import ground_program, ground_program_for_query, skolemize
 from repro.query import (
     QuerySession,
-    QueryStatistics,
-    SessionStatistics,
     compile_query_plan,
     full_fixpoint_answers,
 )
@@ -96,12 +94,6 @@ class TestAnswerCache:
         session.answers(query)
         assert session.statistics.invalidations == 0
         assert session.statistics.answer_hits == 1
-
-
-def test_query_statistics_is_the_session_statistics_surface():
-    # The public counter surface is exported under both names.
-    assert QueryStatistics is SessionStatistics
-    assert isinstance(QuerySession().statistics, QueryStatistics)
 
 
 class TestPredicateLevelInvalidation:

@@ -256,6 +256,29 @@ class TestWarmCache:
             assert service.statistics.read_cache_hits == hits + 1
 
 
+class TestReaderMemory:
+    def test_fresh_reader_misses_leave_the_goal_decode_cache_alone(self):
+        # A reader miss evaluates in a throwaway fork; collecting its
+        # answers must not leave goal atoms in the process-wide decode
+        # cache, or a long-running service grows with every answer served.
+        from repro.engine import global_symbols
+        from repro.query import compile_query_plan
+
+        chain = [link(f"mem{i}", f"mem{i + 1}") for i in range(12)]
+        query = lambda node: parse_query(f"?(Y) :- reachable({node}, Y)")
+        goal = compile_query_plan(RULES, query("mem0")).program.goal.renamed
+        cache = global_symbols().atom_cache(goal)
+        with DatalogService(chain, RULES) as service:
+            service.answers(query("mem0"))
+            before = len(cache)
+            for i in range(1, 12):
+                answers = service.answers(query(f"mem{i}"))
+                assert answers == {
+                    (Constant(f"mem{j}"),) for j in range(i + 1, 13)
+                }
+            assert len(cache) == before
+
+
 class TestBackpressure:
     def test_reject_policy_raises_when_queue_full(self):
         # A long linger window keeps the first op pending, so the second
