@@ -17,6 +17,8 @@ round, only rule bodies that overlap the atoms added in the previous round
 are re-matched (each body literal in turn plays the delta role, joined
 against the full :class:`~repro.engine.index.RelationIndex` through the
 planner's compiled join order), so the chase never rescans old assignments.
+A round's delta is the atoms that ``RelationIndex.add`` reported new while
+the previous round fired.
 Engine counters are surfaced on :class:`ChaseResult.statistics`.
 
 Termination is guaranteed for weakly-acyclic rule sets; for other sets the
@@ -245,15 +247,12 @@ def restricted_chase(
     nulls = NullFactory(prefix="n")
     steps: list[ChaseStep] = []
 
-    delta: Optional[Sequence[Atom]] = None  # None = first (full) round
-    while True:
-        if delta is not None and not delta:
-            break
-        new_tick = index.tick()
+    delta: Optional[list[Atom]] = None  # None = first (full) round
+    while delta is None or delta:
         statistics.iterations += 1
-        for rule_position, rule, assignment in _round_matches(
-            rule_set, compiled, index, delta, statistics
-        ):
+        matches = _round_matches(rule_set, compiled, index, delta, statistics)
+        delta = []
+        for rule_position, rule, assignment in matches:
             prep = prepared[rule_position]
             satisfied = next(
                 extend_homomorphisms(prep.head, index, partial=assignment),
@@ -267,7 +266,7 @@ def restricted_chase(
                     statistics=statistics,
                 )
             added = _fire(prep, assignment, nulls)
-            index.update(added)
+            delta.extend(atom for atom in added if index.add(atom))
             statistics.triggers_fired += 1
             steps.append(
                 ChaseStep(
@@ -276,8 +275,6 @@ def restricted_chase(
                     added,
                 )
             )
-        delta = list(index.added_since(new_tick))
-        index.compact(index.tick())  # delta is materialised; free the log
     return ChaseResult(
         index.atoms(), tuple(steps), terminated=True, statistics=statistics
     )
@@ -350,15 +347,12 @@ def oblivious_chase(
     steps: list[ChaseStep] = []
     fired: set[tuple[int, tuple]] = set()
 
-    delta: Optional[Sequence[Atom]] = None  # None = first (full) round
-    while True:
-        if delta is not None and not delta:
-            break
-        new_tick = index.tick()
+    delta: Optional[list[Atom]] = None  # None = first (full) round
+    while delta is None or delta:
         statistics.iterations += 1
-        for rule_position, rule, assignment in _round_matches(
-            rule_set, compiled, index, delta, statistics
-        ):
+        matches = _round_matches(rule_set, compiled, index, delta, statistics)
+        delta = []
+        for rule_position, rule, assignment in matches:
             key = (
                 rule_position,
                 tuple(sorted(assignment.items(), key=lambda kv: str(kv[0]))),
@@ -371,12 +365,10 @@ def oblivious_chase(
                     statistics=statistics,
                 )
             added = _fire(prepared[rule_position], assignment, nulls)
-            index.update(added)
+            delta.extend(atom for atom in added if index.add(atom))
             fired.add(key)
             statistics.triggers_fired += 1
             steps.append(ChaseStep(rule, key[1], added))
-        delta = list(index.added_since(new_tick))
-        index.compact(index.tick())  # delta is materialised; free the log
     return ChaseResult(
         index.atoms(), tuple(steps), terminated=True, statistics=statistics
     )

@@ -10,15 +10,18 @@ loops.  It has seven parts:
   the storage boundary; :func:`global_symbols` is the process-wide default)
   and :class:`TupleRelation` (per-predicate int-tuple rows with
   ``array('q')``-backed columns).  Everything between ``RelationIndex.add``
-  and the API edge — storage, delta logs, pattern tables, joins — handles
-  plain integer rows;
+  and the API edge — storage, pattern tables, joins — handles plain
+  integer rows;
 * :mod:`~repro.engine.index` — :class:`RelationIndex`, a multi-key hash index
-  over ground atoms with delta tracking (``added_since``), replacing the old
-  predicate-only ``AtomIndex``; versioned via :meth:`RelationIndex.snapshot`
-  (immutable :class:`RelationSnapshot` views sharing pattern tables
-  copy-on-write) and :meth:`RelationSnapshot.fork` (throwaway, add-only
-  :class:`OverlayRelationIndex` leaves layering additions over a shared
-  base);
+  over ground atoms, replacing the old predicate-only ``AtomIndex``; its
+  ``add_row``/``add`` report whether a row was new, which is all a
+  semi-naive driver needs for its delta.  Versioned via
+  :meth:`RelationIndex.snapshot` (immutable :class:`RelationSnapshot` views
+  sharing pattern tables copy-on-write) and :meth:`RelationSnapshot.fork`
+  (throwaway, add-only :class:`OverlayRelationIndex` leaves layering
+  additions over a shared base, whose ``rows_for``, ``add_row`` and
+  ``contains_row`` read the base snapshot's relations and buckets
+  directly);
 * :mod:`~repro.engine.planner` — join planning: :class:`CompiledRule` and the
   greedy bound-connectivity / smallest-relation-first literal ordering, plus
   the one join executor, :class:`EncodedRule` / :func:`enumerate_bindings`
@@ -29,10 +32,11 @@ loops.  It has seven parts:
   only at yield);
 * :mod:`~repro.engine.seminaive` — the one semi-naive :func:`fixpoint`
   driver (delta rules, no rederivation; round 1 joins every full body, or
-  starts from a seeded delta) and the counter-propagation
+  starts from a seeded delta; each later round's delta is the rows the
+  previous round's inserts reported new) and the counter-propagation
   :class:`GroundProgramEvaluator` for ground programs;
 * :mod:`~repro.engine.backend` — the copy-on-write in-memory backend and
-  the add-only overlay that forks write to;
+  the overlay read view of a fork's base and additions;
 * :mod:`~repro.engine.maintenance` — incremental maintenance of derived
   relations: :class:`SupportTable` derivation records (populated through the
   fixpoint driver's ``on_fire`` hook) and :class:`MaterializedView`, which
@@ -52,7 +56,6 @@ from .index import (
     OverlayRelationIndex,
     RelationIndex,
     RelationSnapshot,
-    Tick,
     VersionedRelationIndex,
     is_flexible,
     match_atom,
@@ -87,7 +90,6 @@ __all__ = [
     "Row",
     "SupportTable",
     "SymbolTable",
-    "Tick",
     "TupleRelation",
     "VersionedRelationIndex",
     "ViewDelta",

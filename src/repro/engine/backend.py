@@ -1,12 +1,12 @@
 """In-memory storage for :class:`~repro.engine.index.RelationIndex`.
 
 The evaluation engine separates *what* is stored (ground atoms, grouped by
-predicate) from the access paths built over it (hash indexes, delta
-tracking, join planning).  A backend supports row insertion and removal with
-dedup, membership, per-predicate scan and counting, plus two versioning
+predicate) from the access paths built over it (hash indexes, join
+planning).  A backend supports row insertion and removal with dedup,
+membership, per-predicate scan and counting, plus two versioning
 operations — ``snapshot`` (a stable read-only view of the current contents)
-and the :class:`OverlayBackend` wrapper (a cheap add-only branch over a
-snapshot).
+and the :class:`OverlayBackend` wrapper (a read view layering a branch's
+additions over a snapshot).
 
 Every backend speaks **two planes** over the same data:
 
@@ -24,10 +24,13 @@ Two backends ship with the engine:
   (int-tuple rows with columnar scan arrays) with predicate-level
   copy-on-write: ``snapshot()`` is O(#predicates) and shares each relation
   until either side of the split writes it.
-* :class:`OverlayBackend` — an add-only layer over a :class:`MemoryBackend`
-  snapshot: additions live in a private :class:`MemoryBackend`, the base is
-  never written.  Creating one is O(1) regardless of base size, which is
-  what makes per-query and per-chase evaluation branches affordable.
+* :class:`OverlayBackend` — the read view of an add-only branch over a
+  :class:`MemoryBackend` snapshot: the branch's additions live in a private
+  :class:`MemoryBackend`, the base is never written.  Creating one is O(1)
+  regardless of base size, which is what makes per-query and per-chase
+  evaluation branches affordable.  Its owner,
+  :class:`~repro.engine.index.OverlayRelationIndex`, writes the local layer
+  and answers the row plane itself.
 
 Nothing but ids round-trips: all sharing between snapshots and forks is
 sharing of flat int structures.
@@ -70,6 +73,13 @@ class MemoryBackend:
     @property
     def symbols(self) -> SymbolTable:
         return self._symbols
+
+    @property
+    def relations(self) -> Dict[Predicate, TupleRelation]:
+        """The stored relations by predicate.  Read them only: every write
+        goes through :meth:`insert_row` or :meth:`remove_row`, which copy a
+        shared relation first."""
+        return self._rows
 
     def _writable(self, predicate: Predicate) -> TupleRelation:
         relation = self._rows.get(predicate)
@@ -164,13 +174,15 @@ class MemoryBackend:
 
 
 class OverlayBackend:
-    """An add-only branch layered over a shared :class:`MemoryBackend` base.
+    """The read view of an add-only branch over a :class:`MemoryBackend` base.
 
-    Additions live in a private :class:`MemoryBackend` (sharing the base's
-    symbol table, so rows from both layers are directly comparable); the
-    base is never written, so any number of overlays can branch off one
-    base concurrently and each costs O(1) to create plus O(its own writes)
-    to hold.  An overlay is a leaf: it cannot remove rows or be snapshotted.
+    The branch's additions live in a private :class:`MemoryBackend`
+    (sharing the base's symbol table, so rows from both layers are directly
+    comparable); its owner writes them through :attr:`local`, storing only
+    rows the base does not hold.  The base is never written, so any number
+    of overlays can branch off one base concurrently and each costs O(1) to
+    create plus O(its own writes) to hold.  An overlay is a leaf: it cannot
+    remove rows or be snapshotted.
 
     The base must not be mutated while overlays over it are alive; take it
     from ``snapshot()``, whose copy-on-write keeps such views valid.
@@ -196,23 +208,8 @@ class OverlayBackend:
         return self._local
 
     # ------------------------------------------------------------- row plane
-    def insert_row(self, predicate: Predicate, row: Row) -> bool:
-        """Make the row visible in this branch; ``True`` iff it was not.
-
-        A row visible via the base is a duplicate (``False``); anything else
-        goes to the private local backend.  The base itself is never written.
-        """
-        if self._base.contains_row(predicate, row):
-            return False
-        return self._local.insert_row(predicate, row)
-
     def remove_row(self, predicate: Predicate, row: Row) -> bool:
         raise TypeError("overlay branches are add-only: rows cannot be removed")
-
-    def contains_row(self, predicate: Predicate, row: Row) -> bool:
-        return self._local.contains_row(predicate, row) or self._base.contains_row(
-            predicate, row
-        )
 
     def rows_of(self, predicate: Predicate) -> Sequence[Row]:
         base_rows = self._base.rows_of(predicate)
@@ -225,10 +222,7 @@ class OverlayBackend:
 
     # ------------------------------------------------------------ atom plane
     def __contains__(self, atom: Atom) -> bool:
-        row = self.symbols.try_encode_atom(atom)
-        if row is None:
-            return False
-        return self.contains_row(atom.predicate, row)
+        return atom in self._local or atom in self._base
 
     def __len__(self) -> int:
         return len(self._base) + len(self._local)

@@ -1,8 +1,8 @@
-"""Multi-key relation indexing with delta tracking and versioned storage.
+"""Multi-key relation indexing and versioned storage.
 
 :class:`RelationIndex` is the storage-facing half of the evaluation engine.
 It generalises the predicate-only ``AtomIndex`` the codebase started with in
-three directions:
+two directions:
 
 * **multi-key hash indexes** — for every *access pattern* (a predicate plus a
   set of argument positions that are bound at lookup time) the index lazily
@@ -10,13 +10,6 @@ three directions:
   matching rows, and maintains it incrementally on insertion and removal.  A
   lookup like ``edge(a, X)`` therefore touches only the atoms whose first
   argument is ``a`` instead of every ``edge`` atom;
-* **delta tracking** — insertions are recorded in an append-only log, and
-  ``added_since(tick)`` returns exactly the atoms added after a given
-  :meth:`tick`.  This is what lets the semi-naive fixpoint driver and the
-  chase find *new* triggers without rescanning old ones.  Ticks are tagged
-  with the **branch** that issued them (see :class:`Tick`): every index —
-  head or fork — has its own delta log, and feeding a tick from one branch
-  into another raises instead of silently returning the wrong delta;
 * **versioning** — :meth:`RelationIndex.snapshot` produces an immutable
   :class:`RelationSnapshot` view that shares the already-built pattern hash
   tables *copy-on-write* (a later head mutation copies only the mutated
@@ -28,20 +21,27 @@ three directions:
   per-chase evaluation branches affordable (cf. ``QuerySession``,
   ``repro.chase``).
 
+:meth:`RelationIndex.add_row` (and :meth:`RelationIndex.add`) report
+whether a row was new; the semi-naive drivers
+(:func:`~repro.engine.seminaive.fixpoint`, the chase) build each round's
+delta from exactly those rows.
+
 **Interned row plane.**  Internally everything above runs on interned integer
 tuples (see :mod:`repro.engine.intern`): an accepted :class:`Atom` is encoded
 into a :data:`~repro.engine.intern.Row` exactly once, in :meth:`RelationIndex.add`;
-the delta log, the pattern hash tables (buckets keyed by int tuples, holding
-rows) and the backend all trade in rows from then on, and atoms are decoded
-back only at the API edge (``added_since``, ``candidates_for``, iteration)
-through the symbol table's canonical-atom cache.  The join executor bypasses
-the atom edge entirely via the row-plane surface (:meth:`RelationIndex.rows_of`,
+the pattern hash tables (buckets keyed by int tuples, holding rows) and the
+backend trade in rows from then on, and atoms are decoded back only at the
+API edge (``candidates_for``, iteration) through the symbol table's
+canonical-atom cache.  The join executor bypasses the atom edge entirely
+via the row-plane surface (:meth:`RelationIndex.rows_of`,
 :meth:`RelationIndex.rows_for`, :meth:`RelationIndex.contains_row`,
-:meth:`RelationIndex.rows_added_since`, :meth:`RelationIndex.add_row`).
+:meth:`RelationIndex.add_row`); a fork answers ``rows_for``, ``add_row``
+and ``contains_row`` itself, reading the base snapshot's relations and
+buckets directly.
 
-The tuple store is a :class:`~repro.engine.backend.MemoryBackend` (an
-:class:`~repro.engine.backend.OverlayBackend` on forks); hash indexes and
-the delta log are access-path metadata kept beside it.
+The tuple store is a :class:`~repro.engine.backend.MemoryBackend` (a fork's
+atom plane reads through an :class:`~repro.engine.backend.OverlayBackend`);
+hash indexes are access-path metadata kept beside it.
 
 This module also hosts the term/atom matching primitives (``match_terms`` /
 ``match_atom``); they are re-exported by :mod:`repro.core.homomorphism` for
@@ -52,7 +52,6 @@ without import cycles.
 from __future__ import annotations
 
 import threading
-from itertools import count as _count
 from typing import (
     Callable,
     Dict,
@@ -76,7 +75,6 @@ __all__ = [
     "RelationSnapshot",
     "OverlayRelationIndex",
     "VersionedRelationIndex",
-    "Tick",
     "match_terms",
     "match_atom",
     "is_flexible",
@@ -85,10 +83,6 @@ __all__ = [
 
 #: A (partial) homomorphism: maps variables and nulls to ground terms.
 Assignment = Dict[Term, Term]
-
-#: One blanked-or-live delta-log entry: ``(predicate, row)`` or ``None``.
-_LogEntry = Optional[Tuple[Predicate, Row]]
-
 
 def is_flexible(term: Term) -> bool:
     """Source terms that may be (re)mapped: variables and labelled nulls."""
@@ -163,37 +157,8 @@ def resolve_term(term: Term, assignment: Mapping[Term, Term]) -> Optional[Term]:
     return None  # pragma: no cover - exhaustive over term kinds
 
 
-#: Global branch-id source; every index (head or fork) draws a fresh id.
-_branch_ids = _count()
-
-
-class Tick(int):
-    """A delta-log high-water mark, tagged with the branch that issued it.
-
-    Behaves as a plain ``int`` (ordering, arithmetic — though arithmetic
-    results degrade to untagged ints).  ``added_since``/``compact`` reject a
-    tagged tick minted by a *different* branch with ``ValueError``: delta
-    logs are per-branch, and a tick from the parent means nothing in a fork
-    (the fork's log starts empty at the fork point — base atoms are *not*
-    replayed, so a parent tick silently interpreted against the fork's log
-    would claim "nothing new" for atoms the consumer never saw).  A caller
-    that crosses a snapshot/fork boundary must mint a fresh ``tick()`` on
-    the branch it will read from.  Untagged plain ints (e.g. the literal
-    ``0``) are accepted for backward compatibility and interpreted against
-    the receiving branch's log.
-
-    Two further invariants keep outstanding ticks valid under mutation:
-    removals *blank* log entries in place rather than splicing (positions
-    never shift), and ``compact`` only drops the prefix strictly before an
-    explicitly supplied tick of the same branch.
-    """
-
-    # (no __slots__: CPython forbids nonempty slots on int subclasses)
-
-    def __new__(cls, value: int, branch: int) -> "Tick":
-        tick = super().__new__(cls, value)
-        tick.branch = branch
-        return tick
+#: One pattern table's buckets: interned key ids -> the rows carrying them.
+_Buckets = Dict[Row, List[Row]]
 
 
 class _PatternTable:
@@ -206,12 +171,8 @@ class _PatternTable:
 
     __slots__ = ("buckets", "shared")
 
-    def __init__(
-        self, buckets: Optional[Dict[Row, List[Row]]] = None
-    ) -> None:
-        self.buckets: Dict[Row, List[Row]] = (
-            buckets if buckets is not None else {}
-        )
+    def __init__(self, buckets: Optional[_Buckets] = None) -> None:
+        self.buckets: _Buckets = buckets if buckets is not None else {}
         self.shared = False
 
     def copy(self) -> "_PatternTable":
@@ -220,26 +181,31 @@ class _PatternTable:
         )
 
 
-def _encoded_key(
-    pattern: Atom, assignment: Mapping[Term, Term], symbols: SymbolTable
-) -> Tuple[Optional[Tuple[int, ...]], Optional[Row]]:
-    """The (bound positions, interned key ids) of *pattern* under *assignment*.
-
-    ``((), ())`` means no position is bound (scan); ``(None, None)`` means a
-    bound value was never interned — nothing stored can match, no table need
-    be built.
-    """
+def _candidates_for(
+    store: "RelationIndex | RelationSnapshot",
+    pattern: Atom,
+    assignment: Optional[Mapping[Term, Term]],
+) -> Sequence[Atom]:
+    """``candidates_for`` of an index or snapshot: the bound positions of
+    *pattern* under *assignment* select a ``rows_for`` bucket; none bound
+    scans the predicate; a bound value never interned matches nothing."""
+    symbols = store.symbols
     positions: List[int] = []
     key: List[int] = []
     for position, term in enumerate(pattern.terms):
-        value = resolve_term(term, assignment)
+        value = resolve_term(term, assignment or {})
         if value is not None:
             value_id = symbols.try_encode_term(value)
             if value_id is None:
-                return None, None
+                return ()
             positions.append(position)
             key.append(value_id)
-    return tuple(positions), tuple(key)
+    predicate = pattern.predicate
+    if not positions:
+        return store.candidates(predicate)
+    rows = store.rows_for(predicate, tuple(positions), tuple(key))
+    decode = symbols.atom
+    return [decode(predicate, row) for row in rows]
 
 
 def _build_table(
@@ -258,7 +224,7 @@ def _build_table(
 
 
 class RelationIndex:
-    """An indexed, delta-tracked, versionable set of ground atoms.
+    """An indexed, versionable set of ground atoms.
 
     This is the **mutable head** of a storage branch; :meth:`snapshot` splits
     off an immutable :class:`RelationSnapshot` view and :meth:`fork` a
@@ -278,13 +244,9 @@ class RelationIndex:
 
     __slots__ = (
         "_backend",
-        "_log",
-        "_log_offset",
-        "_log_removals",
         "_patterns",
         "_pattern_positions",
         "_stats",
-        "_branch",
         "_version",
     )
 
@@ -304,18 +266,11 @@ class RelationIndex:
         statistics: Optional[EngineStatistics],
     ) -> None:
         self._backend: MemoryBackend | OverlayBackend = backend
-        #: append-only delta log of (predicate, row) entries; removals blank
-        #: entries to ``None`` in place so outstanding ticks (positions)
-        #: stay valid.
-        self._log: List[_LogEntry] = []
-        self._log_offset: int = 0
-        self._log_removals: int = 0
         #: (predicate, bound positions) -> pattern hash table
         self._patterns: Dict[Tuple[Predicate, Tuple[int, ...]], _PatternTable] = {}
         #: predicate -> the bound-position tuples indexed for it
         self._pattern_positions: Dict[Predicate, List[Tuple[int, ...]]] = {}
         self._stats = statistics
-        self._branch: int = next(_branch_ids)
         #: bumped on every successful mutation; snapshots pin a version
         self._version: int = 0
 
@@ -329,8 +284,8 @@ class RelationIndex:
         """Insert *atom*; return ``True`` iff it was new.
 
         This is the encode boundary: the atom's terms are interned here,
-        once, and everything downstream of it — storage, delta log, pattern
-        tables, joins — handles only the resulting integer row.
+        once, and everything downstream of it — storage, pattern tables,
+        joins — handles only the resulting integer row.
         """
         row = self._backend.symbols.encode_atom(atom)
         if self._stats is not None:
@@ -342,7 +297,6 @@ class RelationIndex:
         if not self._backend.insert_row(predicate, row):
             return False
         self._version += 1
-        self._log.append((predicate, row))
         if self._stats is not None:
             self._stats.tuples_derived += 1
         self._note_added(predicate, row)
@@ -365,13 +319,8 @@ class RelationIndex:
         """Delete *atom*; return ``True`` iff it was present.
 
         Pattern hash tables are maintained incrementally (with copy-on-write
-        if shared with a snapshot), and the atom is withdrawn from the
-        retained delta log so it is never replayed by ``added_since``.
-
-        The log withdrawal scans the retained window (O(retained log));
-        callers doing bulk removals should ``compact(tick())`` first if
-        nothing still needs the pending delta (``QuerySession`` does).
-        Forks are add-only and raise ``TypeError``.
+        if shared with a snapshot).  Forks are add-only and raise
+        ``TypeError``.
         """
         row = self._backend.symbols.try_encode_atom(atom)
         if row is None:
@@ -386,14 +335,6 @@ class RelationIndex:
         if self._stats is not None:
             self._stats.tuples_removed += 1
         self._note_removed(predicate, row)
-        try:
-            position = self._log.index((predicate, row))
-        except ValueError:
-            pass  # already compacted away (or never logged on this branch)
-        else:
-            # Blank in place — splicing would shift every outstanding tick.
-            self._log[position] = None
-            self._log_removals += 1
         return True
 
     def _note_removed(self, predicate: Predicate, row: Row) -> None:
@@ -427,11 +368,6 @@ class RelationIndex:
     def version(self) -> int:
         """Bumped on every successful mutation (snapshots pin a version)."""
         return self._version
-
-    @property
-    def branch(self) -> int:
-        """The branch id stamped onto this index's ticks."""
-        return self._branch
 
     def snapshot(self) -> "RelationSnapshot":
         """An immutable view of the current contents.
@@ -478,71 +414,6 @@ class RelationIndex:
     def predicates(self) -> Iterable[Predicate]:
         return self._backend.predicates()
 
-    # -------------------------------------------------------- delta tracking
-    def tick(self) -> Tick:
-        """An opaque high-water mark for :meth:`added_since`.
-
-        The returned tick is branch-tagged: it is only meaningful on the
-        index that issued it.  Forks start a fresh branch with an empty log,
-        so parent ticks do not transfer (and raise if used).
-        """
-        return Tick(self._log_offset + len(self._log), self._branch)
-
-    def _check_branch(self, tick: int, operation: str) -> None:
-        branch = getattr(tick, "branch", None)
-        if branch is not None and branch != self._branch:
-            raise ValueError(
-                f"{operation} called with a tick from branch {branch} on "
-                f"branch {self._branch}: delta ticks are per-branch and do "
-                "not transfer across snapshot/fork boundaries"
-            )
-
-    def _entries_since(self, tick: int) -> Sequence[Tuple[Predicate, Row]]:
-        self._check_branch(tick, "added_since")
-        if tick < self._log_offset:
-            raise ValueError(
-                f"delta log compacted past tick {tick} (oldest retained: "
-                f"{self._log_offset})"
-            )
-        segment = self._log[tick - self._log_offset:]
-        if self._log_removals:
-            return [entry for entry in segment if entry is not None]
-        return segment  # type: ignore[return-value]
-
-    def added_since(self, tick: int) -> Sequence[Atom]:
-        """The atoms added after *tick*, in insertion order.
-
-        *tick* must come from this branch (see :meth:`tick`) and must not
-        predate a :meth:`compact` call — compacted history is gone and
-        requesting it raises ``ValueError``.
-        """
-        decode = self._backend.symbols.atom
-        return [
-            decode(predicate, row)
-            for predicate, row in self._entries_since(tick)
-        ]
-
-    def rows_added_since(self, tick: int) -> Sequence[Tuple[Predicate, Row]]:
-        """The ``(predicate, row)`` entries added after *tick* (row plane)."""
-        return self._entries_since(tick)
-
-    def compact(self, tick: int) -> None:
-        """Forget the delta log before *tick* (a tick of this branch).
-
-        Fixpoint drivers call this once a round's delta has been fully
-        consumed, so the log never holds more than one round of entries.
-        """
-        self._check_branch(tick, "compact")
-        if tick <= self._log_offset:
-            return
-        drop = min(tick, self._log_offset + len(self._log)) - self._log_offset
-        if self._log_removals:
-            self._log_removals -= sum(
-                1 for entry in self._log[:drop] if entry is None
-            )
-        del self._log[:drop]
-        self._log_offset += drop
-
     # ----------------------------------------------------------- access paths
     def candidates(self, predicate: Predicate) -> Sequence[Atom]:
         """All indexed atoms over *predicate* (the coarsest access path)."""
@@ -576,18 +447,7 @@ class RelationIndex:
         the empty result: nothing stored can match a term no stored atom has
         ever contained.
         """
-        symbols = self._backend.symbols
-        positions, key = _encoded_key(pattern, assignment or {}, symbols)
-        if positions is None:
-            return ()
-        if not positions:
-            return self._backend.atoms_of(pattern.predicate)
-        rows = self._lookup(pattern.predicate, positions, key)
-        if not rows:
-            return ()
-        decode = symbols.atom
-        predicate = pattern.predicate
-        return [decode(predicate, row) for row in rows]
+        return _candidates_for(self, pattern, assignment)
 
     def rows_for(
         self, predicate: Predicate, positions: Tuple[int, ...], key: Row
@@ -597,14 +457,6 @@ class RelationIndex:
         The executor-facing lookup: no atoms, no decode — the bucket of the
         (lazily built, incrementally maintained) pattern hash table.
         """
-        return self._lookup(predicate, positions, key)
-
-    def _lookup(
-        self,
-        predicate: Predicate,
-        positions: Tuple[int, ...],
-        key: Row,
-    ) -> Sequence[Row]:
         table = self._patterns.get((predicate, positions))
         if table is None:
             table = self._ensure_pattern(predicate, positions)
@@ -651,8 +503,8 @@ class RelationSnapshot:
     Before *sharing* a snapshot across threads, call :meth:`detach`: the cold
     builds otherwise take a fast path through the still-current head index,
     which is single-writer state (see :meth:`detach`).  Forks spawned from a
-    shared snapshot are thread-local to their creator, as is the delta log of
-    every head; only the snapshot itself is meant to be shared.
+    shared snapshot are thread-local to their creator; only the snapshot
+    itself is meant to be shared.
     """
 
     __slots__ = (
@@ -755,32 +607,12 @@ class RelationSnapshot:
     def candidates_for(
         self, pattern: Atom, assignment: Optional[Mapping[Term, Term]] = None
     ) -> Sequence[Atom]:
-        symbols = self._backend.symbols
-        positions, key = _encoded_key(pattern, assignment or {}, symbols)
-        if positions is None:
-            return ()
-        if not positions:
-            return self.candidates(pattern.predicate)
-        rows = self._lookup(pattern.predicate, positions, key)
-        if not rows:
-            return ()
-        decode = symbols.atom
-        predicate = pattern.predicate
-        return [decode(predicate, row) for row in rows]
+        return _candidates_for(self, pattern, assignment)
 
     def rows_for(
         self, predicate: Predicate, positions: Tuple[int, ...], key: Row
     ) -> Sequence[Row]:
-        return self._lookup(predicate, positions, key)
-
-    def _lookup(
-        self,
-        predicate: Predicate,
-        positions: Tuple[int, ...],
-        key: Row,
-    ) -> Sequence[Row]:
-        table = self._ensure_pattern(predicate, positions)
-        return table.buckets.get(key, ())
+        return self._ensure_pattern(predicate, positions).buckets.get(key, ())
 
     def _ensure_pattern(
         self, predicate: Predicate, positions: Tuple[int, ...]
@@ -820,25 +652,29 @@ class RelationSnapshot:
 class OverlayRelationIndex(RelationIndex):
     """An add-only leaf branch: overlay additions over a shared base.
 
-    Reads layer two sources: the base snapshot's shared pattern tables
-    (never copied, never rebuilt) and a private overlay index over the
-    branch's own additions (proportional to the branch's writes).  Writes
-    touch only the overlay, so any number of branches can run against one
-    base concurrently; the base snapshot stays immutable while the fork is
-    alive (copy-on-write).
+    The branch's own additions go to a private local store; the base
+    snapshot is never written, and it cannot change while the fork lives
+    (its relations and pattern tables are copy-on-write), so the fork reads
+    it directly.  The row plane — :meth:`add_row`, :meth:`contains_row` and
+    :meth:`rows_for` — answers each call itself from the base snapshot's
+    relations and the local ones; the atom plane reads through an
+    :class:`~repro.engine.backend.OverlayBackend`.
+
+    Each access pattern is opened once per fork: the fork keeps the base
+    snapshot's buckets for it (its shared table, built on first use; none
+    when the base holds no row of the predicate, so a generated relation
+    never gets a pattern table on the shared head) beside a local table
+    over the fork's own rows, which :meth:`add_row` maintains.  Base and
+    local tables are never copied, and building a local one is never
+    O(|base|).
 
     A fork only grows: :meth:`remove` and :meth:`remove_row` raise
     ``TypeError``, and so do :meth:`snapshot` and :meth:`fork`, because a
     fork is a leaf.  Remove from, snapshot and fork the head index
     instead.
-
-    The branch has its own delta log starting empty at the fork point (the
-    base atoms are *not* replayed — semi-naive drivers scan the full index on
-    their first round anyway), and its own branch id: parent ticks raise in
-    :meth:`added_since`/:meth:`compact` (see :class:`Tick`).
     """
 
-    __slots__ = ("_base",)
+    __slots__ = ("_base", "_base_rows", "_local", "_local_rows", "_tables")
 
     def __init__(
         self,
@@ -847,63 +683,84 @@ class OverlayRelationIndex(RelationIndex):
         statistics: Optional[EngineStatistics] = None,
     ) -> None:
         self._base = base
-        self._init_state(OverlayBackend(base._backend), statistics)
+        backend = OverlayBackend(base._backend)
+        self._init_state(backend, statistics)
+        self._base_rows = base._backend.relations
+        self._local = backend.local
+        self._local_rows = backend.local.relations
+        #: (predicate, bound positions) -> (base buckets, local buckets)
+        self._tables: Dict[
+            Tuple[Predicate, Tuple[int, ...]], Tuple[_Buckets, _Buckets]
+        ] = {}
 
     @property
     def base(self) -> RelationSnapshot:
         return self._base
 
     # -------------------------------------------------------------- mutation
+    def add_row(self, predicate: Predicate, row: Row) -> bool:
+        relation = self._base_rows.get(predicate)
+        if relation is not None and row in relation.rows:
+            return False
+        if not self._local.insert_row(predicate, row):
+            return False
+        self._version += 1
+        if self._stats is not None:
+            self._stats.tuples_derived += 1
+        for positions in self._pattern_positions.get(predicate, ()):
+            buckets = self._tables[(predicate, positions)][1]
+            key = tuple(row[i] for i in positions)
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [row]
+            else:
+                bucket.append(row)
+        return True
+
     def remove(self, atom: Atom) -> bool:
         # Raise before encoding: an atom the symbol table never interned
         # would otherwise return False instead of reporting the misuse.
         raise TypeError("forks are add-only: remove from the head index")
 
     # ----------------------------------------------------------- access paths
-    def _lookup(
-        self,
-        predicate: Predicate,
-        positions: Tuple[int, ...],
-        key: Row,
+    def contains_row(self, predicate: Predicate, row: Row) -> bool:
+        relation = self._local_rows.get(predicate)
+        if relation is not None and row in relation.rows:
+            return True
+        relation = self._base_rows.get(predicate)
+        return relation is not None and row in relation.rows
+
+    def rows_for(
+        self, predicate: Predicate, positions: Tuple[int, ...], key: Row
     ) -> Sequence[Row]:
-        backend: OverlayBackend = self._backend  # type: ignore[assignment]
-        # Predicates absent from the base (e.g. generated magic relations)
-        # are served purely by the overlay tables; consulting the base would
-        # build empty pattern tables on the shared head for them.
-        if self._base.count(predicate):
-            base_bucket = self._base._lookup(predicate, positions, key)
-        else:
-            base_bucket = ()
-        if backend.local.count(predicate):
-            local_bucket = self._ensure_pattern(predicate, positions).buckets.get(
-                key, ()
-            )
-        else:
-            local_bucket = ()
-        if not local_bucket:
-            return base_bucket
-        if not base_bucket:
+        tables = self._tables.get((predicate, positions))
+        if tables is None:
+            tables = self._open_pattern(predicate, positions)
+        base_bucket = tables[0].get(key)
+        local_bucket = tables[1].get(key)
+        if local_bucket is None:
+            return base_bucket or ()
+        if base_bucket is None:
             return local_bucket
-        return list(base_bucket) + list(local_bucket)
+        return base_bucket + local_bucket
 
-    def _ensure_pattern(
+    def _open_pattern(
         self, predicate: Predicate, positions: Tuple[int, ...]
-    ) -> _PatternTable:
-        """A pattern table over the overlay-*local* rows only.
-
-        Base rows are served by the base snapshot's shared tables; the local
-        table is proportional to this branch's own writes, so building it is
-        never O(|base|).
-        """
-        table = self._patterns.get((predicate, positions))
-        if table is None:
-            backend: OverlayBackend = self._backend  # type: ignore[assignment]
-            table = _build_table(backend.local, predicate, positions)
-            self._patterns[(predicate, positions)] = table
-            self._pattern_positions.setdefault(predicate, []).append(positions)
-            if self._stats is not None:
-                self._stats.overlay_index_builds += 1
-        return table
+    ) -> Tuple[_Buckets, _Buckets]:
+        """Open an access pattern on this fork, once: the base snapshot's
+        buckets (none unless the base holds a row of the predicate) and a
+        local table over the fork's own rows."""
+        relation = self._base_rows.get(predicate)
+        if relation is not None and relation.rows:
+            base_buckets = self._base._ensure_pattern(predicate, positions).buckets
+        else:
+            base_buckets = {}
+        tables = (base_buckets, _build_table(self._local, predicate, positions).buckets)
+        self._tables[(predicate, positions)] = tables
+        self._pattern_positions.setdefault(predicate, []).append(positions)
+        if self._stats is not None:
+            self._stats.overlay_index_builds += 1
+        return tables
 
     def snapshot(self) -> RelationSnapshot:
         """Forks are leaves: snapshot (or fork) the head index instead."""

@@ -455,8 +455,6 @@ class MaterializedView:
         for atom in base:
             view._support.add_base(atom)
         view._index = RelationIndex(atoms, statistics=statistics)
-        # The base never replays deltas (mirrors __init__'s evaluated index).
-        view._index.compact(view._index.tick())
         normal = view._normal
         for position, head, body, negative in records:
             view._support.restore_record(normal[position], head, body, negative)
@@ -514,10 +512,6 @@ class MaterializedView:
         tracer = get_tracer()
         span = tracer.start("engine.view_repair") if tracer.enabled else None
         try:
-            # Nothing consumes this index's delta log (the view repairs through
-            # the support table, not through added_since); keep it empty so the
-            # blank-on-remove upkeep of long-lived views stays O(1).
-            self._index.compact(self._index.tick())
             self._call_added = set()
             self._call_removed = set()
             base_add: Dict[int, List[Atom]] = {}

@@ -15,17 +15,22 @@ is therefore evaluated as the union of its *delta rules*
     ...
     h  <-  b1, b2, ..., Δbn
 
-where ``Δbi`` ranges only over the atoms added in the previous round (obtained
-from :meth:`RelationIndex.rows_added_since`) and the remaining literals join
-against the full index.  Atom insertion deduplicates, so the overlap between
-delta rules is harmless, and no derivation is missed because every new match
-must involve at least one new atom.
+where ``Δbi`` ranges only over the atoms added in the previous round and the
+remaining literals join against the full index.  Atom insertion
+deduplicates, so the overlap between delta rules is harmless, and no
+derivation is missed because every new match must involve at least one
+new atom.
 
-**Round structure.**  Each round of :func:`fixpoint` groups the previous
-round's delta by predicate in one pass.  A delta rule whose ``Δbi`` has no
-rows this round cannot fire anything new, so that (rule, position) is
-skipped without entering the join; every other position is handed only
-its own predicate's rows.  Round 1 joins every rule's full body, including
+**The driver owns its delta.**  :meth:`RelationIndex.add_row` reports
+whether a row was new, and :func:`fixpoint` files each new head row under
+its predicate as it inserts it: those groups are the next round's delta,
+and a round that files nothing ends the fixpoint.  The index keeps no
+log of its additions and the driver reads nothing back from it.
+
+**Round structure.**  A delta rule whose ``Δbi`` has no rows this round
+cannot fire anything new, so that (rule, position) is skipped without
+entering the join; every other position is handed only its own
+predicate's rows.  Round 1 joins every rule's full body, including
 rules with no positive body, whose join has no loop: they fire there
 once, after their negative literals are checked.  The join of each
 (rule, delta position), and of each rule's full body for round 1, is a
@@ -33,7 +38,8 @@ generated Python function memoised on the rule's
 :class:`~repro.engine.planner.EncodedRule`
 (:meth:`~repro.engine.planner.EncodedRule.programme`: ``order_body``
 plans it, :func:`~repro.engine.planner.generate_join` writes it);
-:func:`fixpoint` calls it directly and builds head rows with the rule's
+:func:`fixpoint` calls it directly, collects each join's bindings in one
+list before inserting anything, and builds head rows with the rule's
 generated ``build_head_rows``.  A join is planned and generated the first
 time any fixpoint needs it, from the relation cardinalities of that
 moment, and every later round and every later fixpoint over the same rule
@@ -190,74 +196,52 @@ def fixpoint(
         )
         for rule in rules
     ]
-    rows_for, rows_of = target.rows_for, target.rows_of
+    rows_for, rows_of, add_row = target.rows_for, target.rows_of, target.add_row
     contains_row = negation_oracle(target, negative_against)
     tracing = tracer is not None and tracer.enabled
     fixpoint_span = (
         tracer.start("engine.fixpoint", rules=len(encoded_rules)) if tracing else None
     )
-
-    def derive_row(encoded: EncodedRule, predicate, row) -> None:
-        # build_head_rows already dropped non-ground heads, so *row* is ground.
-        if target.add_row(predicate, row):
-            if statistics is not None:
-                statistics.triggers_fired += 1
-            if profiler is not None:
-                profiler.record(encoded.compiled, tuples=1)
-            if max_atoms is not None and len(target) > max_atoms:
-                raise SolverLimitError(limit_message)
-
     try:
         target.update(facts)
-        if max_atoms is not None and len(target) > max_atoms:
+        size = len(target)
+        if max_atoms is not None and size > max_atoms:
             raise SolverLimitError(limit_message)
-
+        # The round's delta, grouped by predicate; the entries stay encoded
+        # ``(predicate, row)`` pairs.
+        grouped: Dict[Predicate, List[Tuple[Predicate, Row]]] = {}
+        for entry in delta or ():
+            group = grouped.get(entry[0])
+            if group is None:
+                grouped[entry[0]] = [entry]
+            else:
+                group.append(entry)
         rounds = 0
-        entries: Sequence[Tuple[Predicate, Row]] = delta if delta is not None else ()
-        tick = target.tick()
-        while True:
-            if rounds:
-                entries = target.rows_added_since(tick)
-                if not entries:
-                    break
-            # One pass groups the round's delta by predicate; the entries
-            # stay encoded ``(predicate, row)`` pairs.
-            grouped: Dict[Predicate, List[Tuple[Predicate, Row]]] = {}
-            for entry in entries:
-                group = grouped.get(entry[0])
-                if group is None:
-                    grouped[entry[0]] = [entry]
-                else:
-                    group.append(entry)
-            tick = target.tick()
-            # The delta is materialised (round 1's is the seed, or none: it
-            # scans every full body); older log entries are dead weight —
-            # compacting them keeps the log to one round of atoms.
-            target.compact(tick)
+        while grouped or not rounds:
             rounds += 1
             if statistics is not None:
                 statistics.iterations += 1
             round_span = (
                 tracer.start(
-                    "engine.fixpoint.round", round=rounds, delta=len(entries)
+                    "engine.fixpoint.round",
+                    round=rounds,
+                    delta=sum(map(len, grouped.values())),
                 )
                 if tracing
                 else None
             )
-            # Materialise each round's matches, as ``(encoded rule, slot-
-            # binding tuple)`` pairs, before inserting, so the hash indexes
-            # are never mutated while the join iterates over them.
-            pending: List[Tuple[EncodedRule, tuple]] = []
+            # Materialise each round's matches, one binding list per join,
+            # before inserting, so the hash indexes are never mutated while
+            # a join iterates over them.
+            pending: List[Tuple[EncodedRule, List[tuple]]] = []
             for encoded, full_body in encoded_rules:
                 if profiler is not None:
                     rule_t0 = perf_counter()
                     rule_n0 = len(pending)
                 if rounds == 1 and full_body:
                     join = encoded.programme(target)
-                    for binding in join(
-                        None, (), rows_for, rows_of, contains_row, statistics
-                    ):
-                        pending.append((encoded, binding))
+                    found = join(None, (), rows_for, rows_of, contains_row, statistics)
+                    pending.append((encoded, list(found)))
                 else:
                     for position, atom in enumerate(encoded.compiled.positive):
                         group = grouped.get(atom.predicate)
@@ -266,26 +250,46 @@ def fixpoint(
                             # firing can come from it this round.
                             continue
                         join = encoded.programme(target, position)
-                        for binding in join(
+                        found = join(
                             None, group, rows_for, rows_of, contains_row, statistics
-                        ):
-                            pending.append((encoded, binding))
+                        )
+                        pending.append((encoded, list(found)))
                 if profiler is not None:
                     profiler.record(
                         encoded.compiled,
                         seconds=perf_counter() - rule_t0,
-                        triggers=len(pending) - rule_n0,
+                        triggers=sum(len(found) for _, found in pending[rule_n0:]),
                         rounds=1,
                     )
+            # The rows add_row reports new are the next round's delta.
+            grouped = {}
             try:
-                for encoded, payload in pending:
-                    if on_fire is not None:
-                        on_fire(encoded.compiled, encoded, payload)
-                    for predicate, row in encoded.build_head_rows(payload):
-                        derive_row(encoded, predicate, row)
+                for encoded, bindings in pending:
+                    for payload in bindings:
+                        if on_fire is not None:
+                            on_fire(encoded.compiled, encoded, payload)
+                        # build_head_rows drops non-ground heads: rows are ground.
+                        for entry in encoded.build_head_rows(payload):
+                            if not add_row(entry[0], entry[1]):
+                                continue
+                            group = grouped.get(entry[0])
+                            if group is None:
+                                grouped[entry[0]] = [entry]
+                            else:
+                                group.append(entry)
+                            if statistics is not None:
+                                statistics.triggers_fired += 1
+                            if profiler is not None:
+                                profiler.record(encoded.compiled, tuples=1)
+                            if max_atoms is not None:
+                                size += 1
+                                if size > max_atoms:
+                                    raise SolverLimitError(limit_message)
             finally:
                 if round_span is not None:
-                    round_span.finish(firings=len(pending))
+                    round_span.finish(
+                        firings=sum(len(found) for _, found in pending)
+                    )
     finally:
         if fixpoint_span is not None:
             fixpoint_span.finish(atoms=len(target))

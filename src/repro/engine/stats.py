@@ -42,8 +42,9 @@ class EngineStatistics:
         storage layer exists to avoid repeating.
     overlay_index_builds:
         Lazy hash-index constructions over overlay-*local* atoms only (the
-        derived/hypothetical layer of a fork); proportional to a fork's own
-        writes, never to the base database.
+        derived/hypothetical layer of a fork), one per access pattern a fork
+        probes; proportional to a fork's own writes, never to the base
+        database.
     rules_compiled:
         Rule bodies run through the join planner.
     iterations:

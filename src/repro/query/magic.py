@@ -176,11 +176,14 @@ class MagicProgram:
         decode = symbols.decode_term
         answers: Set[Tuple[Term, ...]] = set()
         for row in rows:
-            answer = tuple(decode(tid) for tid in row[:arity])
+            answer = tuple(map(decode, row[:arity]))
             # Mirror ConjunctiveQuery.answers: non-Boolean answers must be
             # tuples of constants (nulls from chase-produced facts are not
             # answer tuples).
-            if all(isinstance(term, Constant) for term in answer):
+            for term in answer:
+                if not isinstance(term, Constant):
+                    break
+            else:
                 answers.add(answer)
         return frozenset(answers)
 

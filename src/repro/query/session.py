@@ -111,13 +111,14 @@ def program_digest(rules) -> str:
 
 
 def _query_shape(query: ConjunctiveQuery):
-    """The canonical (constant-abstracted) shape of a query, hashable.
+    """The canonical (constant-abstracted) shape of a query, hashable, and
+    the constants it abstracts (the values of the plan's parameters).
 
     Structural (tuples of frozen literals), not a rendered string: renderings
     conflate constants and variables that share a name.
     """
-    literals, parameters, _ = canonicalize_query(query)
-    return (literals, query.answer_variables, parameters)
+    literals, parameters, constants = canonicalize_query(query)
+    return (literals, query.answer_variables, parameters), constants
 
 
 def _query_shape_key(query: ConjunctiveQuery) -> str:
@@ -156,13 +157,17 @@ class QueryPlan:
         base: RelationSnapshot | RelationIndex,
         query: ConjunctiveQuery,
         *,
+        constants: Optional[Tuple[Constant, ...]] = None,
         max_atoms: Optional[int] = None,
         statistics: Optional[EngineStatistics] = None,
         tracer=None,
         profiler=None,
     ) -> frozenset[Tuple[Term, ...]]:
         """Run the plan for a concrete *query* of this plan's shape over a
-        *base* snapshot (or head index) without re-indexing it.
+        *base* snapshot (or head index) without re-indexing it.  Pass
+        *constants* when the query is canonicalised already
+        (:func:`~repro.query.magic.canonicalize_query`'s third result);
+        the seed is built from them instead of canonicalising again.
 
         Only the query's magic seed is injected, and all derivations go to
         a throwaway overlay fork sharing the base's pattern tables.  Any
@@ -172,7 +177,8 @@ class QueryPlan:
         that trips ``max_atoms`` on the shared view, and callers holding a
         plain fact collection (as ``RelationIndex(facts)``) all come here.
         """
-        _, _, constants = canonicalize_query(query)
+        if constants is None:
+            _, _, constants = canonicalize_query(query)
         program = self.program
         index = evaluate_stratified(
             program.rules,
@@ -300,9 +306,15 @@ class QueryEvaluator:
         :class:`SessionStatistics`, bumped only by its owning thread) counts
         the lookup as a plan hit or miss.
         """
+        return self._plan(query, statistics)[0]
+
+    def _plan(
+        self, query: ConjunctiveQuery, statistics: Optional[SessionStatistics]
+    ) -> Tuple[QueryPlan, Tuple[Constant, ...]]:
+        """:meth:`plan`, and the query's constants its shape abstracts."""
         if self._scope_error is not None:
             raise self._scope_failure()
-        key = _query_shape(query)
+        key, constants = _query_shape(query)
         plan = self._plans.get(key)
         compiled = False
         if plan is None:
@@ -322,7 +334,7 @@ class QueryEvaluator:
                 statistics.plan_misses += 1
             else:
                 statistics.plan_hits += 1
-        return plan
+        return plan, constants
 
     def answers(
         self,
@@ -337,13 +349,14 @@ class QueryEvaluator:
         if self._scope_error is not None:
             return self.fallback_answers(base, query), True
         try:
-            plan = self.plan(query)
+            plan, constants = self._plan(query, None)
         except (UnsupportedClassError, StratificationError) as error:
             # The *query* leaves the fragment (nulls, function terms).
             return self.fallback_answers(base, query, error), True
         answers = plan.execute_on(
             base,
             query,
+            constants=constants,
             max_atoms=self.max_atoms,
             statistics=statistics,
             tracer=tracer,
@@ -760,8 +773,6 @@ class QuerySession:
         registry = metrics if metrics is not None else global_registry()
         registry.register_stats(self.statistics, "session")
         self._index = RelationIndex(facts, statistics=self.statistics.engine)
-        # The base never replays deltas; keep removals O(1) in the log.
-        self._index.compact(self._index.tick())
         self._snapshot: Optional[RelationSnapshot] = None
         #: per-revision memo of the detached snapshot exported by epoch()
         self._export_snapshot: Optional[RelationSnapshot] = None
@@ -1288,9 +1299,6 @@ class QuerySession:
         self._revision += 1
         self._snapshot = None
         self._export_snapshot = None
-        # Nothing replays the head's delta log (forks have their own); keep
-        # it empty so it never pins atoms across revisions.
-        self._index.compact(self._index.tick())
         self.statistics.invalidations += 1
         if not self._evaluator.rewritable:
             # No dependency cones without plans: evict everything.
@@ -1361,7 +1369,7 @@ class QuerySession:
     def _plan_entry(self, query: ConjunctiveQuery) -> Tuple[tuple, QueryPlan]:
         """The plan *and* its view key (the query shape): a live view's own
         plan, else the evaluator's."""
-        key = _query_shape(query)
+        key, _ = _query_shape(query)
         entry = self._views.get(key)
         if entry is not None:
             self._views.move_to_end(key)

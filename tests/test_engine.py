@@ -1,7 +1,7 @@
 """Unit tests for the repro.engine subsystem.
 
 Covers the multi-key :class:`RelationIndex` (access patterns, lazy hash-index
-construction, delta tracking), the storage backends (memory and the add-only
+construction), the storage backends (memory and the add-only
 overlay), the join planner (bound-connectivity / smallest-relation-first
 ordering) and the semi-naive fixpoint driver (equivalence with a naive
 reference evaluation).
@@ -100,31 +100,6 @@ class TestRelationIndex:
         assert set(index.candidates_for(edge(a, X))) == {edge(a, b), edge(a, d)}
         assert stats.index_builds == 1
 
-    def test_compact_frees_history_but_keeps_future_deltas(self):
-        index = RelationIndex([edge(a, b)])
-        tick = index.tick()
-        index.add(edge(b, c))
-        index.compact(tick)  # forget everything before tick
-        assert list(index.added_since(tick)) == [edge(b, c)]
-        with pytest.raises(ValueError, match="compacted"):
-            index.added_since(0)
-        # Compacting beyond the log end clamps; subsequent adds still tracked.
-        index.compact(index.tick())
-        index.add(edge(c, d))
-        assert list(index.added_since(index.tick() - 1)) == [edge(c, d)]
-
-    def test_delta_tracking(self):
-        index = RelationIndex([edge(a, b)])
-        tick = index.tick()
-        assert list(index.added_since(tick)) == []
-        index.add(edge(b, c))
-        index.add(edge(b, c))  # duplicate: not logged twice
-        index.add(edge(c, d))
-        assert list(index.added_since(tick)) == [edge(b, c), edge(c, d)]
-        assert list(index.added_since(index.tick())) == []
-        # added_since(0) replays everything, including construction atoms.
-        assert list(index.added_since(0)) == [edge(a, b), edge(b, c), edge(c, d)]
-
 
 # ---------------------------------------------------------------------------
 # Storage backends
@@ -141,7 +116,9 @@ BACKEND_IDS = ["memory", "overlay"]
 
 
 def _insert(backend, atom) -> bool:
-    return backend.insert_row(atom.predicate, backend.symbols.encode_atom(atom))
+    # An overlay is a read view; its owning fork writes its local layer.
+    store = backend.local if isinstance(backend, OverlayBackend) else backend
+    return store.insert_row(atom.predicate, store.symbols.encode_atom(atom))
 
 
 def _remove(backend, atom) -> bool:
@@ -198,29 +175,28 @@ class TestBackends:
         assert node(a) in view
 
     def test_overlay_is_add_only_over_an_untouched_base(self):
-        base = MemoryBackend()
-        _insert(base, edge(a, b))
-        _insert(base, edge(b, c))
-        overlay = OverlayBackend(base.snapshot())
+        # The fork is the overlay's one writer.
+        head = RelationIndex([edge(a, b), edge(b, c)])
+        fork = head.fork()
         # A row the base holds is already visible: not re-stored.
-        assert not _insert(overlay, edge(a, b))
-        assert len(overlay.local) == 0
+        assert not fork.add(edge(a, b))
+        assert len(fork) == 2
         # A new row lands in the private local layer.
-        assert _insert(overlay, edge(c, d))
-        assert set(overlay.local) == {edge(c, d)}
-        assert overlay.count(edge) == 3
+        assert fork.add(edge(c, d))
+        assert len(fork) == 3
+        assert fork.count(edge) == 3
         # Removal raises for base, local and absent rows alike.
         for atom in (edge(a, b), edge(c, d), edge(d, a)):
             with pytest.raises(TypeError, match="add-only"):
-                _remove(overlay, atom)
-        assert set(overlay) == {edge(a, b), edge(b, c), edge(c, d)}
+                _remove(fork, atom)
+        assert set(fork) == {edge(a, b), edge(b, c), edge(c, d)}
         # The base never saw any of it.
-        assert set(base) == {edge(a, b), edge(b, c)}
-        assert len(base) == 2
+        assert set(fork.base) == {edge(a, b), edge(b, c)}
+        assert head.atoms() == frozenset({edge(a, b), edge(b, c)})
 
 
 # ---------------------------------------------------------------------------
-# Versioned storage: snapshots, forks, branch-tagged ticks
+# Versioned storage: snapshots and forks
 # ---------------------------------------------------------------------------
 
 
@@ -236,25 +212,6 @@ class TestVersionedIndex:
         assert set(index.candidates_for(edge(a, X))) == {edge(a, c)}
         assert edge(a, b) not in index
         assert len(index) == 2
-        # The removed atom was withdrawn from the retained delta log.
-        assert edge(a, b) not in index.added_since(0)
-
-    def test_remove_preserves_outstanding_ticks(self):
-        # Removal must not shift tick positions: a tick taken before a
-        # removal still sees exactly the atoms added after it.
-        index = RelationIndex()
-        index.add(edge(a, b))
-        index.add(edge(b, c))
-        tick = index.tick()
-        index.remove(edge(a, b))
-        index.add(edge(c, d))
-        assert list(index.added_since(tick)) == [edge(c, d)]
-        assert list(index.added_since(0)) == [edge(b, c), edge(c, d)]
-        # Compacting over blanked entries keeps later deltas intact.
-        index.compact(tick)
-        mark = index.tick()
-        index.add(edge(a, d))
-        assert list(index.added_since(mark)) == [edge(a, d)]
 
     def test_snapshot_shares_tables_and_survives_head_mutation(self):
         stats = EngineStatistics()
@@ -334,31 +291,6 @@ class TestVersionedIndex:
         with pytest.raises(TypeError):
             fork.fork()
         assert head.atoms() == frozenset({edge(a, b), edge(a, c)})
-
-    def test_ticks_are_branch_tagged(self):
-        head = RelationIndex([edge(a, b)])
-        fork = head.fork()
-        head_tick = head.tick()
-        fork_tick = fork.tick()
-        with pytest.raises(ValueError, match="per-branch"):
-            fork.added_since(head_tick)
-        with pytest.raises(ValueError, match="per-branch"):
-            head.added_since(fork_tick)
-        with pytest.raises(ValueError, match="per-branch"):
-            fork.compact(head_tick)
-        # Plain ints (legacy) are accepted against the receiving branch.
-        assert list(head.added_since(0)) == [edge(a, b)]
-
-    def test_fork_delta_log_starts_at_fork_point(self):
-        head = RelationIndex([edge(a, b), edge(b, c)])
-        fork = head.fork()
-        # The base is not replayed into the fork's log ...
-        assert list(fork.added_since(0)) == []
-        tick = fork.tick()
-        fork.add(edge(c, d))
-        # ... but post-fork additions are tracked normally.
-        assert list(fork.added_since(tick)) == [edge(c, d)]
-        assert list(fork.added_since(0)) == [edge(c, d)]
 
     def test_fixpoint_over_fork_matches_flat_evaluation(self):
         program = NormalProgram(
@@ -593,6 +525,56 @@ class TestRoundStructure:
         rule = compile_rule(NormalRule(path(X, Y), (edge(X, Y),)))
         assert len(list(enumerate_matches(rule, RelationIndex(chain_atoms(3))))) == 3
         assert heads == []
+
+    def test_base_reads_do_not_grow_with_chain_length(self, monkeypatch):
+        # The cold-read program over chains n<c>_0 -> ... -> n<c>_<links>,
+        # one node in six blocked.  A fork opens each access pattern on
+        # its base once, so a warm read touches the shared snapshot the
+        # same number of times however many rounds the chain takes.
+        from repro import parse_query
+        from repro.query import compile_query_plan
+
+        program = parse_program(
+            """
+            link(X, Y) -> reachable(X, Y)
+            reachable(X, Y), link(Y, Z) -> reachable(X, Z)
+            reachable(X, Y), not blocked(Y) -> open(X, Y)
+            """
+        )
+        link, blocked = Predicate("link", 2), Predicate("blocked", 1)
+        query = parse_query("?(Y) :- open(n0_0, Y)")
+        plan = compile_query_plan(program, query)
+        calls = {"count": 0, "_ensure_pattern": 0}
+        for name in calls:
+            original = getattr(RelationSnapshot, name)
+
+            def counting(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(RelationSnapshot, name, counting)
+
+        def warm_read(links):
+            def node(chain, position):
+                return Constant(f"n{chain}_{position}")
+
+            facts = [
+                link(node(c, i), node(c, i + 1)) for c in range(3) for i in range(links)
+            ]
+            facts += [blocked(node(c, i)) for c in range(3) for i in range(1, links, 6)]
+            base = RelationIndex(facts).snapshot()
+            expected = plan.execute_on(base, query)
+            assert len(expected) == links - len(range(1, links, 6))
+            for name in calls:
+                calls[name] = 0
+            stats = EngineStatistics()
+            assert plan.execute_on(base, query, statistics=stats) == expected
+            return dict(calls), stats.iterations
+
+        short, short_rounds = warm_read(8)
+        long, long_rounds = warm_read(64)
+        assert long_rounds > short_rounds + 50
+        assert long == short
 
     def test_empty_delta_positions_are_never_entered(self, monkeypatch):
         from repro.engine.planner import EncodedRule

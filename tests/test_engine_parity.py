@@ -328,6 +328,44 @@ class TestVersionedStorageParity:
                     reference.candidates_for(pattern)
                 )
 
+    @staticmethod
+    def _check_rows(index, model, universe):
+        """The branch's row plane against a naive reference index:
+        ``rows_of``, ``contains_row`` and ``rows_for`` on every bound-position
+        set, then ``add_row`` of every *universe* atom (the reference
+        decides which are new) and the reads again over the grown branch."""
+        from itertools import combinations
+
+        from repro.engine import RelationIndex
+
+        reference = RelationIndex(sorted(model, key=lambda a: a.sort_key()))
+        encode = index.symbols.encode_atom
+
+        def reads():
+            for predicate in sorted({atom.predicate for atom in universe}, key=str):
+                assert sorted(index.rows_of(predicate)) == sorted(
+                    reference.rows_of(predicate)
+                )
+            for atom in universe:
+                row = encode(atom)
+                assert index.contains_row(atom.predicate, row) == (
+                    reference.contains_row(atom.predicate, row)
+                )
+                for size in range(1, len(row) + 1):
+                    for positions in combinations(range(len(row)), size):
+                        key = tuple(row[i] for i in positions)
+                        assert sorted(
+                            index.rows_for(atom.predicate, positions, key)
+                        ) == sorted(reference.rows_for(atom.predicate, positions, key))
+
+        reads()
+        for atom in universe:
+            row = encode(atom)
+            assert index.add_row(atom.predicate, row) == reference.add_row(
+                atom.predicate, row
+            )
+        reads()
+
     @pytest.mark.parametrize("seed", [11, 23, 47])
     def test_random_interleavings_match_flat_reference(self, seed):
         import random
@@ -338,7 +376,7 @@ class TestVersionedStorageParity:
         _, _, atoms = self._universe()
         root = VersionedRelationIndex(rng.sample(atoms, 8))
         branches = [(root, set(root.atoms()))]
-        for _ in range(120):
+        for step in range(120):
             operation = rng.choice(["add", "add", "remove", "query", "fork"])
             position = rng.randrange(len(branches))
             if operation in ("remove", "fork"):
@@ -346,7 +384,13 @@ class TestVersionedStorageParity:
             index, model = branches[position]
             if operation == "add":
                 atom = rng.choice(atoms)
-                assert index.add(atom) == (atom not in model)
+                if step % 2:
+                    added = index.add_row(
+                        atom.predicate, index.symbols.encode_atom(atom)
+                    )
+                else:
+                    added = index.add(atom)
+                assert added == (atom not in model)
                 model.add(atom)
             elif operation == "remove":
                 # Bias towards present atoms so removal is exercised.
@@ -375,6 +419,53 @@ class TestVersionedStorageParity:
                 branches.append((index.fork(), set(model)))
         for index, model in branches:
             self._check_branch(index, model)
+        # Forks first: growing the head afterwards leaves them untouched.
+        for index, model in reversed(branches):
+            self._check_rows(index, model, atoms)
+
+    def test_fork_row_plane_merges_base_and_local_buckets(self):
+        from repro.engine import VersionedRelationIndex
+
+        (_, q), constants, atoms = self._universe()
+        base = [atom for atom in atoms if atom.terms[0] in constants[:3]]
+        head = VersionedRelationIndex(base)
+        head.candidates_for(q(constants[0], constants[1]))  # warm (q, {0, 1})
+        fork = head.fork()
+        local = [atom for atom in atoms if atom.terms[0] in constants[2:]]
+        for atom in local:
+            fork.add(atom)
+        self._check_rows(fork, set(base) | set(local), atoms)
+
+    def test_fork_row_plane_over_a_base_relation_emptied_before_the_fork(self):
+        from repro.engine import VersionedRelationIndex
+
+        (p, q), constants, atoms = self._universe()
+        head = VersionedRelationIndex(atoms)
+        head.candidates_for(q(constants[0], constants[1]))  # warm (q, {0, 1})
+        for atom in atoms:
+            if atom.predicate == q:
+                head.remove(atom)
+        fork = head.fork()
+        assert fork.count(q) == 0
+        model = {atom for atom in atoms if atom.predicate == p}
+        self._check_rows(fork, model, atoms)
+
+    def test_fork_probes_of_a_generated_predicate_build_nothing_on_the_head(self):
+        from repro.core.atoms import Predicate
+        from repro.engine import EngineStatistics, VersionedRelationIndex
+
+        _, constants, atoms = self._universe()
+        generated = Predicate("m__q", 2, generated=True)
+        stats = EngineStatistics()
+        head = VersionedRelationIndex(atoms, statistics=stats)
+        fork = head.fork()
+        builds, shared = stats.index_builds, stats.pattern_tables_shared
+        extra = [generated(x, y) for x in constants[:2] for y in constants]
+        self._check_rows(fork, set(atoms), extra)
+        # The generated relation lives in the fork only: no probe of it
+        # reached the shared head.
+        assert (stats.index_builds, stats.pattern_tables_shared) == (builds, shared)
+        assert head.count(generated) == 0
 
     def test_fork_is_isolated_from_later_parent_mutations(self):
         from repro.core.atoms import Predicate

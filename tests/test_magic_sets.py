@@ -52,6 +52,25 @@ class TestMagicParityHandwritten:
             CHAIN, TRANSITIVE_CLOSURE, query
         )
 
+    def test_answers_through_nulls_keep_only_constant_tuples(self):
+        from repro.core.atoms import Predicate
+        from repro.core.terms import Null
+        from repro.query import compile_query_plan
+
+        edge, null = Predicate("edge", 2), Null("n1")
+        facts = list(CHAIN.atoms) + [
+            edge(Constant("a"), null),
+            edge(null, Constant("z")),
+        ]
+        query = parse_query("?(Y) :- path(a, Y)")
+        expected = full_fixpoint_answers(facts, TRANSITIVE_CLOSURE, query)
+        # z is reached through the null; the null itself is no answer.
+        assert (Constant("z"),) in expected
+        assert (null,) not in expected
+        plan = compile_query_plan(TRANSITIVE_CLOSURE, query)
+        assert plan.execute_on(RelationIndex(facts), query) == expected
+        assert QuerySession(facts, TRANSITIVE_CLOSURE).answers(query) == expected
+
     def test_free_free_parity(self):
         session = QuerySession(CHAIN, TRANSITIVE_CLOSURE)
         query = parse_query("?(X, Y) :- path(X, Y)")

@@ -46,6 +46,26 @@ class TestPlanCache:
         session.answers(parse_query("?(X) :- path(X, c)"))
         assert session.statistics.plan_misses == 2
 
+    def test_an_evaluator_read_canonicalises_its_query_once(self, monkeypatch):
+        from repro.query import session as session_module
+
+        calls = []
+        canonicalize = session_module.canonicalize_query
+
+        def counting(query):
+            calls.append(query)
+            return canonicalize(query)
+
+        monkeypatch.setattr(session_module, "canonicalize_query", counting)
+        evaluator = QuerySession(DATABASE, RULES).evaluator
+        base = RelationIndex(DATABASE.atoms)
+        evaluator.answers(base, parse_query("?(Y) :- path(a, Y)"))  # compiles
+        calls.clear()
+        query = parse_query("?(Y) :- path(x, Y)")
+        assert evaluator.answers(base, query) == (frozenset({(Constant("y"),)}), False)
+        # The shape key and the seed's constants come from one call.
+        assert len(calls) == 1
+
     def test_plan_cache_is_bounded(self):
         session = QuerySession(DATABASE, RULES, plan_cache_size=1)
         session.answers(parse_query("?(Y) :- path(a, Y)"))
