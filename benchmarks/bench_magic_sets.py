@@ -18,6 +18,7 @@ from repro.core.atoms import Atom, Predicate
 from repro.core.database import Database
 from repro.core.queries import ConjunctiveQuery, certain_answers
 from repro.core.terms import Constant, Variable
+from repro.obs import MetricsRegistry
 from repro.query import QuerySession
 
 RULES = parse_program(
@@ -72,7 +73,8 @@ def test_plan_reuse_across_constants(benchmark):
     """The steady-state hot path: one session, distinct bound constants."""
     chains, length = SIZES[-1]
     database = chain_database(chains, length)
-    session = QuerySession(database, RULES, answer_cache_size=1)
+    registry = MetricsRegistry()
+    session = QuerySession(database, RULES, answer_cache_size=1, metrics=registry)
     source = iter(range(10**9))
 
     def probe():
@@ -80,7 +82,7 @@ def test_plan_reuse_across_constants(benchmark):
 
     answers = benchmark(probe)
     assert len(answers) == length
-    assert session.statistics.plan_misses == 1
+    assert registry.counter("session_plan_misses").value == 1
 
 
 def test_selective_speedup_at_least_2x():

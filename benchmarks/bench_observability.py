@@ -36,20 +36,6 @@ DATABASE = parse_database(
 )
 QUERY = parse_query("?(Y) :- path(n0, Y)")
 
-# Sessions register their statistics into the global registry *weakly*; a
-# session that dies before conftest's counter-delta fixture takes its
-# after-snapshot takes its counters with it.  Keeping the most recent ones
-# alive lets the uniform per-bench counter attribution see this module's
-# own session_* work.
-_KEEPALIVE: list = []
-
-
-def _keep(session):
-    _KEEPALIVE.append(session)
-    if len(_KEEPALIVE) > 128:
-        del _KEEPALIVE[:64]
-    return session
-
 
 def _workload():
     """One cold selective evaluation: magic rewrite + stratified fixpoint.
@@ -113,7 +99,7 @@ def test_disabled_overhead_budget():
 
 def test_explain_cost(benchmark):
     """Price of a profiled evaluation, and that it actually attributes."""
-    session = _keep(QuerySession(DATABASE, RULES))
+    session = QuerySession(DATABASE, RULES)
     report = benchmark(lambda: session.explain(QUERY, top=5))
     assert report.strata
     assert report.hot_rules and report.hot_rules[0].seconds >= 0.0

@@ -104,17 +104,18 @@ def build_store(path, *, warm: bool) -> None:
 
 def restart(path):
     """Time-to-first-correct-answer: open the store, answer the mix."""
+    registry = MetricsRegistry()
     start = time.perf_counter()
     service = DatalogService(
         (),
         RULES,
         durability=DurabilityConfig(path=path, checkpoint_on_close=False),
-        metrics=MetricsRegistry(),
+        metrics=registry,
     )
     try:
         answers = [service.answers(query) for query in QUERIES]
         elapsed = time.perf_counter() - start
-        return elapsed, answers, service.statistics.read_cache_hits
+        return elapsed, answers, registry.counter("service_read_cache_hits").value
     finally:
         service.close()
 

@@ -35,6 +35,7 @@ from repro import parse_program
 from repro.core.atoms import Atom, Predicate
 from repro.core.queries import ConjunctiveQuery
 from repro.core.terms import Constant, Variable
+from repro.obs import MetricsRegistry
 from repro.service import DatalogService
 
 LINK = Predicate("link", 2)
@@ -112,7 +113,9 @@ def serve_requests(
 @pytest.mark.parametrize("chains,length", SIZES)
 def test_epoch_read_throughput(benchmark, chains, length):
     """Serve a warmed request mix with 8 reader threads."""
-    with DatalogService(chain_atoms(chains, length), RULES) as service:
+    with DatalogService(
+        chain_atoms(chains, length), RULES, metrics=MetricsRegistry()
+    ) as service:
         queries = [selective_query(c) for c in range(chains)]
         # Warm: compile plans, memoise the mix on the current epoch.
         for query in queries:
@@ -121,11 +124,11 @@ def test_epoch_read_throughput(benchmark, chains, length):
         benchmark(
             serve_requests, service, queries, READER_THREADS, REQUESTS
         )
-        stats = service.statistics
+        stats = service.stats().counters
         benchmark.extra_info.update(
-            reads_served=stats.reads_served,
-            read_cache_hits=stats.read_cache_hits,
-            epochs_published=stats.epochs_published,
+            reads_served=stats["service_reads_served"],
+            read_cache_hits=stats["service_read_cache_hits"],
+            epochs_published=stats["service_epochs_published"],
         )
 
 
@@ -168,28 +171,33 @@ def test_writer_burst_coalesces_to_two_epochs(benchmark):
     k = 64
 
     def burst():
+        registry = MetricsRegistry()
+        epochs = registry.counter("service_epochs_published")
         with DatalogService(
-            chain_atoms(chains, length), RULES, coalesce_window=0.1
+            chain_atoms(chains, length),
+            RULES,
+            coalesce_window=0.1,
+            metrics=registry,
         ) as service:
-            epochs_before = service.statistics.epochs_published
+            epochs_before = epochs.value
             extra = [
                 Atom(LINK, (Constant(f"x{i}"), Constant(f"x{i + 1}")))
                 for i in range(k)
             ]
             futures = [service.add_facts([atom]) for atom in extra]
             counts = [future.result(30) for future in futures]
-            published = service.statistics.epochs_published - epochs_before
+            published = epochs.value - epochs_before
             assert counts == [1] * k, "coalescing broke per-call counts"
             assert published <= 2, (
                 f"{k}-op burst published {published} epochs (> 2)"
             )
-            return published, service.statistics
+            return published, service.stats()
 
     published, stats = benchmark(burst)
     benchmark.extra_info.update(
         burst_ops=k,
         epoch_publishes=published,
-        batches_coalesced=stats.batches_coalesced,
-        coalesced_ops=stats.coalesced_ops,
-        queue_high_water=stats.queue_high_water,
+        batches_coalesced=stats.counters["service_batches_coalesced"],
+        coalesced_ops=stats.counters["service_coalesced_ops"],
+        queue_high_water=stats.gauges["service_queue_high_water"],
     )

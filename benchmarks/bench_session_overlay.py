@@ -32,6 +32,7 @@ from repro.core.queries import ConjunctiveQuery
 from repro.core.terms import Constant, Variable
 from repro.encodings import DenialConstraint, consistent_answers, subset_repairs
 from repro.engine import EngineStatistics, RelationIndex
+from repro.obs import MetricsRegistry
 from repro.query import QuerySession, compile_query_plan
 
 RULES = parse_program(
@@ -65,7 +66,9 @@ def selective_query(chain: int) -> ConjunctiveQuery:
     )
 
 
-def warmed_session(database: Database, chains: int = 1) -> QuerySession:
+def warmed_session(
+    database: Database, chains: int = 1, registry: MetricsRegistry | None = None
+) -> QuerySession:
     """A session with the plan compiled and *chains* seeds already seen.
 
     The answer cache holds one entry, so later probes are always cache
@@ -73,7 +76,9 @@ def warmed_session(database: Database, chains: int = 1) -> QuerySession:
     (known seed → no fresh cascade), which is what the sublinearity claim
     is about.
     """
-    session = QuerySession(database, RULES, answer_cache_size=1)
+    session = QuerySession(
+        database, RULES, answer_cache_size=1, metrics=registry
+    )
     for chain in range(chains):
         session.answers(selective_query(chain))
     return session
@@ -85,7 +90,8 @@ def test_steady_state_session_miss(benchmark, chains, length):
     path a known-seed miss is a filtered read of the plan view's goal
     relation — no fork, no re-index, no re-derivation."""
     database = chain_database(chains, length)
-    session = warmed_session(database, chains)
+    registry = MetricsRegistry()
+    session = warmed_session(database, chains, registry)
     # Start at 1: the warm-up answered chain 0 last, and a first-probe cache
     # hit would poison the benchmark calibration with a too-fast sample.
     source = iter(range(1, 10**9))
@@ -95,7 +101,7 @@ def test_steady_state_session_miss(benchmark, chains, length):
 
     answers = benchmark(probe)
     assert len(answers) == length
-    assert session.statistics.plan_misses == 1
+    assert registry.counter("session_plan_misses").value == 1
 
 
 @pytest.mark.parametrize("chains,length", SIZES)
@@ -144,7 +150,10 @@ def test_steady_state_time_grows_sublinearly():
         return probe
 
     small_session = warmed_session(chain_database(small_chains, length), small_chains)
-    large_session = warmed_session(chain_database(large_chains, length), large_chains)
+    registry = MetricsRegistry()
+    large_session = warmed_session(
+        chain_database(large_chains, length), large_chains, registry
+    )
     # Per-probe work is one filtered read of the plan view's goal relation;
     # take the best of several batches to shake scheduler noise.
     small_time, _ = _best_of(
@@ -164,10 +173,10 @@ def test_steady_state_time_grows_sublinearly():
         f"database (small {small_time:.5f}s, large {large_time:.5f}s)"
     )
     # And the counters prove no index rebuilds happened after warm-up.
-    engine = large_session.statistics.engine
-    builds_after_warmup = engine.index_builds
+    builds = registry.counter("session_engine_index_builds")
+    builds_after_warmup = builds.value
     large_session.answers(selective_query(1))
-    assert engine.index_builds == builds_after_warmup
+    assert builds.value == builds_after_warmup
 
 
 CQA_DATABASE = parse_database(

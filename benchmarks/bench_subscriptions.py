@@ -49,6 +49,7 @@ from repro import parse_program
 from repro.core.atoms import Atom, Predicate
 from repro.core.queries import ConjunctiveQuery
 from repro.core.terms import Constant, Variable
+from repro.obs import MetricsRegistry
 from repro.service import DatalogService
 
 LINK = Predicate("link", 2)
@@ -97,7 +98,9 @@ def epoch_atom(chains: int, length: int, epoch: int) -> Atom:
 
 def run_push(chains: int, length: int, epochs: int):
     """Subscribe every chain head, then time mutate + consume."""
-    with DatalogService(chain_atoms(chains, length), RULES) as service:
+    with DatalogService(
+        chain_atoms(chains, length), RULES, metrics=MetricsRegistry()
+    ) as service:
         subscriptions = [
             service.subscribe(standing_query(c)) for c in range(chains)
         ]
@@ -111,11 +114,11 @@ def run_push(chains: int, length: int, epochs: int):
                 states[i] = subscription.get(5).apply(states[i])
         elapsed = time.perf_counter() - start
 
-        stats = service.statistics
-        assert stats.subscription_gaps == 0, "uncontended run emitted gaps"
-        assert stats.notifications_sent == epochs, (
+        stats = service.stats().counters
+        assert stats["service_subscription_gaps"] == 0, "uncontended run emitted gaps"
+        assert stats["service_notifications_sent"] == epochs, (
             f"expected exactly one notification per epoch, got "
-            f"{stats.notifications_sent} for {epochs} epochs"
+            f"{stats['service_notifications_sent']} for {epochs} epochs"
         )
         return elapsed, states
 

@@ -21,10 +21,11 @@ from repro.stable import Universe
 def _obs_counter_deltas(request):
     """Attach per-benchmark counter deltas from the global metrics registry.
 
-    Sessions, services and the chase register their statistics into
-    ``repro.obs.global_registry()``, so diffing a snapshot taken before the
-    test against one taken after yields exactly the counter work the
-    benchmark caused.  The deltas land in ``benchmark.extra_info`` (under
+    Sessions, services and the chase keep their counters in
+    ``repro.obs.global_registry()`` by default, so diffing a snapshot taken
+    before the test against one taken after yields exactly the counter work
+    the benchmark caused.  Counters never go down, whatever the benchmark
+    closed or dropped; a negative delta is a bug and fails the benchmark.  The deltas land in ``benchmark.extra_info`` (under
     ``"metrics"``), which ``run_all.py`` already surfaces as ``counters``
     in BENCH_results.json — uniformly, for every benchmark, without each
     module hand-picking which statistics to record.
@@ -39,12 +40,10 @@ def _obs_counter_deltas(request):
     if benchmark is None:
         return
     diff = global_registry().snapshot().diff(before)
+    negative = {name: value for name, value in diff.counters.items() if value < 0}
+    assert not negative, f"counters went down during the benchmark: {negative}"
     deltas = {
-        name: value
-        for name, value in sorted(diff.counters.items())
-        # Sources are weakly held: a session collected mid-test can make a
-        # summed counter shrink.  Only positive interval work is reported.
-        if value > 0
+        name: value for name, value in sorted(diff.counters.items()) if value
     }
     if deltas:
         benchmark.extra_info.setdefault("metrics", {}).update(deltas)

@@ -12,6 +12,7 @@ Run with:  python examples/goal_directed_queries.py
 from __future__ import annotations
 
 from repro import parse_database, parse_program, parse_query
+from repro.obs import MetricsRegistry
 from repro.query import QuerySession, full_fixpoint_answers, magic_rewrite
 
 
@@ -36,7 +37,8 @@ def main() -> None:
     for rule in magic_rewrite(rules, query).rules:
         print("  ", rule)
 
-    session = QuerySession(database, rules)
+    registry = MetricsRegistry()  # the session's counters live here
+    session = QuerySession(database, rules, metrics=registry)
     answers = session.answers(query)
     print("\nReachable from zurich:", sorted(str(t[0]) for t in answers))
 
@@ -44,10 +46,11 @@ def main() -> None:
     # only the magic seed changes.
     coastal = parse_query("?(Y) :- reachable(lisbon, Y)")
     print("Reachable from lisbon:", sorted(str(t[0]) for t in session.answers(coastal)))
+    counters = registry.snapshot().counters
     print(
         "Plan cache: "
-        f"{session.statistics.plan_misses} compiled, "
-        f"{session.statistics.plan_hits} reused"
+        f"{counters['session_plan_misses']} compiled, "
+        f"{counters['session_plan_hits']} reused"
     )
 
     # The goal-directed run derives only the zurich/lisbon cones; the naive

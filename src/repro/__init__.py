@@ -104,7 +104,6 @@ from .service import (
     DatalogService,
     Gap,
     Notification,
-    ServiceStatistics,
     Subscription,
 )
 from .stable import (
@@ -156,7 +155,6 @@ __all__ = [
     "SafetyError",
     "ServiceClosedError",
     "ServiceOverloadedError",
-    "ServiceStatistics",
     "SolverLimitError",
     "StableModelEngine",
     "StratificationError",

@@ -19,7 +19,8 @@ against the full :class:`~repro.engine.index.RelationIndex` through the
 planner's compiled join order), so the chase never rescans old assignments.
 A round's delta is the atoms that ``RelationIndex.add`` reported new while
 the previous round fired.
-Engine counters are surfaced on :class:`ChaseResult.statistics`.
+Engine counters are surfaced on :class:`ChaseResult.statistics` and added
+to the global registry's ``chase_*`` counters when a run ends.
 
 Termination is guaranteed for weakly-acyclic rule sets; for other sets the
 caller must supply a step budget (``max_steps``) and the chase raises
@@ -46,6 +47,7 @@ from ..engine import (
     compile_rule,
     enumerate_matches,
 )
+from ..engine.stats import engine_counters
 from ..errors import UnsupportedClassError
 from ..obs.metrics import global_registry
 
@@ -125,6 +127,16 @@ def _chase_index(
     if isinstance(database, RelationIndex):
         return database.snapshot().fork(statistics=statistics)
     return RelationIndex(database.atoms, statistics=statistics)
+
+
+def _result(
+    index: RelationIndex, steps, terminated: bool, statistics: EngineStatistics
+) -> ChaseResult:
+    """A run's result; its engine counts go to the ``chase_*`` counters."""
+    statistics.report(engine_counters(global_registry(), "chase"))
+    return ChaseResult(
+        index.atoms(), tuple(steps), terminated=terminated, statistics=statistics
+    )
 
 
 def _prepare(rules: RuleSet | Sequence[NTGD]) -> RuleSet:
@@ -238,9 +250,6 @@ def restricted_chase(
     rule_set = _prepare(rules)
     _check_guarantee(rule_set, require_termination_guarantee, max_steps)
     statistics = EngineStatistics()
-    # Chase counters surface in metrics snapshots as ``chase_*`` for as long
-    # as the caller keeps the ChaseResult (weakly referenced).
-    global_registry().register_stats(statistics, "chase")
     index = _chase_index(database, statistics)
     compiled = [compile_rule(rule, statistics=statistics) for rule in rule_set]
     prepared = {position: _PreparedRule.of(rule) for position, rule in enumerate(rule_set)}
@@ -261,10 +270,7 @@ def restricted_chase(
             if satisfied is not None:
                 continue
             if max_steps is not None and len(steps) >= max_steps:
-                return ChaseResult(
-                    index.atoms(), tuple(steps), terminated=False,
-                    statistics=statistics,
-                )
+                return _result(index, steps, False, statistics)
             added = _fire(prep, assignment, nulls)
             delta.extend(atom for atom in added if index.add(atom))
             statistics.triggers_fired += 1
@@ -275,9 +281,7 @@ def restricted_chase(
                     added,
                 )
             )
-    return ChaseResult(
-        index.atoms(), tuple(steps), terminated=True, statistics=statistics
-    )
+    return _result(index, steps, True, statistics)
 
 
 def query_driven_chase(
@@ -339,7 +343,6 @@ def oblivious_chase(
     rule_set = _prepare(rules)
     _check_guarantee(rule_set, require_termination_guarantee, max_steps)
     statistics = EngineStatistics()
-    global_registry().register_stats(statistics, "chase")
     index = _chase_index(database, statistics)
     compiled = [compile_rule(rule, statistics=statistics) for rule in rule_set]
     prepared = {position: _PreparedRule.of(rule) for position, rule in enumerate(rule_set)}
@@ -360,15 +363,10 @@ def oblivious_chase(
             if key in fired:
                 continue
             if max_steps is not None and len(steps) >= max_steps:
-                return ChaseResult(
-                    index.atoms(), tuple(steps), terminated=False,
-                    statistics=statistics,
-                )
+                return _result(index, steps, False, statistics)
             added = _fire(prepared[rule_position], assignment, nulls)
             delta.extend(atom for atom in added if index.add(atom))
             fired.add(key)
             statistics.triggers_fired += 1
             steps.append(ChaseStep(rule, key[1], added))
-    return ChaseResult(
-        index.atoms(), tuple(steps), terminated=True, statistics=statistics
-    )
+    return _result(index, steps, True, statistics)

@@ -1,4 +1,4 @@
-"""Engine statistics: a shared counter object threaded through the subsystem.
+"""Engine statistics: a per-operation work account threaded through the engine.
 
 Every component of :mod:`repro.engine` accepts an optional
 :class:`EngineStatistics` and increments its counters as it works, so a caller
@@ -7,13 +7,20 @@ tuples were derived versus merely scanned, how many hash indexes had to be
 built and how many rules were compiled.  The object is deliberately dumb — a
 bag of integers — so it can be shared freely between the index, the planner
 and the fixpoint driver without any locking or lifecycle concerns.
+
+The metrics registry never reads these objects.  Their owner — a session, a
+service reader miss, a chase run — adds its account to the registry once,
+when the operation ends (:meth:`EngineStatistics.report` into the counters
+:func:`engine_counters` looks up), so the hot loops stay on plain attribute
+increments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Tuple
 
-__all__ = ["EngineStatistics"]
+__all__ = ["EngineStatistics", "engine_counters"]
 
 
 @dataclass
@@ -96,19 +103,18 @@ class EngineStatistics:
     overdeletions: int = 0
     rederivations: int = 0
 
-    def merge(self, other: "EngineStatistics") -> None:
-        """Accumulate the counters of *other* into this object."""
-        for field_ in fields(self):
-            setattr(
-                self,
-                field_.name,
-                getattr(self, field_.name) + getattr(other, field_.name),
-            )
+    def report(self, counters) -> None:
+        """Add every count to its registry counter (from
+        :func:`engine_counters`)."""
+        for name, counter in counters:
+            value = getattr(self, name)
+            if value:
+                counter.inc(value)
 
     def reset(self) -> None:
         """Zero every counter."""
-        for field_ in fields(self):
-            setattr(self, field_.name, 0)
+        for name in _FIELDS:
+            setattr(self, name, 0)
 
     def as_dict(self) -> dict[str, int]:
         """The counters as a plain dictionary (for logging and benchmarks)."""
@@ -117,3 +123,12 @@ class EngineStatistics:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(f"{name}={value}" for name, value in self.as_dict().items())
         return f"EngineStatistics({parts})"
+
+
+_FIELDS = tuple(field_.name for field_ in fields(EngineStatistics))
+
+
+def engine_counters(registry, prefix: str) -> Tuple[tuple, ...]:
+    """``(field, counter)`` for every engine counter, the counter being
+    *registry*'s ``<prefix>_<field>``.  Look them up once per owner."""
+    return tuple((name, registry.counter(f"{prefix}_{name}")) for name in _FIELDS)

@@ -1,15 +1,13 @@
 """repro.obs — telemetry for the whole stack: metrics, traces, profiles.
 
-The serving north star needs answers to questions the counter bags of the
-earlier PRs cannot give: *which rule is hot*, *what is the p99 read
-latency*, *how stale are the readers*.  This package is the instrumentation
-substrate, in four parts:
+The serving north star needs answers to questions like *which rule is
+hot*, *what is the p99 read latency*, *how stale are the readers*.  This
+package is the instrumentation substrate, in four parts:
 
 * :mod:`~repro.obs.metrics` — :class:`MetricsRegistry`: thread-safe
   counters, gauges (callback-sampled), fixed-bucket histograms, and a
-  ``snapshot()/diff()`` protocol; the existing statistics dataclasses
-  register as weakly referenced *sources*, so every layer's counters show
-  up in one uniform namespace without slowing their hot increment paths;
+  ``snapshot()/diff()`` protocol; every layer's counters live there, in one
+  namespace, for the life of the process;
 * :mod:`~repro.obs.trace` — nestable :class:`Span`\\ s (wall + CPU time +
   attributes) emitted by a :class:`Tracer` into a ring buffer and optional
   sinks (:class:`JsonlSink` structured logs).  Disabled tracing is one

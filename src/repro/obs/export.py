@@ -10,7 +10,7 @@ holds any metric lock while rendering.
 ``# HELP``/``# TYPE`` headers, sanitised metric names, escaped label
 values, and the ``_bucket``/``_sum``/``_count`` triplet (with a ``+Inf``
 bucket) for histograms.  Metric names are sanitised to the legal charset
-``[a-zA-Z_:][a-zA-Z0-9_:]*`` — the snapshot's flattened counter names are
+``[a-zA-Z_:][a-zA-Z0-9_:]*`` — the registry's own counter names are
 already legal, but user-supplied label values may contain anything, so
 label *values* are escaped (``\\``, ``"`` and newline) rather than
 rewritten.

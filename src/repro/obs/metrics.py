@@ -1,32 +1,29 @@
 """The metrics registry: counters, gauges, fixed-bucket histograms.
 
-The engine, query and service layers each grew a counter bag over the
-previous PRs (:class:`~repro.engine.stats.EngineStatistics`,
-:class:`~repro.query.session.SessionStatistics`,
-:class:`~repro.service.service.ServiceStatistics`).  Those dataclasses are
-deliberately dumb — single-threaded ``+= 1`` on plain attributes, free to
-share along a call chain — and they stay that way: hot loops must not pay
-for a lock per increment.  What was missing is everything around them:
+Every count the stack keeps lives here, in one registry per process (or
+per component, for isolation): sessions, services, subscriptions, replicas,
+the durability layer and the chase each look their :class:`Counter`\\ s and
+:class:`Gauge`\\ s up once, by name, in the registry they are given, and bump
+them as they work.  The registry owns those objects, so a count outlives the
+component that made it: counters are monotonic for the life of the process,
+whatever is garbage-collected or closed in between.
 
-* a **uniform read surface** — one place that can enumerate every live
-  counter in the process, whatever layer owns it, as ``name -> value``;
+The engine's hot loops do not touch the registry.  They count into a plain,
+per-operation :class:`~repro.engine.stats.EngineStatistics` account that the
+caller can read back, and the account's owner adds it to the registry's
+``<owner>_engine_<field>`` (or ``chase_<field>``) counters once, when the
+operation ends.
+
+On top of the metric objects the registry offers
+
+* a **uniform read surface** — :meth:`MetricsRegistry.snapshot` enumerates
+  every metric as ``name -> value``;
 * **point-in-time snapshots** with :meth:`MetricsSnapshot.diff`, so a
   benchmark (or an exporter scrape) can attribute work to an interval;
-* metric *types* the dataclasses cannot express: **gauges** (queue depth,
-  epoch lag — sampled, not accumulated) and **histograms** (read latency —
-  a distribution, not a sum);
-* **thread-safe** primitives for the few counters that genuinely are
-  updated from many threads (reader-side increments in the service layer,
-  which previously went unrecorded precisely because no race-free counter
-  object existed — see ``ServiceStatistics``' old drift note).
-
-:class:`MetricsRegistry` provides all four.  The statistics dataclasses are
-kept as the fast mutation façade and *registered* as sources
-(:meth:`MetricsRegistry.register_stats`): a snapshot reads their fields —
-flattened to ``<namespace>_<field>`` and summed across instances of the
-same namespace — without adding a single instruction to the increment
-paths.  Sources are weakly referenced, so registering a session or service
-never extends its lifetime.
+* metric *types* beyond sums: **gauges** (queue depth, epoch lag — sampled,
+  not accumulated) and **histograms** (read latency — a distribution);
+* **thread-safe** primitives: a reader thread and the writer may bump the
+  same counter.
 
 The process-global registry (:func:`global_registry`) is what
 ``benchmarks/conftest.py`` snapshots around every benchmark and what the
@@ -38,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-import weakref
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
@@ -86,10 +82,9 @@ def _freeze_labels(labels: Optional[Mapping[str, str]]) -> _LabelItems:
 class Counter:
     """A monotonically increasing, thread-safe counter.
 
-    Unlike the dataclass counter bags, ``inc`` takes a lock — use this type
-    exactly where several threads must update one value (per-read service
-    counters, cold pattern-table builds on published snapshots), and the
-    plain dataclasses everywhere a single thread owns the object.
+    ``inc`` takes the counter's lock for one addition, so any number of
+    threads may bump one counter.  Look a counter up once (by name, in the
+    registry) and keep the object: ``inc`` is the whole per-event cost.
     """
 
     kind = "counter"
@@ -105,8 +100,13 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError("counters only go up; use a Gauge for deltas")
-        with self._lock:
+        # acquire/release rather than ``with``: it is the cheaper spelling,
+        # and cache-hit reads bump counters on every call.
+        self._lock.acquire()
+        try:
             self._value += amount
+        finally:
+            self._lock.release()
 
     @property
     def value(self) -> int:
@@ -320,27 +320,6 @@ class MetricsSnapshot:
         )
 
 
-class _StatsSource:
-    """A weakly referenced counter-bag (dataclass) feeding the registry."""
-
-    __slots__ = ("namespace", "ref")
-
-    def __init__(self, namespace: str, obj: object) -> None:
-        self.namespace = namespace
-        self.ref = weakref.ref(obj)
-
-
-def _flatten_stats(obj: object, prefix: str, into: Dict[str, float]) -> None:
-    """Flatten a counter dataclass (ints/floats, nested dataclasses)."""
-    for field_ in dataclasses.fields(obj):  # type: ignore[arg-type]
-        value = getattr(obj, field_.name)
-        key = f"{prefix}_{field_.name}"
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            _flatten_stats(value, key, into)
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            into[key] = into.get(key, 0) + value
-
-
 def _escape_label(value: str) -> str:
     return (
         value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
@@ -370,7 +349,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: "Dict[Tuple[str, _LabelItems], object]" = {}
-        self._sources: List[_StatsSource] = []
 
     # ------------------------------------------------------------- factories
     def _get_or_create(self, cls, name: str, labels: _LabelItems, factory):
@@ -414,27 +392,6 @@ class MetricsRegistry:
             Histogram, name, frozen, lambda: Histogram(name, buckets, help, frozen)
         )
 
-    # --------------------------------------------------------------- sources
-    def register_stats(self, stats: object, namespace: str) -> None:
-        """Register a counter dataclass as a weakly referenced source.
-
-        Every numeric field (nested dataclasses flattened with ``_``) shows
-        up in snapshots as a counter ``<namespace>_<field>``, summed over
-        the live instances of the same namespace.  The object itself is
-        untouched: its single-threaded ``+= 1`` mutation style — and cost —
-        stays exactly as before.  Dead sources are pruned at snapshot time.
-
-        Note the consequence of weak referencing: increments recorded by a
-        source that is garbage-collected *before* the next snapshot are
-        lost to the registry (the dataclass was the only place they lived).
-        Long-lived holders — sessions, services, chase results kept by the
-        caller — are the intended sources.
-        """
-        if not dataclasses.is_dataclass(stats) or isinstance(stats, type):
-            raise TypeError("register_stats expects a dataclass instance")
-        with self._lock:
-            self._sources.append(_StatsSource(namespace, stats))
-
     # -------------------------------------------------------------- snapshot
     def snapshot(self) -> MetricsSnapshot:
         counters: Dict[str, float] = {}
@@ -442,7 +399,6 @@ class MetricsRegistry:
         histograms: Dict[str, Dict[str, object]] = {}
         with self._lock:
             metrics = list(self._metrics.values())
-            sources = list(self._sources)
         for metric in metrics:
             key = _metric_key(metric.name, metric.labels)
             if isinstance(metric, Counter):
@@ -451,16 +407,6 @@ class MetricsRegistry:
                 gauges[key] = metric.collect()
             elif isinstance(metric, Histogram):
                 histograms[key] = metric.collect()
-        dead: List[_StatsSource] = []
-        for source in sources:
-            obj = source.ref()
-            if obj is None:
-                dead.append(source)
-                continue
-            _flatten_stats(obj, source.namespace, counters)
-        if dead:
-            with self._lock:
-                self._sources = [s for s in self._sources if s not in dead]
         return MetricsSnapshot(
             at=time.time(),
             counters=counters,
@@ -474,7 +420,7 @@ _GLOBAL_REGISTRY = MetricsRegistry()
 
 
 def global_registry() -> MetricsRegistry:
-    """The process-global registry (sessions/services register into it)."""
+    """The process-global registry (sessions/services report into it)."""
     return _GLOBAL_REGISTRY
 
 
@@ -483,7 +429,7 @@ def set_global_registry(registry: MetricsRegistry) -> MetricsRegistry:
 
     Mostly for tests and benchmarks that want a clean slate; components
     resolve :func:`global_registry` at construction time, so already-built
-    sessions keep feeding the registry they registered with.
+    sessions keep feeding the registry they looked their counters up in.
     """
     global _GLOBAL_REGISTRY
     with _GLOBAL_LOCK:

@@ -32,7 +32,6 @@ from .session import (
     QueryPlan,
     QuerySession,
     SessionEpoch,
-    SessionStatistics,
     StandingDeltas,
     StandingQuery,
     StratumTiming,
@@ -61,7 +60,6 @@ __all__ = [
     "QueryPlan",
     "QuerySession",
     "SessionEpoch",
-    "SessionStatistics",
     "StandingDeltas",
     "StandingQuery",
     "Stratification",

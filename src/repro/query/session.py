@@ -38,8 +38,9 @@ fact base plus a fixed rule set and answers conjunctive queries through
   ``add_facts``/``remove_facts`` repair the view — counting for
   non-recursive strata, Delete-and-Rederive for recursive ones — in time
   proportional to the affected cone instead of re-deriving.  The
-  ``answers_repaired`` / ``deltas_applied`` / ``rederivations`` counters
-  make the repair path observable.
+  ``session_answers_repaired`` / ``session_engine_deltas_applied`` /
+  ``session_engine_rederivations`` registry counters make the repair path
+  observable.
 
 For programs outside the stratified Datalog¬ fragment (existential rules,
 negative cycles) the session degrades gracefully: with ``fallback=True``
@@ -67,7 +68,7 @@ from ..core.database import Database
 from ..core.queries import ConjunctiveQuery
 from ..core.terms import Constant, Term
 from ..engine import MaterializedView, RelationIndex, RelationSnapshot, ViewDelta
-from ..engine.stats import EngineStatistics
+from ..engine.stats import EngineStatistics, engine_counters
 from ..errors import (
     SolverLimitError,
     StratificationError,
@@ -91,7 +92,6 @@ __all__ = [
     "QueryPlan",
     "QuerySession",
     "SessionEpoch",
-    "SessionStatistics",
     "StandingDeltas",
     "StandingQuery",
     "StratumTiming",
@@ -293,28 +293,24 @@ class QueryEvaluator:
         assert error is not None
         return type(error)(*error.args)
 
-    def plan(
-        self,
-        query: ConjunctiveQuery,
-        statistics: Optional[SessionStatistics] = None,
-    ) -> QueryPlan:
+    def plan(self, query: ConjunctiveQuery) -> QueryPlan:
         """The compiled plan for the query's shape.
 
         Raises the rules' scope error outside the fragment, and
         :class:`~repro.errors.UnsupportedClassError` for a query with terms
-        outside Datalog (nulls, function terms).  *statistics* (a
-        :class:`SessionStatistics`, bumped only by its owning thread) counts
-        the lookup as a plan hit or miss.
+        outside Datalog (nulls, function terms).
         """
-        return self._plan(query, statistics)[0]
+        return self._plan(query)[0]
 
     def _plan(
-        self, query: ConjunctiveQuery, statistics: Optional[SessionStatistics]
-    ) -> Tuple[QueryPlan, Tuple[Constant, ...]]:
-        """:meth:`plan`, and the query's constants its shape abstracts."""
+        self, query: ConjunctiveQuery, key: Optional[tuple] = None
+    ) -> Tuple[QueryPlan, bool]:
+        """:meth:`plan` of a query whose shape is *key* (when the caller
+        canonicalised it already), and whether this call compiled it."""
         if self._scope_error is not None:
             raise self._scope_failure()
-        key, constants = _query_shape(query)
+        if key is None:
+            key, _ = _query_shape(query)
         plan = self._plans.get(key)
         compiled = False
         if plan is None:
@@ -329,12 +325,7 @@ class QueryEvaluator:
                     if len(self._plans) >= self._plan_cache_size:
                         del self._plans[next(iter(self._plans))]
                     self._plans[key] = plan
-        if statistics is not None:
-            if compiled:
-                statistics.plan_misses += 1
-            else:
-                statistics.plan_hits += 1
-        return plan, constants
+        return plan, compiled
 
     def answers(
         self,
@@ -349,7 +340,8 @@ class QueryEvaluator:
         if self._scope_error is not None:
             return self.fallback_answers(base, query), True
         try:
-            plan, constants = self._plan(query, None)
+            key, constants = _query_shape(query)
+            plan, _ = self._plan(query, key)
         except (UnsupportedClassError, StratificationError) as error:
             # The *query* leaves the fragment (nulls, function terms).
             return self.fallback_answers(base, query, error), True
@@ -409,37 +401,6 @@ def full_fixpoint_answers(
         rules, facts, max_atoms=max_atoms, statistics=statistics
     )
     return query.answers(index.atoms())
-
-
-@dataclass
-class SessionStatistics:
-    """Cache and engine counters of one :class:`QuerySession`.
-
-    ``invalidations`` counts mutations that triggered any eviction/repair
-    pass; ``predicate_invalidations`` the passes that used dependency cones,
-    and ``wholesale_invalidations`` the conservative clear-everything passes
-    (sessions without plans — fallback mode).  ``answers_retained`` counts
-    cached answers that *survived* a mutation because their cone was
-    disjoint from the mutated predicates; ``answers_repaired`` counts cached
-    answers whose cone *was* hit but that were recomputed in place from the
-    plan's incrementally repaired materialised view instead of being
-    evicted.  ``views_built`` counts the O(cone) view constructions — one
-    per plan, not per mutation; the per-mutation work appears as
-    ``deltas_applied``/``rederivations`` on the ``engine`` counters.
-    """
-
-    plan_hits: int = 0
-    plan_misses: int = 0
-    answer_hits: int = 0
-    answer_misses: int = 0
-    fallback_queries: int = 0
-    invalidations: int = 0
-    predicate_invalidations: int = 0
-    wholesale_invalidations: int = 0
-    answers_retained: int = 0
-    answers_repaired: int = 0
-    views_built: int = 0
-    engine: EngineStatistics = field(default_factory=EngineStatistics)
 
 
 @dataclass(frozen=True)
@@ -711,9 +672,10 @@ class QuerySession:
         (default) consults the process-global tracer per call, so
         ``repro.obs.set_tracer`` turns tracing on for existing sessions.
     metrics:
-        The :class:`~repro.obs.metrics.MetricsRegistry` the session's
-        counters register into (as ``session_*``); defaults to
-        :func:`repro.obs.global_registry`.
+        The :class:`~repro.obs.metrics.MetricsRegistry` holding the
+        session's ``session_*`` counters; defaults to
+        :func:`repro.obs.global_registry`.  The catalogue is in
+        ``docs/observability.md``.
 
     The facts live in one persistent :class:`~repro.engine.index.RelationIndex`
     head.  Plans come from the session's :class:`QueryEvaluator`
@@ -762,17 +724,28 @@ class QuerySession:
             stable_options=stable_options,
             max_atoms=max_atoms,
         )
-        self.statistics = SessionStatistics()
         #: explicit per-session tracer; ``None`` defers to the process-global
         #: one (:func:`repro.obs.get_tracer`) at each call, so flipping
         #: tracing on mid-session works without rebuilding sessions.
         self._tracer = tracer
-        # The counters become visible to metrics snapshots/exporters as
-        # ``session_*``; the registry holds only a weak reference, so a
-        # session's lifetime is unchanged.
         registry = metrics if metrics is not None else global_registry()
-        registry.register_stats(self.statistics, "session")
-        self._index = RelationIndex(facts, statistics=self.statistics.engine)
+        counter = registry.counter
+        self._plan_hits = counter("session_plan_hits")
+        self._plan_misses = counter("session_plan_misses")
+        self._answer_hits = counter("session_answer_hits")
+        self._answer_misses = counter("session_answer_misses")
+        self._fallback_queries = counter("session_fallback_queries")
+        self._invalidations = counter("session_invalidations")
+        self._predicate_invalidations = counter("session_predicate_invalidations")
+        self._wholesale_invalidations = counter("session_wholesale_invalidations")
+        self._answers_retained = counter("session_answers_retained")
+        self._answers_repaired = counter("session_answers_repaired")
+        self._views_built = counter("session_views_built")
+        #: the engine work not yet added to the ``session_engine_*`` counters;
+        #: shared by the head index and every view, drained by _report()
+        self._engine = EngineStatistics()
+        self._engine_counters = engine_counters(registry, "session_engine")
+        self._index = RelationIndex(facts, statistics=self._engine)
         self._snapshot: Optional[RelationSnapshot] = None
         #: per-revision memo of the detached snapshot exported by epoch()
         self._export_snapshot: Optional[RelationSnapshot] = None
@@ -784,12 +757,18 @@ class QuerySession:
         #: query shape -> its plan view, LRU-ordered and bounded by
         #: plan_cache_size (views pinned by standing queries excepted)
         self._views: "OrderedDict[tuple, _PlanView]" = OrderedDict()
-        #: query -> (answers, dependency cone or None, plan key or None);
-        #: the plan key is set only when the answer came from a view and can
-        #: therefore be repaired in place on mutation.
+        #: query -> (answers, dependency cone or None, plan key or None, the
+        #: query's constants or None); the plan key and constants are set
+        #: only when the answer came from a view and can therefore be
+        #: repaired in place on mutation.
         self._answers: OrderedDict[
             ConjunctiveQuery,
-            Tuple[frozenset, Optional[frozenset[Predicate]], Optional[tuple]],
+            Tuple[
+                frozenset,
+                Optional[frozenset[Predicate]],
+                Optional[tuple],
+                Optional[Tuple[Constant, ...]],
+            ],
         ] = OrderedDict()
         self._revision = 0
         # ---- standing-query (subscription) support.  Capture is off until
@@ -812,6 +791,14 @@ class QuerySession:
         #: net base-fact change since the last drain: (added, removed)
         self._pending_fact_added: set[Atom] = set()
         self._pending_fact_removed: set[Atom] = set()
+        self._report()
+
+    def _report(self) -> None:
+        """Add the engine work since the last report to the registry's
+        ``session_engine_*`` counters; every public call that can do engine
+        work ends here."""
+        self._engine.report(self._engine_counters)
+        self._engine.reset()
 
     # -------------------------------------------------------------- fact base
     @property
@@ -860,6 +847,7 @@ class QuerySession:
         """
         if self._export_snapshot is None:
             self._export_snapshot = self._index.snapshot().detach()
+            self._report()
         answers = {
             query: entry[0] for query, entry in self._answers.items()
         }
@@ -937,14 +925,14 @@ class QuerySession:
         restored = 0
         for export in state.views:
             try:
-                key, plan = self._plan_entry(export.query)
+                key, plan, _ = self._plan_entry(export.query)
                 view = MaterializedView.restore(
                     plan.program.rules,
                     base=export.base,
                     atoms=export.atoms,
                     records=export.records,
                     stratification=plan.program.stratification,
-                    statistics=self.statistics.engine,
+                    statistics=self._engine,
                     max_atoms=self._evaluator.max_atoms,
                 )
             except Exception:  # pragma: no cover - defensive best effort
@@ -955,20 +943,20 @@ class QuerySession:
             restored += 1
         for export in state.answers:
             try:
-                key, plan = self._plan_entry(export.query)
+                key, plan, constants = self._plan_entry(export.query)
             except Exception:
                 continue
-            plan_key = (
-                key if export.repairable and key in self._views else None
-            )
+            repairable = export.repairable and key in self._views
             self._answers[export.query] = (
                 export.answers,
                 plan.depends,
-                plan_key,
+                key if repairable else None,
+                constants if repairable else None,
             )
             self._answers.move_to_end(export.query)
             while len(self._answers) > self._answer_cache_size:
                 self._answers.popitem(last=False)
+        self._report()
         return restored
 
     def _representative_query(
@@ -1018,9 +1006,9 @@ class QuerySession:
         rewritable fragment, and :class:`~repro.errors.SubscriptionError`
         when the seed's cone cannot be held within ``max_atoms``.
         """
-        plan_key, plan = self._plan_entry(query)  # raises outside the fragment
+        # raises outside the fragment
+        plan_key, plan, constants = self._plan_entry(query)
         entry = self._view_entry(plan_key, plan)
-        _, _, constants = canonicalize_query(query)
         seed = plan.program.seed(constants)
         if seed in entry.seeds:
             entry.seeds.move_to_end(seed)
@@ -1032,6 +1020,7 @@ class QuerySession:
                 # for this constant vector forever; drop it (the next miss
                 # rebuilds cleanly) and refuse the registration.
                 self._views.pop(plan_key, None)
+                self._report()
                 raise SubscriptionError(
                     "the standing query's derivation cone exceeds max_atoms; "
                     "its view cannot be maintained exactly"
@@ -1041,6 +1030,7 @@ class QuerySession:
         self._standing_tokens.add(token)
         self._capture_deltas = True
         answers = plan.program.collect_answers(entry.view.index, constants)
+        self._report()
         return StandingQuery(
             query=query,
             plan_key=plan_key,
@@ -1088,9 +1078,11 @@ class QuerySession:
         if not self.standing_exact(standing):
             return None
         entry = self._views[standing.plan_key]
-        return entry.plan.program.collect_answers(
+        answers = entry.plan.program.collect_answers(
             entry.view.index, standing.constants
         )
+        self._report()
+        return answers
 
     def set_fact_capture(self, enabled: bool) -> None:
         """Turn base-fact delta capture on or off (replication support).
@@ -1243,6 +1235,7 @@ class QuerySession:
             removed = [atom for atom, delta in net.items() if delta < 0]
             if added or removed:
                 self._mutate(added=added, removed=removed)
+            self._report()
         return counts
 
     def _mutate(
@@ -1259,14 +1252,12 @@ class QuerySession:
             if tracer.enabled
             else None
         )
+        repaired = retained = 0
         try:
-            self._mutate_inner(added, removed)
+            repaired, retained = self._mutate_inner(added, removed)
         finally:
             if span is not None:
-                span.finish(
-                    repaired=self.statistics.answers_repaired,
-                    retained=self.statistics.answers_retained,
-                )
+                span.finish(repaired=repaired, retained=retained)
 
     def _active_tracer(self):
         """The session's explicit tracer, else the process-global one."""
@@ -1276,7 +1267,9 @@ class QuerySession:
         self,
         added: Sequence[Atom] = (),
         removed: Sequence[Atom] = (),
-    ) -> None:
+    ) -> Tuple[int, int]:
+        """:meth:`_mutate`'s work; returns the cached answers it repaired
+        and those it retained."""
         touched = {atom.predicate for atom in added}
         touched.update(atom.predicate for atom in removed)
         if self._capture_deltas:
@@ -1299,12 +1292,12 @@ class QuerySession:
         self._revision += 1
         self._snapshot = None
         self._export_snapshot = None
-        self.statistics.invalidations += 1
+        self._invalidations.inc()
         if not self._evaluator.rewritable:
             # No dependency cones without plans: evict everything.
             self._answers.clear()
-            self.statistics.wholesale_invalidations += 1
-            return
+            self._wholesale_invalidations.inc()
+            return 0, 0
         # Repair every maintained view first (O(affected cone) each), so the
         # answer pass below can re-read repaired materialisations.
         for key in list(self._views):
@@ -1331,16 +1324,16 @@ class QuerySession:
                     if self._capture_deltas:
                         self._pending_views.pop(key, None)
                         self._pending_lost.add(key)
-        self.statistics.predicate_invalidations += 1
+        self._predicate_invalidations.inc()
+        repaired = retained = 0
         for cache_key in list(self._answers):
-            _, depends, plan_key = self._answers[cache_key]
+            _, depends, plan_key, constants = self._answers[cache_key]
             if depends is not None and touched.isdisjoint(depends):
-                self.statistics.answers_retained += 1
+                retained += 1
                 continue
             entry = self._views.get(plan_key) if plan_key is not None else None
             if entry is not None:
                 program = entry.plan.program
-                _, _, constants = canonicalize_query(cache_key)
                 # Repairable only while the view still holds this answer's
                 # seed (a rebuilt or budget-dropped view starts seedless —
                 # collecting from it would silently return nothing).
@@ -1348,13 +1341,18 @@ class QuerySession:
                     # Repair in place: the view is already consistent with
                     # the new fact base, so the answer is one filtered scan
                     # of its goal relation — no re-derivation.
-                    repaired = program.collect_answers(
-                        entry.view.index, constants
+                    self._answers[cache_key] = (
+                        program.collect_answers(entry.view.index, constants),
+                        depends,
+                        plan_key,
+                        constants,
                     )
-                    self._answers[cache_key] = (repaired, depends, plan_key)
-                    self.statistics.answers_repaired += 1
+                    repaired += 1
                     continue
             del self._answers[cache_key]
+        self._answers_repaired.inc(repaired)
+        self._answers_retained.inc(retained)
+        return repaired, retained
 
     def _ensure_snapshot(self) -> RelationSnapshot:
         if self._snapshot is None:
@@ -1366,16 +1364,21 @@ class QuerySession:
         """The compiled plan for the query's shape."""
         return self._plan_entry(query)[1]
 
-    def _plan_entry(self, query: ConjunctiveQuery) -> Tuple[tuple, QueryPlan]:
-        """The plan *and* its view key (the query shape): a live view's own
-        plan, else the evaluator's."""
-        key, _ = _query_shape(query)
+    def _plan_entry(
+        self, query: ConjunctiveQuery
+    ) -> Tuple[tuple, QueryPlan, Tuple[Constant, ...]]:
+        """The plan, its view key (the query shape) and the query's
+        constants (the plan's parameters): a live view's own plan, else the
+        evaluator's.  The one place a session canonicalises a query."""
+        key, constants = _query_shape(query)
         entry = self._views.get(key)
         if entry is not None:
             self._views.move_to_end(key)
-            self.statistics.plan_hits += 1
-            return key, entry.plan
-        return key, self._evaluator.plan(query, self.statistics)
+            self._plan_hits.inc()
+            return key, entry.plan, constants
+        plan, compiled = self._evaluator._plan(query, key)
+        (self._plan_misses if compiled else self._plan_hits).inc()
+        return key, plan, constants
 
     def _view_entry(self, key: tuple, plan: QueryPlan) -> _PlanView:
         """The plan's maintained view, built once over its dependency cone."""
@@ -1391,7 +1394,7 @@ class QuerySession:
                 plan.program.rules,
                 facts,
                 stratification=plan.program.stratification,
-                statistics=self.statistics.engine,
+                statistics=self._engine,
                 max_atoms=self._evaluator.max_atoms,
             )
             entry = self._store_view(key, plan, view)
@@ -1415,7 +1418,7 @@ class QuerySession:
             del self._views[cold]
         entry = _PlanView(plan=plan, view=view)
         self._views[key] = entry
-        self.statistics.views_built += 1
+        self._views_built.inc()
         return entry
 
     # ---------------------------------------------------------------- answers
@@ -1429,13 +1432,13 @@ class QuerySession:
         cached = self._answers.get(cache_key)
         if cached is not None:
             self._answers.move_to_end(cache_key)
-            self.statistics.answer_hits += 1
+            self._answer_hits.inc()
             if tracing:
                 tracer.start(
                     "session.answers", cache="hit", revision=self._revision
                 ).finish(answers=len(cached[0]))
             return cached[0]
-        self.statistics.answer_misses += 1
+        self._answer_misses.inc()
         span = (
             tracer.start(
                 "session.answers", cache="miss", revision=self._revision
@@ -1444,14 +1447,17 @@ class QuerySession:
             else None
         )
         try:
-            result, depends, plan_key = self._compute(query)
+            entry = self._compute(query)
         except BaseException as error:
             if span is not None:
                 span.finish(error=type(error).__name__)
             raise
+        finally:
+            self._report()
+        result = entry[0]
         if span is not None:
             span.finish(answers=len(result))
-        self._answers[cache_key] = (result, depends, plan_key)
+        self._answers[cache_key] = entry
         while len(self._answers) > self._answer_cache_size:
             self._answers.popitem(last=False)
         return result
@@ -1480,20 +1486,24 @@ class QuerySession:
         outside the rewritable fragment (fallback mode) have no plan to
         attribute and raise their scope error instead.
         """
-        _, plan = self._plan_entry(query)
+        _, plan, constants = self._plan_entry(query)
         tracer = Tracer(capacity=4096)
         profiler = RuleProfiler()
         from time import perf_counter as _now
 
         t0 = _now()
-        answers = plan.execute_on(
-            self._ensure_snapshot(),
-            query,
-            max_atoms=self._evaluator.max_atoms,
-            statistics=self.statistics.engine,
-            tracer=tracer,
-            profiler=profiler,
-        )
+        try:
+            answers = plan.execute_on(
+                self._ensure_snapshot(),
+                query,
+                constants=constants,
+                max_atoms=self._evaluator.max_atoms,
+                statistics=self._engine,
+                tracer=tracer,
+                profiler=profiler,
+            )
+        finally:
+            self._report()
         wall_s = _now() - t0
         strata = tuple(
             StratumTiming(
@@ -1516,9 +1526,8 @@ class QuerySession:
             wall_s=wall_s,
         )
 
-    def _compute(
-        self, query: ConjunctiveQuery
-    ) -> Tuple[frozenset, Optional[frozenset[Predicate]], Optional[tuple]]:
+    def _compute(self, query: ConjunctiveQuery) -> tuple:
+        """A miss's answer-cache entry (see ``_answers``)."""
         active = self._active_tracer()
         # Passed straight down to the engine so fixpoint/stratum spans nest
         # under the session.answers span; ``None`` when disabled keeps the
@@ -1527,24 +1536,23 @@ class QuerySession:
         evaluator = self._evaluator
         if not evaluator.rewritable:
             result = evaluator.fallback_answers(self._index, query)
-            self.statistics.fallback_queries += 1
-            return result, None, None
+            self._fallback_queries.inc()
+            return result, None, None, None
         try:
-            plan_key, plan = self._plan_entry(query)
+            plan_key, plan, constants = self._plan_entry(query)
         except (UnsupportedClassError, StratificationError) as error:
             # Just the *query* leaves the fragment (nulls, function terms);
             # the homomorphism matcher of the stable path evaluates such
             # queries fine.
             result = evaluator.fallback_answers(self._index, query, error)
-            self.statistics.fallback_queries += 1
-            return result, None, None
+            self._fallback_queries.inc()
+            return result, None, None, None
         # Maintained-view path: inject this query's magic seed as an
         # incremental delta (a no-op for an already-seen constant
         # vector) and read the goal relation filtered to it.  The
         # answer is tagged with the plan key so later mutations can
         # repair it in place.
         entry = self._view_entry(plan_key, plan)
-        _, _, constants = canonicalize_query(query)
         seed = plan.program.seed(constants)
         if seed in entry.seeds:
             entry.seeds.move_to_end(seed)  # LRU recency
@@ -1565,11 +1573,12 @@ class QuerySession:
                 result = plan.execute_on(
                     self._ensure_snapshot(),
                     query,
+                    constants=constants,
                     max_atoms=self._evaluator.max_atoms,
-                    statistics=self.statistics.engine,
+                    statistics=self._engine,
                     tracer=tracer,
                 )
-                return result, plan.depends, None
+                return result, plan.depends, None, None
             # Recorded only after the cascade succeeded.
             entry.seeds[seed] = None
         result = plan.program.collect_answers(entry.view.index, constants)
@@ -1601,7 +1610,7 @@ class QuerySession:
                 # collected above is still valid, so drop the view
                 # and let the next miss rebuild it cleanly.
                 self._views.pop(plan_key, None)
-        return result, plan.depends, plan_key
+        return result, plan.depends, plan_key, constants
 
 
 def try_goal_directed(

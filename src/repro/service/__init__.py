@@ -7,8 +7,8 @@ The serving layer of the stack: :class:`DatalogService` owns one writer
 through an atomic reference swap, so any number of reader threads answer
 queries lock-free on the last published epoch while a single writer thread
 applies coalesced mutation batches and incremental view repairs.  Admission
-control (bounded write queue, ``block``/``reject`` backpressure) and
-:class:`ServiceStatistics` make the serving behaviour observable.
+control (bounded write queue, ``block``/``reject`` backpressure) and the
+``service_*`` registry counters make the serving behaviour observable.
 
 With ``durability=`` (or :meth:`DatalogService.open`), the service adds a
 write-ahead fact log, periodic checkpoints of the facts plus the session's
@@ -29,7 +29,7 @@ See ``docs/serving.md`` for the architecture walk-through,
 """
 
 from .durability import DurabilityConfig, DurabilityManager
-from .service import DatalogService, Epoch, ServiceStatistics
+from .service import DatalogService, Epoch
 from .subscriptions import Gap, Notification, Subscription, SubscriptionRegistry
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "Epoch",
     "Gap",
     "Notification",
-    "ServiceStatistics",
     "Subscription",
     "SubscriptionRegistry",
 ]

@@ -492,10 +492,8 @@ class FactLog:
         self._fsync = fsync
         self._file: Optional[io.BufferedRandom] = None
         self._fallback_lock: Optional[_LockFileGuard] = None
-        #: bytes appended / records appended / fsyncs issued / tails truncated
-        self.bytes_written = 0
-        self.records_written = 0
-        self.syncs = 0
+        #: torn tails truncated by recovery (the ``service_wal_*`` counters
+        #: of :class:`DurabilityManager` record appends and syncs)
         self.torn_tails = 0
 
     @property
@@ -622,8 +620,6 @@ class FactLog:
         self._file.write(frame)
         self._file.flush()
         _maybe_crash("wal.pre_sync")
-        self.records_written += 1
-        self.bytes_written += len(frame)
         return len(frame)
 
     def sync(self) -> None:
@@ -635,7 +631,6 @@ class FactLog:
     def _do_sync(self) -> None:
         if self._fsync and self._file is not None:
             os.fsync(self._file.fileno())
-            self.syncs += 1
 
     def reset(self) -> None:
         """Compact the log to empty (called after a durable checkpoint)."""

@@ -462,9 +462,6 @@ class Replica:
         #: writer-side publish instant (monotonic) of the last applied record
         self._last_published: Optional[float] = None
         self._last_staleness = 0.0
-        self.records_applied = 0
-        self.records_skipped = 0
-        self.snapshots_applied = 0
         self._applied_counter = self._metrics.counter(
             "replica_records_applied",
             help="Delta records applied through the replica's session.",
@@ -538,7 +535,6 @@ class Replica:
             self._applied_revision is not None
             and revision <= self._applied_revision
         ):
-            self.records_skipped += 1
             self._skipped_counter.inc()
             return "skipped"
         if kind == "snapshot":
@@ -550,7 +546,6 @@ class Replica:
                 self._session.apply_batch(
                     (("remove", to_remove), ("add", to_add))
                 )
-            self.snapshots_applied += 1
             self._snapshot_counter.inc()
             outcome = "resynced"
         else:
@@ -568,7 +563,6 @@ class Replica:
             self._session.apply_batch(
                 (("add", record["added"]), ("remove", record["removed"]))
             )
-            self.records_applied += 1
             self._applied_counter.inc()
             outcome = "applied"
         self._applied_revision = revision
@@ -633,10 +627,7 @@ class Replica:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Replica({self.replica_id}, revision={self.applied_revision}, "
-            f"applied={self.records_applied}, skipped={self.records_skipped})"
-        )
+        return f"Replica({self.replica_id}, revision={self.applied_revision})"
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ versioned store**:
   :class:`~repro.query.session.QueryEvaluator` on the epoch's snapshot —
   the same plan cache the writer's session compiles into, the plan run in
   a private overlay fork, or the cautious stable-model fallback outside the
-  fragment.  (The only locks a read touches are one brief counter update,
+  fragment.  (The only locks a read touches are its registry counters',
   the evaluator's compile lock on a shape's first miss and,
   first-use-per-pattern, the snapshot's cold-table build lock — never
   around evaluation.)  Reads
@@ -65,7 +65,6 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.atoms import Atom
@@ -73,7 +72,7 @@ from ..core.database import Database
 from ..core.queries import ConjunctiveQuery
 from ..core.terms import Term
 from ..engine.intern import global_symbols
-from ..engine.stats import EngineStatistics
+from ..engine.stats import EngineStatistics, engine_counters
 from ..obs.metrics import MetricsRegistry, MetricsSnapshot, global_registry
 from ..obs.trace import get_tracer
 from ..errors import (
@@ -85,68 +84,12 @@ from ..query.session import QuerySession, SessionEpoch
 from .durability import DurabilityConfig, DurabilityManager
 from .subscriptions import Subscription, SubscriptionRegistry
 
-__all__ = ["DatalogService", "Epoch", "ServiceStatistics"]
+__all__ = ["DatalogService", "Epoch"]
 
 #: Bound on per-epoch memoised reader misses: a long-lived epoch (e.g. a
 #: read-only service that never publishes again) must not grow without
 #: limit.  Past the cap, misses are still answered — just not memoised.
 _EPOCH_MEMO_CAP = 4096
-
-
-@dataclass
-class ServiceStatistics:
-    """Counters of one :class:`DatalogService`.
-
-    ``epochs_published`` counts atomic epoch swaps (including the initial
-    one); ``batches_applied`` the writer drain cycles, ``batches_coalesced``
-    the drains that carried more than one enqueued op, and ``coalesced_ops``
-    the ops beyond the first in such drains — i.e. the epoch publishes (and
-    repair passes) the coalescing queue saved.  ``queue_high_water`` is the
-    largest pending-queue length observed at enqueue time.  ``reads_served``
-    counts every answered read; ``read_cache_hits`` the ones served from a
-    published or epoch-memoised answer set without evaluating anything, and
-    ``reads_fallback`` the ones answered by cautious stable-model reasoning
-    because the rules (or the query) are outside the rewritable fragment.
-    ``engine`` accumulates the per-evaluation engine counters of reader-side
-    misses (merged under the statistics lock); writer-side work lands on the
-    session's own statistics.  Cold pattern-table builds on a published
-    snapshot do **not** land here — a plain dataclass field cannot be
-    updated race-free from both reader and writer threads — but they are no
-    longer lost: each published snapshot's build hook feeds the service's
-    thread-safe ``service_snapshot_index_builds`` registry counter (see
-    :meth:`DatalogService.stats`).
-    """
-
-    epochs_published: int = 0
-    reads_served: int = 0
-    read_cache_hits: int = 0
-    reads_fallback: int = 0
-    writes_enqueued: int = 0
-    batches_applied: int = 0
-    batches_coalesced: int = 0
-    coalesced_ops: int = 0
-    queue_high_water: int = 0
-    backpressure_rejections: int = 0
-    #: lifetime subscription registrations, notifications enqueued across
-    #: all subscribers, and gap markers enqueued (exported flattened as
-    #: ``service_subscriptions_registered`` / ``service_notifications_sent``
-    #: / ``service_subscription_gaps``; the *live* subscriber count is the
-    #: ``service_subscriptions_active`` gauge).
-    subscriptions_registered: int = 0
-    notifications_sent: int = 0
-    subscription_gaps: int = 0
-    #: replication fan-out: net fact deltas handed to attached sinks and
-    #: sink failures swallowed (a broken sink must never take down the
-    #: writer); exported flattened as ``service_replication_records`` /
-    #: ``service_replication_errors``.
-    replication_records: int = 0
-    replication_errors: int = 0
-    #: size of the process-wide engine symbol table, sampled at each epoch
-    #: publish and at ``stats()`` — how many distinct ground terms the
-    #: interned storage core has ever seen (exported as
-    #: ``service_symbols_interned``).
-    symbols_interned: int = 0
-    engine: EngineStatistics = field(default_factory=EngineStatistics)
 
 
 class Epoch:
@@ -174,13 +117,10 @@ class Epoch:
         self.snapshot = exported.snapshot
         # Cold pattern-table builds on the published snapshot happen on
         # reader threads under the snapshot's own lock; recording them on
-        # the writer session's counters (racy) or the service's engine
-        # counters (guarded by a *different* lock — lost updates) would
-        # both be wrong.  They are routed to the service's thread-safe
-        # registry counter instead: the hook runs under this snapshot's
-        # build lock, but two epochs' locks are unrelated, and Counter.inc
-        # locks internally.  Per-evaluation reader counters are still
-        # merged under the service's statistics lock.
+        # the writer session's engine account would race with the writer.
+        # They go to the service's registry counter instead: the hook runs
+        # under this snapshot's build lock, but two epochs' locks are
+        # unrelated, and Counter.inc locks internally.
         self.snapshot._stats = None
         self.snapshot._obs_build_hook = service._record_cold_build
         self._published = exported.answers
@@ -257,9 +197,9 @@ class DatalogService:
         Forwarded to the session (see :class:`QuerySession`).
     metrics:
         The :class:`~repro.obs.metrics.MetricsRegistry` the service (and
-        its inner session) reports into: flattened ``service_*`` counters,
-        the read-latency histogram, the snapshot cold-build counter, and
-        the queue-depth / epoch-lag / pending-futures gauges.  Defaults to
+        its inner session) reports into: the ``service_*`` counters and
+        gauges and the read-latency histogram (catalogue in
+        ``docs/serving.md``).  Defaults to
         :func:`repro.obs.global_registry`; pass a private registry for
         isolation.  :meth:`stats` snapshots it.
     durability:
@@ -375,9 +315,8 @@ class DatalogService:
         self._backpressure = backpressure
         self._enqueue_timeout = enqueue_timeout
         self._coalesce_window = coalesce_window
-        self.statistics = ServiceStatistics()
         self._subscriptions = SubscriptionRegistry(
-            self, self._session, self.statistics
+            self, self._session, self._metrics
         )
         #: replication sinks, writer-thread only: each is called once per
         #: epoch publish with ``(revision, added_facts, removed_facts)``.
@@ -387,15 +326,38 @@ class DatalogService:
         self._replication_sinks: List[Callable] = []
 
         # ---- observability plumbing (see repro.obs and docs/observability.md)
-        # Flattened ``service_*`` counters; weakly referenced, so the
-        # registry never extends the service's lifetime.
-        self._metrics.register_stats(self.statistics, "service")
+        counter = self._metrics.counter
+        self._epochs_published = counter("service_epochs_published")
+        self._reads_served = counter("service_reads_served")
+        self._read_cache_hits = counter("service_read_cache_hits")
+        self._reads_fallback = counter("service_reads_fallback")
+        self._writes_enqueued = counter("service_writes_enqueued")
+        self._batches_applied = counter("service_batches_applied")
+        self._batches_coalesced = counter("service_batches_coalesced")
+        self._coalesced_ops = counter("service_coalesced_ops")
+        self._backpressure_rejections = counter("service_backpressure_rejections")
+        self._notifications_sent = counter("service_notifications_sent")
+        self._subscription_gaps = counter("service_subscription_gaps")
+        self._replication_records = counter("service_replication_records")
+        self._replication_errors = counter("service_replication_errors")
+        #: reader misses' engine work, added once per miss
+        self._engine_counters = engine_counters(self._metrics, "service_engine")
+        self._queue_high_water = self._metrics.gauge(
+            "service_queue_high_water",
+            help="Largest pending-queue length seen at enqueue time.",
+        )
+        #: this service's own high water, under the queue lock
+        self._high_water = 0
+        self._symbols_interned = self._metrics.gauge(
+            "service_symbols_interned",
+            help="Engine symbol-table size, sampled at publish and stats().",
+        )
         self._read_latency = self._metrics.histogram(
             "service_read_latency_seconds",
             help="End-to-end DatalogService read latency (hits and misses).",
         )
         # Cold pattern-table builds performed by reader threads on published
-        # snapshots; thread-safe, unlike the dataclass counters above.
+        # snapshots.
         self._snapshot_builds = self._metrics.counter(
             "service_snapshot_index_builds",
             help="Cold pattern-table builds on published (detached) snapshots.",
@@ -447,8 +409,8 @@ class DatalogService:
         for gauge, callback in self._gauge_callbacks:
             gauge.add_callback(callback)
 
-        self._stats_lock = threading.Lock()
         #: reader cache-misses to replay through the session pre-publish
+        self._hot_lock = threading.Lock()
         self._hot: "OrderedDict[ConjunctiveQuery, None]" = OrderedDict()
         self._hot_cap = 128
 
@@ -459,7 +421,7 @@ class DatalogService:
         self._closed = False
 
         self._epoch: Epoch = Epoch(self, self._session.epoch())
-        self.statistics.epochs_published = 1
+        self._epochs_published.inc()
         self._writer = threading.Thread(
             target=self._writer_loop, name="repro-datalog-writer", daemon=True
         )
@@ -505,16 +467,14 @@ class DatalogService:
     def _read(
         self, epoch: Epoch, query: ConjunctiveQuery
     ) -> frozenset[Tuple[Term, ...]]:
-        # No lock is ever held around evaluation; counters are batched into
-        # exactly one brief statistics-lock acquisition per read.
+        # No lock is ever held around evaluation.
         t0 = time.perf_counter()
         tracer = get_tracer()
         tracing = tracer.enabled
         cached = epoch.cached(query)
         if cached is not None:
-            with self._stats_lock:
-                self.statistics.reads_served += 1
-                self.statistics.read_cache_hits += 1
+            self._reads_served.inc()
+            self._read_cache_hits.inc()
             self._read_latency.observe(time.perf_counter() - t0)
             if tracing:
                 tracer.start(
@@ -540,17 +500,18 @@ class DatalogService:
             raise
         if len(epoch._memo) < _EPOCH_MEMO_CAP:
             epoch._memo[query] = result
-        with self._stats_lock:
-            self.statistics.reads_served += 1
-            if fell_back:
-                self.statistics.reads_fallback += 1
-            self.statistics.engine.merge(local)
+        self._reads_served.inc()
+        local.report(self._engine_counters)
+        if fell_back:
+            self._reads_fallback.inc()
+        else:
             # Warm only what the maintenance machinery can keep repaired:
             # a fallback (out-of-fragment) answer has no plan or view, so
             # replaying it would put a from-scratch stable-model evaluation
             # on the serialised write path at every publish.
-            if not fell_back and len(self._hot) < self._hot_cap:
-                self._hot[query] = None
+            with self._hot_lock:
+                if len(self._hot) < self._hot_cap:
+                    self._hot[query] = None
         self._read_latency.observe(time.perf_counter() - t0)
         if span is not None:
             span.finish(answers=len(result), fallback=fell_back)
@@ -721,8 +682,7 @@ class DatalogService:
                 raise ServiceClosedError("service is closed")
             while not force and len(self._pending) >= self._max_pending:
                 if self._backpressure == "reject":
-                    with self._stats_lock:
-                        self.statistics.backpressure_rejections += 1
+                    self._backpressure_rejections.inc()
                     raise ServiceOverloadedError(
                         f"write queue full ({self._max_pending} pending ops)"
                     )
@@ -730,8 +690,7 @@ class DatalogService:
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        with self._stats_lock:
-                            self.statistics.backpressure_rejections += 1
+                        self._backpressure_rejections.inc()
                         raise ServiceOverloadedError(
                             "timed out waiting for write-queue space"
                         )
@@ -740,11 +699,13 @@ class DatalogService:
                     raise ServiceClosedError("service is closed")
             self._pending.append(op)
             depth = len(self._pending)
+            if depth > self._high_water:
+                # inc, not set: services sharing a registry sum, as their
+                # counters do.
+                self._queue_high_water.inc(depth - self._high_water)
+                self._high_water = depth
             self._not_empty.notify()
-        with self._stats_lock:
-            self.statistics.writes_enqueued += 1
-            if depth > self.statistics.queue_high_water:
-                self.statistics.queue_high_water = depth
+        self._writes_enqueued.inc()
         return op.future
 
     # ---------------------------------------------------------------- writer
@@ -947,11 +908,9 @@ class DatalogService:
                     try:
                         sink(revision, drained[0], drained[1])
                     except Exception:
-                        with self._stats_lock:
-                            self.statistics.replication_errors += 1
+                        self._replication_errors.inc()
                     else:
-                        with self._stats_lock:
-                            self.statistics.replication_records += 1
+                        self._replication_records.inc()
         if standing and self._subscriptions.active_count():
             # Fan out after the epoch swap (a woken subscriber polling the
             # service sees at least its notification's revision) and before
@@ -971,16 +930,14 @@ class DatalogService:
             notified, gaps = self._subscriptions.fan_out(
                 self._epoch.revision, standing
             )
-            with self._stats_lock:
-                self.statistics.notifications_sent += notified
-                self.statistics.subscription_gaps += gaps
+            self._notifications_sent.inc(notified)
+            self._subscription_gaps.inc(gaps)
             if span is not None:
                 span.finish(notifications=notified, gaps=gaps)
-        with self._stats_lock:
-            self.statistics.batches_applied += 1
-            if len(batch) > 1:
-                self.statistics.batches_coalesced += 1
-                self.statistics.coalesced_ops += len(batch) - 1
+        self._batches_applied.inc()
+        if len(batch) > 1:
+            self._batches_coalesced.inc()
+            self._coalesced_ops.inc(len(batch) - 1)
         # Acknowledge only after the epoch swap: a caller that waits on the
         # future and then reads is guaranteed to observe its own write.
         if counts is not None:
@@ -992,7 +949,7 @@ class DatalogService:
 
     def _warm(self) -> int:
         """Replay reader cache-misses through the session pre-publish."""
-        with self._stats_lock:
+        with self._hot_lock:
             if not self._hot:
                 return 0
             queries = list(self._hot)
@@ -1015,9 +972,8 @@ class DatalogService:
         self._epoch = Epoch(self, self._session.epoch())
         self._published_monotonic = time.monotonic()
         self._published_at = time.time()
-        with self._stats_lock:
-            self.statistics.epochs_published += 1
-            self.statistics.symbols_interned = len(global_symbols())
+        self._epochs_published.inc()
+        self._symbols_interned.set(len(global_symbols()))
         if span is not None:
             span.finish(
                 revision=self._epoch.revision, facts=len(self._epoch.snapshot)
@@ -1028,16 +984,15 @@ class DatalogService:
         """A point-in-time :class:`~repro.obs.metrics.MetricsSnapshot`.
 
         The snapshot carries everything the service's registry knows: the
-        flattened ``service_*`` (and, same registry, ``session_*``) counters,
-        the ``service_read_latency_seconds`` histogram, the thread-safe
-        ``service_snapshot_index_builds`` counter, and the live gauges —
+        ``service_*`` (and, same registry, ``session_*``) counters, the
+        ``service_read_latency_seconds`` histogram, and the gauges —
         ``service_queue_depth``, ``service_epoch_lag_seconds``,
-        ``service_pending_futures``.  Feed it to
+        ``service_pending_futures``, ``service_symbols_interned`` (sampled
+        now) and the rest.  Feed it to
         :func:`repro.obs.prometheus_text` / :func:`repro.obs.json_snapshot`
         to export, or ``.diff(earlier)`` two of them for interval rates.
         """
-        with self._stats_lock:
-            self.statistics.symbols_interned = len(global_symbols())
+        self._symbols_interned.set(len(global_symbols()))
         return self._metrics.snapshot()
 
     # ------------------------------------------------------------- lifecycle

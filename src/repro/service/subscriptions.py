@@ -47,6 +47,7 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 from ..core.queries import ConjunctiveQuery
 from ..core.terms import Constant, Term
 from ..errors import ReproError, ServiceClosedError
+from ..obs.metrics import MetricsRegistry
 from ..query.session import QuerySession, StandingDeltas, StandingQuery
 
 __all__ = ["Gap", "Notification", "Subscription", "SubscriptionRegistry"]
@@ -365,10 +366,12 @@ class SubscriptionRegistry:
     per-subscription queues.
     """
 
-    def __init__(self, service, session: QuerySession, statistics) -> None:
+    def __init__(
+        self, service, session: QuerySession, metrics: MetricsRegistry
+    ) -> None:
         self._service = service
         self._session = session
-        self._statistics = statistics
+        self._registered = metrics.counter("service_subscriptions_registered")
         self._lock = threading.Lock()
         self._subs: Dict[int, Subscription] = {}
         self._tokens = count(1)
@@ -407,7 +410,7 @@ class SubscriptionRegistry:
         )
         with self._lock:
             self._subs[token] = subscription
-        self._statistics.subscriptions_registered += 1
+        self._registered.inc()
         return subscription
 
     def release(self, subscription: Subscription) -> None:

@@ -41,11 +41,12 @@ QUERY = parse_query("?(Y) :- reachable(a, Y)")
 
 
 def state(replica: Replica) -> dict:
+    counters = replica.stats().counters
     return {
         "revision": replica.applied_revision,
-        "applied": replica.records_applied,
-        "skipped": replica.records_skipped,
-        "snapshots": replica.snapshots_applied,
+        "applied": counters["replica_records_applied"],
+        "skipped": counters["replica_records_skipped"],
+        "snapshots": counters["replica_snapshots_applied"],
     }
 
 

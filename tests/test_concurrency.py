@@ -43,6 +43,7 @@ from repro.engine import (
     EngineStatistics,
     RelationIndex,
 )
+from repro.obs import MetricsRegistry
 from repro.query import QuerySession, full_fixpoint_answers
 
 LINK = Predicate("link", 2)
@@ -108,7 +109,8 @@ class TestServiceStress:
             except BaseException as error:  # pragma: no cover - reported below
                 errors.append(error)
 
-        with DatalogService(base, RULES) as service:
+        registry = MetricsRegistry()
+        with DatalogService(base, RULES, metrics=registry) as service:
             threads = [
                 threading.Thread(target=reader, args=(seed * 101 + i,))
                 for i in range(self.READERS)
@@ -128,6 +130,13 @@ class TestServiceStress:
                 future.result(30)
             _join_all(threads)
             assert not errors, errors
+            # Readers and the writer bumped shared counters concurrently;
+            # none of their increments may be lost.
+            counters = registry.snapshot().counters
+            assert counters["service_reads_served"] == (
+                self.READERS * self.READS_PER_READER
+            )
+            assert counters["service_writes_enqueued"] == self.WRITER_OPS
             # The writer applied every op in submission order: the final
             # published fact base equals the sequentially simulated one.
             service.flush(30)

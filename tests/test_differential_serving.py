@@ -48,9 +48,11 @@ class _Paths:
 
     def __init__(self, database, rules, durability) -> None:
         self.session = QuerySession(database, rules)
+        registry = MetricsRegistry()
         self.service = DatalogService(
-            database, rules, metrics=MetricsRegistry(), durability=durability
+            database, rules, metrics=registry, durability=durability
         )
+        self.hits = registry.counter("service_read_cache_hits")
         self.publisher = ReplicationPublisher(
             self.service, metrics=MetricsRegistry()
         )
@@ -72,17 +74,17 @@ class _Paths:
     def miss(self, query: ConjunctiveQuery) -> frozenset:
         epoch = self.service.epoch()
         assert epoch.cached(query) is None
-        hits = self.service.statistics.read_cache_hits
+        hits = self.hits.value
         answers = epoch.answers(query)
-        assert self.service.statistics.read_cache_hits == hits
+        assert self.hits.value == hits
         return answers
 
     def hit(self, query: ConjunctiveQuery) -> frozenset:
         epoch = self.service.epoch()
         assert epoch.cached(query) is not None
-        hits = self.service.statistics.read_cache_hits
+        hits = self.hits.value
         answers = epoch.answers(query)
-        assert self.service.statistics.read_cache_hits == hits + 1
+        assert self.hits.value == hits + 1
         return answers
 
     def close(self) -> None:

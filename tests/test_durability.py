@@ -376,8 +376,9 @@ def test_warm_restart_serves_restored_answers_as_cache_hits(tmp_path):
         assert reopened.answers(probe()) == expected
         # Served straight from the restored answer cache on the recovered
         # epoch: no evaluation, a read_cache_hit on a fresh registry.
-        assert reopened.statistics.read_cache_hits == 1
-        assert reopened.statistics.reads_served == 1
+        counters = reopened.stats().counters
+        assert counters["service_read_cache_hits"] == 1
+        assert counters["service_reads_served"] == 1
     finally:
         reopened.close()
 
@@ -406,7 +407,7 @@ def test_format_2_checkpoint_recovers_facts_but_no_warm_state(tmp_path):
         assert reopened.facts == frozenset(facts)
         assert reopened.stats().counters["session_views_built"] == 0
         assert reopened.answers(probe()) == expected
-        assert reopened.statistics.read_cache_hits == 0
+        assert reopened.stats().counters["service_read_cache_hits"] == 0
     finally:
         reopened.close()
 
@@ -436,7 +437,7 @@ def test_rules_change_across_restart_keeps_facts_drops_warmth(tmp_path):
         assert reopened.answers(query) == expected
         # The old program's warmth was dropped, not misapplied: the first
         # read under the new rules is a miss, never a stale hit.
-        assert reopened.statistics.read_cache_hits == 0
+        assert reopened.stats().counters["service_read_cache_hits"] == 0
     finally:
         reopened.close()
 

@@ -18,6 +18,7 @@ from repro.core.terms import Constant, Variable
 from repro.errors import StratificationError, UnsupportedClassError
 from repro.generators import random_database, random_stratified_datalog
 from repro.engine import RelationIndex
+from repro.obs import MetricsRegistry
 from repro.query import (
     QuerySession,
     evaluate_stratified,
@@ -294,11 +295,14 @@ class TestStratificationEdgeCases:
             """
         )
         database = parse_database("vertex(a).")
-        session = QuerySession(database, rules, stable_options={"max_nulls": 0})
+        registry = MetricsRegistry()
+        session = QuerySession(
+            database, rules, stable_options={"max_nulls": 0}, metrics=registry
+        )
         assert not session.is_goal_directed
         # Two stable models ({win(a)} and {lose(a)}): nothing is certain.
         assert session.answers(parse_query("?(X) :- win(X)")) == frozenset()
-        assert session.statistics.fallback_queries == 1
+        assert registry.counter("session_fallback_queries").value == 1
 
     def test_unstratified_rewrite_raises(self):
         rules = parse_program("q(X), not p(X) -> p(X)")
@@ -394,16 +398,17 @@ class TestNameCollisionHardening:
         from repro.core.atoms import Atom, Predicate
 
         facts = self._decoy_facts()
-        session = QuerySession(facts, TRANSITIVE_CLOSURE)
+        registry = MetricsRegistry()
+        session = QuerySession(facts, TRANSITIVE_CLOSURE, metrics=registry)
         query = self.DECOY_QUERY
         assert session.answers(query) == full_fixpoint_answers(
             facts, TRANSITIVE_CLOSURE, query
         )
-        assert session.statistics.views_built == 1
+        assert registry.counter("session_views_built").value == 1
         session.add_facts(
             [Atom(Predicate("edge", 2), (Constant("d"), Constant("e")))]
         )
-        assert session.statistics.answers_repaired >= 1
+        assert registry.counter("session_answers_repaired").value >= 1
         assert session.answers(query) == full_fixpoint_answers(
             session.facts, TRANSITIVE_CLOSURE, query
         )
@@ -439,7 +444,6 @@ class TestNameCollisionHardening:
     def test_decoy_in_generated_namespace_service_reads_the_snapshot(
         self, monkeypatch
     ):
-        from repro.obs import MetricsRegistry
         from repro.query import QueryPlan
         from repro.service import DatalogService
 
@@ -452,13 +456,14 @@ class TestNameCollisionHardening:
 
         monkeypatch.setattr(QueryPlan, "execute_on", recording)
         facts = self._decoy_facts()
+        registry = MetricsRegistry()
         with DatalogService(
-            facts, TRANSITIVE_CLOSURE, metrics=MetricsRegistry()
+            facts, TRANSITIVE_CLOSURE, metrics=registry
         ) as service:
             assert service.answers(self.DECOY_QUERY) == full_fixpoint_answers(
                 facts, TRANSITIVE_CLOSURE, self.DECOY_QUERY
             )
-            assert service.statistics.read_cache_hits == 0
+            assert registry.counter("service_read_cache_hits").value == 0
             # The reader ran the plan over the published snapshot itself.
             assert bases == [service.epoch().snapshot]
 
@@ -502,11 +507,14 @@ class TestNameCollisionHardening:
         p = Predicate("p", 1)
         facts = [Atom(p, (Constant("a"),))]
         query = ConjunctiveQuery((Literal(Atom(p, (Null("n0"),)), True),), ())
-        session = QuerySession(facts, (), stable_options={"max_nulls": 0})
+        registry = MetricsRegistry()
+        session = QuerySession(
+            facts, (), stable_options={"max_nulls": 0}, metrics=registry
+        )
         assert session.is_goal_directed  # the *rules* are rewritable
         # The null can map homomorphically onto the constant: query holds.
         assert session.answers(query) == frozenset({()})
-        assert session.statistics.fallback_queries == 1
+        assert registry.counter("session_fallback_queries").value == 1
 
     def test_cqa_query_with_function_term_falls_back(self):
         from repro.core.atoms import Atom, Literal, Predicate

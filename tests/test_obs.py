@@ -10,11 +10,12 @@ builds that previously went unrecorded (the counter-drift fix).
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import re
+import sys
 import threading
-from dataclasses import dataclass, field
 
 import pytest
 
@@ -35,6 +36,7 @@ from repro.obs import (
     json_snapshot,
     prometheus_text,
     sanitize_metric_name,
+    set_global_registry,
     set_tracer,
     use_tracer,
 )
@@ -246,42 +248,24 @@ class TestRegistry:
             json.dumps(after.as_dict())
         )
 
-    def test_register_stats_flattens_and_sums(self):
-        @dataclass
-        class Inner:
-            steps: int = 0
-
-        @dataclass
-        class Bag:
-            hits: int = 0
-            ratio: float = 0.0
-            flag: bool = True  # bools are not counters: must be skipped
-            inner: Inner = field(default_factory=Inner)
+    def test_engine_accounts_are_added_to_owner_counters(self):
+        from repro.engine.stats import EngineStatistics, engine_counters
 
         registry = MetricsRegistry()
-        one, two = Bag(hits=2, inner=Inner(steps=5)), Bag(hits=3)
-        registry.register_stats(one, "bag")
-        registry.register_stats(two, "bag")
-        snap = registry.snapshot()
-        assert snap.counters["bag_hits"] == 5
-        assert snap.counters["bag_inner_steps"] == 5
-        assert "bag_flag" not in snap.counters
-
-    def test_register_stats_sources_are_weak(self):
-        @dataclass
-        class Bag:
-            hits: int = 0
-
-        registry = MetricsRegistry()
-        bag = Bag(hits=7)
-        registry.register_stats(bag, "bag")
-        assert registry.snapshot().counters["bag_hits"] == 7
-        del bag
-        assert "bag_hits" not in registry.snapshot().counters
-
-    def test_register_stats_rejects_non_dataclass(self):
-        with pytest.raises(TypeError):
-            MetricsRegistry().register_stats(object(), "x")
+        counters = engine_counters(registry, "owner_engine")
+        account = EngineStatistics(iterations=3, tuples_derived=5)
+        account.report(counters)
+        account.report(counters)
+        snap = registry.snapshot().counters
+        assert snap["owner_engine_iterations"] == 6
+        assert snap["owner_engine_tuples_derived"] == 10
+        # One counter per field, reported or not.
+        assert snap["owner_engine_rederivations"] == 0
+        assert sum(key.startswith("owner_engine_") for key in snap) == len(
+            account.as_dict()
+        )
+        # Reporting reads the account; it stays the caller's to read back.
+        assert account.iterations == 3
 
     def test_thread_safety_hammer(self):
         registry = MetricsRegistry()
@@ -297,10 +281,16 @@ class TestRegistry:
                 hist.observe(0.25)
 
         pool = [threading.Thread(target=worker) for _ in range(threads)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside every inc
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in pool)
         total = threads * per_thread
         snap = registry.snapshot()
         assert snap.counters["hammer"] == total
@@ -445,6 +435,7 @@ class TestTracedEvaluation:
         session.add_facts(parse_database("edge(d, e).").atoms)
         (mutate,) = tracer.spans("session.mutate")
         assert mutate.attributes["added"] == 1
+        assert mutate.attributes["repaired"] == 1
 
     def test_magic_rewrite_and_compile_spans_via_global_tracer(self):
         tracer = Tracer()
@@ -495,11 +486,12 @@ class TestExplain:
         assert "strata:" in text and "hot rules:" in text
 
     def test_explain_does_not_pollute_answer_cache(self):
-        session = QuerySession(DATABASE, RULES)
+        registry = MetricsRegistry()
+        session = QuerySession(DATABASE, RULES, metrics=registry)
         session.explain(QUERY)
-        assert session.statistics.answer_hits == 0
+        assert registry.counter("session_answer_hits").value == 0
         session.answers(QUERY)
-        assert session.statistics.answer_misses == 1
+        assert registry.counter("session_answer_misses").value == 1
 
     def test_explain_outside_fragment_raises(self):
         rules = parse_program("person(X) -> exists Y. parent(X, Y)")
@@ -578,13 +570,90 @@ class TestServiceObservability:
         assert registry.snapshot().gauges["service_queue_depth"] == 0
 
 
+class TestCountersOutliveTheirOwners:
+    """Counters are monotonic for the life of the process: closing and
+    collecting the components that counted takes no count away."""
+
+    def test_counters_stay_monotone_across_gc_and_close(self, tmp_path):
+        from repro.chase import restricted_chase
+        from repro.service.durability import DurabilityConfig
+        from repro.service.net import (
+            LocalReplicaLink,
+            Replica,
+            ReplicationPublisher,
+        )
+
+        edge = lambda text: parse_database(text).atoms
+        registry = MetricsRegistry()
+        previous = set_global_registry(registry)  # the chase reports here
+        try:
+            session = QuerySession(DATABASE, RULES, metrics=registry)
+            session.answers(QUERY)  # miss
+            session.answers(QUERY)  # hit
+            session.add_facts(edge("edge(d, e)."))
+            session.remove_facts(edge("edge(b, c)."))
+
+            service = DatalogService(
+                DATABASE,
+                RULES,
+                metrics=registry,
+                durability=DurabilityConfig(path=tmp_path),
+            )
+            service.answers(QUERY)  # reader miss
+            service.add_facts(edge("edge(d, e).")).result(10)
+            service.answers(QUERY)  # hit, warmed by the writer
+            subscription = service.subscribe(parse_query("?(Y) :- path(b, Y)"))
+            publisher = ReplicationPublisher(service, metrics=registry)
+            replica = Replica(RULES, metrics=registry)
+            link = LocalReplicaLink(publisher, replica)
+            link.sync()  # a snapshot
+            service.add_facts(edge("edge(e, f).")).result(10)
+            link.sync()  # a delta
+            replica.answers(QUERY)
+            service.checkpoint(10)
+            link.close()
+            replica.close()
+            publisher.close()
+            service.close()
+
+            chased = restricted_chase(DATABASE, RULES)
+            assert chased.statistics.iterations > 0
+
+            before = registry.snapshot().counters
+            del session, service, subscription, publisher, replica, link
+            del chased
+            gc.collect()
+            after = registry.snapshot().counters
+        finally:
+            set_global_registry(previous)
+        for name in (
+            "session_answer_misses",
+            "session_engine_tuples_derived",
+            "service_reads_served",
+            "service_engine_iterations",
+            "service_subscriptions_registered",
+            "replica_records_applied",
+            "chase_iterations",
+        ):
+            assert before[name] > 0, name
+        missing = sorted(set(before) - set(after))
+        assert not missing, f"counters gone after gc: {missing}"
+        dropped = {
+            name: (value, after[name])
+            for name, value in before.items()
+            if after[name] < value
+        }
+        assert not dropped, f"counters that went down: {dropped}"
+
+
 class TestColdBuildRegression:
     """Reader-side cold pattern-table builds must reach a counter.
 
-    Published (detached) snapshots clear ``_stats`` — the dataclass counters
-    cannot be shared across threads — so before the fix, every cold build a
-    reader performed was invisible to all statistics.  They now land on the
-    service's thread-safe ``service_snapshot_index_builds`` counter.
+    Published (detached) snapshots clear ``_stats`` — the writer session's
+    engine account cannot be shared across threads — so before the fix,
+    every cold build a reader performed was invisible to all statistics.
+    They now land on the service's ``service_snapshot_index_builds``
+    counter.
     """
 
     def test_cold_builds_on_published_snapshot_are_counted(self):

@@ -13,6 +13,7 @@ from repro.core.atoms import Atom, Predicate
 from repro.core.terms import Constant
 from repro.engine import RelationIndex
 from repro.errors import StratificationError
+from repro.obs import MetricsRegistry
 from repro.encodings import DenialConstraint, consistent_answers, subset_repairs
 from repro.lp import ground_program, ground_program_for_query, skolemize
 from repro.query import (
@@ -32,21 +33,31 @@ RULES = parse_program(
 DATABASE = parse_database("edge(a, b). edge(b, c). edge(x, y).")
 
 
+def counted(*args, **kwargs):
+    """A session over a private registry, and a reader of its
+    ``session_*`` counters."""
+    registry = MetricsRegistry()
+    session = QuerySession(*args, metrics=registry, **kwargs)
+    return session, lambda name: registry.snapshot().counters[f"session_{name}"]
+
+
 class TestPlanCache:
     def test_plans_shared_across_constant_values(self):
-        session = QuerySession(DATABASE, RULES)
+        session, count = counted(DATABASE, RULES)
         session.answers(parse_query("?(Y) :- path(a, Y)"))
         session.answers(parse_query("?(Y) :- path(x, Y)"))
-        assert session.statistics.plan_misses == 1
-        assert session.statistics.plan_hits == 1
+        assert count("plan_misses") == 1
+        assert count("plan_hits") == 1
 
     def test_distinct_shapes_get_distinct_plans(self):
-        session = QuerySession(DATABASE, RULES)
+        session, count = counted(DATABASE, RULES)
         session.answers(parse_query("?(Y) :- path(a, Y)"))
         session.answers(parse_query("?(X) :- path(X, c)"))
-        assert session.statistics.plan_misses == 2
+        assert count("plan_misses") == 2
 
-    def test_an_evaluator_read_canonicalises_its_query_once(self, monkeypatch):
+    @pytest.fixture
+    def canonicalised(self, monkeypatch):
+        """The queries ``canonicalize_query`` is called on, in order."""
         from repro.query import session as session_module
 
         calls = []
@@ -57,6 +68,10 @@ class TestPlanCache:
             return canonicalize(query)
 
         monkeypatch.setattr(session_module, "canonicalize_query", counting)
+        return calls
+
+    def test_an_evaluator_read_canonicalises_its_query_once(self, canonicalised):
+        calls = canonicalised
         evaluator = QuerySession(DATABASE, RULES).evaluator
         base = RelationIndex(DATABASE.atoms)
         evaluator.answers(base, parse_query("?(Y) :- path(a, Y)"))  # compiles
@@ -66,27 +81,50 @@ class TestPlanCache:
         # The shape key and the seed's constants come from one call.
         assert len(calls) == 1
 
+    def test_a_session_canonicalises_a_live_view_miss_once_and_a_write_never(
+        self, canonicalised
+    ):
+        calls = canonicalised
+        session, count = counted(DATABASE, RULES)
+        session.answers(parse_query("?(Y) :- path(a, Y)"))  # builds the view
+        session.answers(parse_query("?(Y) :- path(b, Y)"))
+        calls.clear()
+        assert session.answers(parse_query("?(Y) :- path(x, Y)")) == frozenset(
+            {(Constant("y"),)}
+        )
+        # The view key and the seed's constants come from one call.
+        assert len(calls) == 1
+        calls.clear()
+        session.add_facts([Atom(Predicate("edge", 2), (Constant("y"), Constant("a")))])
+        # Each of the three cached answers is repaired with the constants
+        # kept beside it.
+        assert count("answers_repaired") == 3
+        assert calls == []
+        assert session.answers(parse_query("?(Y) :- path(x, Y)")) == frozenset(
+            {(Constant(name),) for name in "yabc"}
+        )
+
     def test_plan_cache_is_bounded(self):
-        session = QuerySession(DATABASE, RULES, plan_cache_size=1)
+        session, count = counted(DATABASE, RULES, plan_cache_size=1)
         session.answers(parse_query("?(Y) :- path(a, Y)"))
         session.answers(parse_query("?(X) :- path(X, c)"))
         # Same shape as the first query, but its plan was evicted by the
         # second shape (capacity 1) — it must be recompiled.
         session.answers(parse_query("?(Y) :- path(b, Y)"))
-        assert session.statistics.plan_misses == 3
+        assert count("plan_misses") == 3
 
 
 class TestAnswerCache:
     def test_repeated_query_hits_cache(self):
-        session = QuerySession(DATABASE, RULES)
+        session, count = counted(DATABASE, RULES)
         query = parse_query("?(Y) :- path(a, Y)")
         first = session.answers(query)
         second = session.answers(query)
         assert first == second
-        assert session.statistics.answer_hits == 1
+        assert count("answer_hits") == 1
 
     def test_mutation_invalidates_answers(self):
-        session = QuerySession(DATABASE, RULES)
+        session, count = counted(DATABASE, RULES)
         query = parse_query("?(Y) :- path(a, Y)")
         before = session.answers(query)
         assert Constant("z") not in {t[0] for t in before}
@@ -94,7 +132,7 @@ class TestAnswerCache:
         assert added == 1
         after = session.answers(query)
         assert (Constant("z"),) in after
-        assert session.statistics.invalidations == 1
+        assert count("invalidations") == 1
 
     def test_removal_invalidates_answers(self):
         session = QuerySession(DATABASE, RULES)
@@ -107,13 +145,13 @@ class TestAnswerCache:
         assert session.answers(query) == frozenset()
 
     def test_noop_mutation_keeps_cache(self):
-        session = QuerySession(DATABASE, RULES)
+        session, count = counted(DATABASE, RULES)
         query = parse_query("?(Y) :- path(a, Y)")
         session.answers(query)
         session.add_facts([Atom(Predicate("edge", 2), (Constant("a"), Constant("b")))])
         session.answers(query)
-        assert session.statistics.invalidations == 0
-        assert session.statistics.answer_hits == 1
+        assert count("invalidations") == 0
+        assert count("answer_hits") == 1
 
 
 class TestPredicateLevelInvalidation:
@@ -129,20 +167,20 @@ class TestPredicateLevelInvalidation:
     )
 
     def test_unrelated_mutation_keeps_answer_cached(self):
-        session = QuerySession(self.DATABASE, self.RULES)
+        session, count = counted(self.DATABASE, self.RULES)
         query = parse_query("?(Y) :- path(a, Y)")
         before = session.answers(query)
         # colour/1 is outside path's dependency cone.
         session.add_facts([Atom(Predicate("colour", 1), (Constant("green"),))])
         assert session.revision == 1
         assert session.answers(query) == before
-        assert session.statistics.answer_hits == 1
-        assert session.statistics.predicate_invalidations == 1
-        assert session.statistics.wholesale_invalidations == 0
-        assert session.statistics.answers_retained == 1
+        assert count("answer_hits") == 1
+        assert count("predicate_invalidations") == 1
+        assert count("wholesale_invalidations") == 0
+        assert count("answers_retained") == 1
 
     def test_related_mutation_repairs_in_place(self):
-        session = QuerySession(self.DATABASE, self.RULES)
+        session, count = counted(self.DATABASE, self.RULES)
         path_query = parse_query("?(Y) :- path(a, Y)")
         hue_query = parse_query("?(X) :- hue(X)")
         session.answers(path_query)
@@ -153,15 +191,15 @@ class TestPredicateLevelInvalidation:
         # The hue answer survived untouched; the path answer was repaired in
         # place from the maintained view, so the re-query is a cache *hit*
         # that already reflects the new edge.
-        assert session.statistics.answers_retained == 1
-        assert session.statistics.answers_repaired == 1
+        assert count("answers_retained") == 1
+        assert count("answers_repaired") == 1
         assert (Constant("d"),) in session.answers(path_query)
         assert session.answers(hue_query)
-        assert session.statistics.answer_misses == 2
-        assert session.statistics.answer_hits == 2
+        assert count("answer_misses") == 2
+        assert count("answer_hits") == 2
 
     def test_removal_is_predicate_level_too(self):
-        session = QuerySession(self.DATABASE, self.RULES)
+        session, count = counted(self.DATABASE, self.RULES)
         path_query = parse_query("?(Y) :- path(a, Y)")
         hue_query = parse_query("?(X) :- hue(X)")
         session.answers(path_query)
@@ -173,8 +211,8 @@ class TestPredicateLevelInvalidation:
         # repaired in place by the deletion cascade.
         assert session.answers(path_query) == frozenset()
         assert session.answers(hue_query) == hues
-        assert session.statistics.answer_hits == 2
-        assert session.statistics.answers_repaired == 1
+        assert count("answer_hits") == 2
+        assert count("answers_repaired") == 1
         assert session.facts == frozenset(
             atom for atom in self.DATABASE.atoms
             if atom != Atom(Predicate("edge", 2), (Constant("a"), Constant("b")))
@@ -198,14 +236,14 @@ class TestPredicateLevelInvalidation:
 
     def test_fallback_sessions_invalidate_wholesale(self):
         rules = parse_program("person(X) -> exists Y. hasFather(X, Y)")
-        session = QuerySession(parse_database("person(alice)."), rules)
+        session, count = counted(parse_database("person(alice)."), rules)
         query = parse_query("?(X) :- person(X)")
         session.answers(query)
         session.add_facts([Atom(Predicate("person", 1), (Constant("bob"),))])
         session.answers(query)
-        assert session.statistics.wholesale_invalidations == 1
-        assert session.statistics.predicate_invalidations == 0
-        assert session.statistics.answer_misses == 2
+        assert count("wholesale_invalidations") == 1
+        assert count("predicate_invalidations") == 0
+        assert count("answer_misses") == 2
 
 
 class TestZeroRebuildSteadyState:
@@ -229,32 +267,30 @@ class TestZeroRebuildSteadyState:
         ]
 
     def test_cache_misses_are_seed_deltas_on_the_plan_view(self):
-        session = QuerySession(self._atoms(), self.RULES)
+        session, count = counted(self._atoms(), self.RULES)
         session.answers(parse_query("?(Y) :- reachable(n190, Y)"))  # warm-up
-        engine = session.statistics.engine
-        assert session.statistics.views_built == 1
-        warm_builds = engine.index_builds
+        assert count("views_built") == 1
+        warm_builds = count("engine_index_builds")
         assert warm_builds > 0  # the warm-up did build the view's tables
         for i in range(180, 190):  # distinct constants: all cache misses
             session.answers(parse_query(f"?(Y) :- reachable(n{i}, Y)"))
-        assert session.statistics.answer_misses == 11
+        assert count("answer_misses") == 11
         # Every miss was one apply_delta (the seed) on the same view — the
         # fact base was never re-indexed and no new plan view was built.
-        assert session.statistics.views_built == 1
-        assert engine.index_builds == warm_builds
-        assert engine.deltas_applied >= 11
+        assert count("views_built") == 1
+        assert count("engine_index_builds") == warm_builds
+        assert count("engine_deltas_applied") >= 11
         # Mutations repair the view instead of forcing rebuilds.
         session.add_facts(
             [Atom(self.LINK, (Constant("n300"), Constant("n301")))]
         )
         session.answers(parse_query("?(Y) :- reachable(n300, Y)"))
-        assert engine.index_builds == warm_builds
-        assert session.statistics.views_built == 1
+        assert count("engine_index_builds") == warm_builds
+        assert count("views_built") == 1
 
     def test_cache_misses_reuse_base_tables_without_maintenance(self):
         """Service reader misses use no view: each forks the epoch's
         snapshot and reuses the pattern tables the warm-up built."""
-        from repro.obs import MetricsRegistry
         from repro.service import DatalogService
 
         registry = MetricsRegistry()
@@ -268,7 +304,7 @@ class TestZeroRebuildSteadyState:
             for i in range(180, 190):  # distinct constants: all misses
                 epoch.answers(parse_query(f"?(Y) :- reachable(n{i}, Y)"))
             after = registry.snapshot().counters
-        assert service.statistics.read_cache_hits == 0
+        assert after["service_read_cache_hits"] == 0
         assert (
             after["service_engine_forks_created"]
             - before["service_engine_forks_created"]

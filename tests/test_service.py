@@ -33,6 +33,7 @@ from repro import (
 )
 from repro.core.atoms import Atom, Predicate
 from repro.core.terms import Constant
+from repro.obs import MetricsRegistry
 from repro.query import QuerySession, full_fixpoint_answers
 
 LINK = Predicate("link", 2)
@@ -98,18 +99,20 @@ class TestApplyBatchCoalescing:
     @settings(max_examples=60, deadline=None)
     @given(ops=ops_strategy)
     def test_batch_settles_derived_state_at_most_once(self, ops):
-        session = QuerySession(BASE, RULES)
+        registry = MetricsRegistry()
+        session = QuerySession(BASE, RULES, metrics=registry)
         session.answers(QUERY)
         revision = session.revision
-        invalidations = session.statistics.invalidations
+        invalidations = registry.counter("session_invalidations").value
         session.apply_batch(ops)
         assert session.revision - revision <= 1
-        assert session.statistics.invalidations - invalidations <= 1
+        assert registry.counter("session_invalidations").value - invalidations <= 1
 
     def test_cancelling_batch_preserves_caches(self):
-        session = QuerySession(BASE, RULES)
+        registry = MetricsRegistry()
+        session = QuerySession(BASE, RULES, metrics=registry)
         session.answers(QUERY)
-        hits = session.statistics.answer_hits
+        hits = registry.counter("session_answer_hits").value
         extra = link("c", "d")
         counts = session.apply_batch(
             [("add", [extra]), ("remove", [extra])]
@@ -121,7 +124,7 @@ class TestApplyBatchCoalescing:
         assert session.answers(QUERY) == frozenset(
             {(Constant("b"),), (Constant("c"),)}
         )
-        assert session.statistics.answer_hits == hits + 1
+        assert registry.counter("session_answer_hits").value == hits + 1
 
     def test_remove_then_readd_is_net_zero(self):
         session = QuerySession(BASE, RULES)
@@ -230,30 +233,32 @@ class TestServiceBasics:
             service.flush()
 
     def test_statistics_reflect_serving(self):
-        with DatalogService(BASE, RULES) as service:
+        with DatalogService(BASE, RULES, metrics=MetricsRegistry()) as service:
             service.answers(QUERY)  # miss
             service.answers(QUERY)  # epoch-memo hit
             service.add_facts([link("c", "d")]).result(5)
             service.answers(QUERY)  # published-cache hit (warmed)
-            stats = service.statistics
-            assert stats.reads_served == 3
-            assert stats.read_cache_hits == 2
-            assert stats.writes_enqueued == 1
-            assert stats.epochs_published >= 2
-            assert stats.queue_high_water >= 1
+            stats = service.stats()
+            assert stats.counters["service_reads_served"] == 3
+            assert stats.counters["service_read_cache_hits"] == 2
+            assert stats.counters["service_writes_enqueued"] == 1
+            assert stats.counters["service_epochs_published"] >= 2
+            assert stats.gauges["service_queue_high_water"] >= 1
 
 
 class TestWarmCache:
     def test_reader_miss_is_promoted_into_published_cache(self):
-        with DatalogService(BASE, RULES) as service:
+        registry = MetricsRegistry()
+        hits = registry.counter("service_read_cache_hits")
+        with DatalogService(BASE, RULES, metrics=registry) as service:
             assert service.epoch().cached(QUERY) is None
             service.answers(QUERY)
             # The next publish replays the miss through the session...
             service.add_facts([Atom(MARK, (Constant("a"),))]).result(5)
             assert service.epoch().cached(QUERY) is not None
-            hits = service.statistics.read_cache_hits
+            before = hits.value
             service.answers(QUERY)
-            assert service.statistics.read_cache_hits == hits + 1
+            assert hits.value == before + 1
 
 
 class TestReaderMemory:
@@ -283,17 +288,19 @@ class TestBackpressure:
     def test_reject_policy_raises_when_queue_full(self):
         # A long linger window keeps the first op pending, so the second
         # enqueue observes a full queue deterministically.
+        registry = MetricsRegistry()
         with DatalogService(
             BASE,
             RULES,
             max_pending=1,
             backpressure="reject",
             coalesce_window=0.5,
+            metrics=registry,
         ) as service:
             service.add_facts([link("c", "d")])
             with pytest.raises(ServiceOverloadedError):
                 service.add_facts([link("d", "a")])
-            assert service.statistics.backpressure_rejections == 1
+            assert registry.counter("service_backpressure_rejections").value == 1
 
     def test_block_policy_times_out(self):
         with DatalogService(
@@ -323,17 +330,19 @@ class TestBackpressure:
 
 class TestCoalescing:
     def test_burst_rides_few_epochs(self):
+        registry = MetricsRegistry()
+        count = lambda name: registry.counter(f"service_{name}").value
         with DatalogService(
-            BASE, RULES, coalesce_window=0.1
+            BASE, RULES, coalesce_window=0.1, metrics=registry
         ) as service:
-            before = service.statistics.epochs_published
+            before = count("epochs_published")
             futures = [service.add_facts([atom]) for atom in ATOM_POOL[:12]]
             counts = [future.result(10) for future in futures]
             assert sum(counts) == len({a for a in ATOM_POOL[:12]} - set(BASE))
-            published = service.statistics.epochs_published - before
+            published = count("epochs_published") - before
             assert published <= 2
-            assert service.statistics.batches_coalesced >= 1
-            assert service.statistics.coalesced_ops >= len(futures) - published
+            assert count("batches_coalesced") >= 1
+            assert count("coalesced_ops") >= len(futures) - published
 
     def test_cancelled_future_does_not_kill_writer(self):
         """Regression: the writer transitions futures to RUNNING before
@@ -374,9 +383,10 @@ class TestFallbackService:
         )
         database = parse_database("p(a).")
         query = parse_query("?(X) :- p(X)")
-        with DatalogService(database, rules) as service:
+        registry = MetricsRegistry()
+        with DatalogService(database, rules, metrics=registry) as service:
             assert service.answers(query) == frozenset({(Constant("a"),)})
-            assert service.statistics.reads_fallback == 1
+            assert registry.counter("service_reads_fallback").value == 1
             service.add_facts([Atom(Predicate("p", 1), (Constant("b"),))]).result(5)
             assert service.answers(query) == frozenset(
                 {(Constant("a"),), (Constant("b"),)}
@@ -393,9 +403,12 @@ class TestFallbackService:
             """
         )
         query = parse_query("?(X) :- p(X)")
-        with DatalogService(parse_database("p(a)."), rules) as service:
+        registry = MetricsRegistry()
+        with DatalogService(
+            parse_database("p(a)."), rules, metrics=registry
+        ) as service:
             service.answers(query)
-            assert service.statistics.reads_fallback == 1
+            assert registry.counter("service_reads_fallback").value == 1
             assert not service._hot  # no warm hint recorded
             service.add_facts([Atom(Predicate("p", 1), (Constant("b"),))]).result(5)
             # The publish did not pre-warm it into the epoch cache.
