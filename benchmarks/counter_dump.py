@@ -5,12 +5,13 @@ Run from a checkout root::
 
     PYTHONPATH=src python benchmarks/counter_dump.py OUT.json
 
-It prints the number of counters and the sha256 of the dump.  One private
-registry is installed as the global one too, so the chase reports there,
-and it is dumped while every object is still alive.  Counters are dumped
-as they are; of the gauges, only the two that are not sampled from a clock
-or a live queue.  Older commits kept those two as counters, so a counter of
-either name is reported as a gauge, and both as floats.
+It prints the number of counters and the sha256 of the dump, then the one
+counter left out of the dump.  One private registry is installed as the
+global one too, so the chase reports there, and it is dumped while every
+object is still alive.  Counters are dumped as they are; of the gauges,
+only the two that are not sampled from a clock or a live queue.  Older
+commits kept those two as counters, so a counter of either name is reported
+as a gauge, and both as floats.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ DATABASE = parse_database("edge(a, b). edge(b, c). edge(c, d).")
 QUERY = parse_query("?(Y) :- path(a, Y)")
 OTHER = parse_query("?(Y) :- path(b, Y)")
 GAUGES = ("service_queue_high_water", "service_symbols_interned")
+#: Each replication delta frame carries the writer's ``time.monotonic()`` as
+#: a JSON float, whose printed length varies from run to run, so the bytes
+#: sent vary by a byte or two with the same workload.  This counter is
+#: printed beside the digest, not dumped.
+UNSTABLE = "service_replication_bytes"
 
 
 def edges(text: str):
@@ -93,11 +99,13 @@ def main(out: str, store: str) -> None:
 
         # session, subscription and chased are still referenced here.
         data = dump(registry)
+        unstable = data["counters"].pop(UNSTABLE)
         text = json.dumps(data, indent=1, sort_keys=True)
         with open(out, "w") as handle:
             handle.write(text + "\n")
         digest = hashlib.sha256(text.encode()).hexdigest()
-        print(len(data["counters"]), "counters", digest)
+        print(len(data["counters"]) + 1, "counters", digest)
+        print(UNSTABLE, unstable, "(not in the digest)")
     finally:
         for item in reversed(opened):
             item.close()

@@ -69,10 +69,10 @@ class Predicate:
 
     ``generated`` is part of the identity.  Only the magic-set rewrite sets
     it, on the adorned and magic relations it makes up
-    (:class:`~repro.query.adornment.AdornedPredicate`), and the warm-state
-    decoder restores it with them.  So a fact base's ``Predicate("p__bf",
-    2)`` is never the rewrite's ``p__bf``, and no fact can land in a
-    generated relation.  ``str`` does not show the flag.
+    (:class:`~repro.query.adornment.AdornedPredicate`).  So a fact base's
+    ``Predicate("p__bf", 2)`` is never the rewrite's ``p__bf``, and no fact
+    can land in a generated relation.  ``str`` does not show the flag, and
+    no durable or wire format stores it: those hold base facts only.
 
     Instances are immutable, and pickling or copying one returns the
     interned instance.

@@ -179,38 +179,6 @@ class SupportTable:
             fresh.append((key, head))
         return fresh
 
-    def restore_record(
-        self,
-        source: object,
-        head: Atom,
-        body: Tuple[Atom, ...],
-        negative: Tuple[Atom, ...],
-    ) -> None:
-        """Re-register a previously exported derivation record.
-
-        *source* is the (normal) rule object the record belongs to — the
-        same object later firings will carry as ``CompiledRule.source``, so
-        the rule-id assignment stays consistent between restored records and
-        records discovered by future delta applications.  Duplicates are
-        ignored; no statistics are bumped (nothing was derived — the record
-        is checkpointed state coming back, see
-        :meth:`MaterializedView.restore`).
-        """
-        rid = self._rule_ids.get(id(source))
-        if rid is None:
-            rid = len(self._rule_refs)
-            self._rule_ids[id(source)] = rid
-            self._rule_refs.append(source)
-        key: SupportKey = (rid, head, tuple(body))
-        if key in self.derivations:
-            return
-        self.derivations[key] = tuple(negative)
-        self.supports.setdefault(head, set()).add(key)
-        for atom in set(key[2]):
-            self.uses.setdefault(atom, set()).add(key)
-        for atom in set(self.derivations[key]):
-            self.blockers.setdefault(atom, set()).add(key)
-
     def drop(self, key: SupportKey) -> None:
         """Forget one record, maintaining all three access paths."""
         negative = self.derivations.pop(key, None)
@@ -297,43 +265,14 @@ class MaterializedView:
         statistics: Optional[EngineStatistics] = None,
         max_atoms: Optional[int] = None,
     ) -> None:
-        self._setup(
-            rules,
-            stratification=stratification,
-            statistics=statistics,
-            max_atoms=max_atoms,
-        )
-        for atom in facts:
-            self._support.add_base(atom)
-        from ..query.stratify import evaluate_stratified
-
-        self._index = evaluate_stratified(
-            self._normal,
-            self._support.base,
-            stratification=self._strat,
-            statistics=statistics,
-            max_atoms=max_atoms,
-            on_fire=self._support.record_firing_binding,
-        )
-        # Net-change bookkeeping of the apply_delta call in flight.
-        self._call_added: Set[Atom] = set()
-        self._call_removed: Set[Atom] = set()
-
-    def _setup(
-        self,
-        rules,
-        *,
-        stratification,
-        statistics: Optional[EngineStatistics],
-        max_atoms: Optional[int],
-    ) -> None:
-        """Compile the program structure (shared by ``__init__`` and
-        :meth:`restore`): normalisation, stratification, per-stratum rules
-        and recursiveness, negation sites, and an empty support table."""
         # Deferred import: repro.query sits above the engine in the layer
         # map, but only for its *analysis* helpers, which depend solely on
         # engine + lp rule shapes — the cycle is broken at module scope.
-        from ..query.stratify import normalize_rules, stratify
+        from ..query.stratify import (
+            evaluate_stratified,
+            normalize_rules,
+            stratify,
+        )
 
         self._stats = statistics
         self._max_atoms = max_atoms
@@ -380,87 +319,19 @@ class MaterializedView:
             self._stratum_rules.append(tuple(compiled_rules))
             self._body_predicates.append(frozenset(body_predicates))
             self._recursive.append(recursive)
-
-    # --------------------------------------------------- checkpoint state
-    def export_state(
-        self,
-    ) -> Optional[
-        Tuple[
-            Tuple[Atom, ...],
-            Tuple[Atom, ...],
-            Tuple[Tuple[int, Atom, Tuple[Atom, ...], Tuple[Atom, ...]], ...],
-        ]
-    ]:
-        """Export ``(base facts, stored atoms, support records)`` for
-        checkpointing.
-
-        Each record is ``(rule position, head, positive body, negative
-        body)`` where the rule position indexes the view's normalised rule
-        tuple — a process-independent identifier, unlike the ``id()``-keyed
-        rule ids of the live :class:`SupportTable`.  Returns ``None`` when a
-        record's rule cannot be mapped to a position (it was recorded into
-        :attr:`support` from outside the view, for a rule the view does not
-        hold) — callers then skip checkpointing this view rather than
-        persist an unrestorable table.  Round-trips through
-        :meth:`restore`.
-        """
-        position_of = {
-            id(rule): position for position, rule in enumerate(self._normal)
-        }
-        records: List[Tuple[int, Atom, Tuple[Atom, ...], Tuple[Atom, ...]]] = []
-        for key, negative in self._support.derivations.items():
-            rid, head, body = key
-            position = position_of.get(id(self._support._rule_refs[rid]))
-            if position is None:
-                return None
-            records.append((position, head, body, negative))
-        return (
-            tuple(self._support.base),
-            tuple(self._index.atoms()),
-            tuple(records),
-        )
-
-    @classmethod
-    def restore(
-        cls,
-        rules,
-        *,
-        base: Iterable[Atom],
-        atoms: Iterable[Atom],
-        records: Iterable[
-            Tuple[int, Atom, Tuple[Atom, ...], Tuple[Atom, ...]]
-        ],
-        stratification=None,
-        statistics: Optional[EngineStatistics] = None,
-        max_atoms: Optional[int] = None,
-    ) -> "MaterializedView":
-        """Rebuild a view from :meth:`export_state` output **without**
-        re-running the fixpoint.
-
-        The program structure is recompiled (cheap, O(|rules|)); the
-        materialisation and the support table are loaded verbatim, so the
-        cost is O(checkpointed state), not O(evaluation).  *rules* must be
-        the same program (same normalised rule order) the state was exported
-        from — the warm-restart path guarantees this by recompiling the plan
-        from the same query shape.  The restored view is indistinguishable
-        from the original to :meth:`apply_delta`.
-        """
-        view = cls.__new__(cls)
-        view._setup(
-            rules,
-            stratification=stratification,
+        for atom in facts:
+            self._support.add_base(atom)
+        self._index = evaluate_stratified(
+            self._normal,
+            self._support.base,
+            stratification=self._strat,
             statistics=statistics,
             max_atoms=max_atoms,
+            on_fire=self._support.record_firing_binding,
         )
-        for atom in base:
-            view._support.add_base(atom)
-        view._index = RelationIndex(atoms, statistics=statistics)
-        normal = view._normal
-        for position, head, body, negative in records:
-            view._support.restore_record(normal[position], head, body, negative)
-        view._call_added = set()
-        view._call_removed = set()
-        return view
+        # Net-change bookkeeping of the apply_delta call in flight.
+        self._call_added: Set[Atom] = set()
+        self._call_removed: Set[Atom] = set()
 
     # --------------------------------------------------------------- reading
     @property

@@ -63,7 +63,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.atoms import Atom, Literal, Predicate, apply_substitution
+from ..core.atoms import Atom, Predicate
 from ..core.database import Database
 from ..core.queries import ConjunctiveQuery
 from ..core.terms import Constant, Term
@@ -87,7 +87,6 @@ from .stratify import (
 )
 
 __all__ = [
-    "AnswerExport",
     "ExplainReport",
     "QueryPlan",
     "QuerySession",
@@ -95,8 +94,6 @@ __all__ = [
     "StandingDeltas",
     "StandingQuery",
     "StratumTiming",
-    "ViewExport",
-    "WarmState",
     "compile_query_plan",
     "full_fixpoint_answers",
     "try_goal_directed",
@@ -593,54 +590,6 @@ class StandingDeltas:
 _EMPTY_STANDING_DELTAS = StandingDeltas(frozenset(), {}, frozenset())
 
 
-@dataclass(frozen=True)
-class ViewExport:
-    """Serialisable warm state of one plan's maintained materialised view.
-
-    ``query`` is a *representative* concrete query of the plan's shape — the
-    restoring session recompiles the identical plan from it (magic rewriting
-    is deterministic), which is what makes the rule ``records`` positions
-    meaningful across processes.  ``base``/``atoms``/``records`` come from
-    :meth:`~repro.engine.maintenance.MaterializedView.export_state`, and
-    ``seeds`` are the magic seed atoms injected so far, LRU order preserved.
-    """
-
-    query: ConjunctiveQuery
-    base: Tuple[Atom, ...]
-    atoms: Tuple[Atom, ...]
-    records: Tuple[Tuple[int, Atom, Tuple[Atom, ...], Tuple[Atom, ...]], ...]
-    seeds: Tuple[Atom, ...]
-
-
-@dataclass(frozen=True)
-class AnswerExport:
-    """One answer-cache entry: the concrete query and its answer tuples.
-
-    ``repairable`` records whether the entry was tagged with a plan key (it
-    came from a maintained view); on restore the tag is re-established only
-    when the matching view was also restored.
-    """
-
-    query: ConjunctiveQuery
-    answers: frozenset
-    repairable: bool
-
-
-@dataclass(frozen=True)
-class WarmState:
-    """Everything a session can hand a future process to skip cold starts.
-
-    Produced by :meth:`QuerySession.export_warm_state`; consumed by
-    :meth:`QuerySession.restore_warm_state` on a fresh session built over
-    the *same* facts and rules.  Purely an optimisation payload: a session
-    that discards it (or restores only part of it) answers identically,
-    just colder.
-    """
-
-    views: Tuple[ViewExport, ...]
-    answers: Tuple[AnswerExport, ...]
-
-
 class QuerySession:
     """A mutable fact base + fixed rules, answering queries goal-directedly.
 
@@ -758,9 +707,9 @@ class QuerySession:
         #: plan_cache_size (views pinned by standing queries excepted)
         self._views: "OrderedDict[tuple, _PlanView]" = OrderedDict()
         #: query -> (answers, dependency cone or None, plan key or None, the
-        #: query's constants or None); the plan key and constants are set
-        #: only when the answer came from a view and can therefore be
-        #: repaired in place on mutation.
+        #: query's constants or None, its magic seed or None); the plan key,
+        #: constants and seed are set only when the answer came from a view
+        #: and can therefore be repaired in place on mutation.
         self._answers: OrderedDict[
             ConjunctiveQuery,
             Tuple[
@@ -768,6 +717,7 @@ class QuerySession:
                 Optional[frozenset[Predicate]],
                 Optional[tuple],
                 Optional[Tuple[Constant, ...]],
+                Optional[Atom],
             ],
         ] = OrderedDict()
         self._revision = 0
@@ -856,135 +806,6 @@ class QuerySession:
             snapshot=self._export_snapshot,
             answers=answers,
         )
-
-    # ------------------------------------------------------------- warm state
-    @property
-    def digest(self) -> Optional[str]:
-        """The session's program digest (``None`` only for odd rule reprs).
-
-        Stable across processes for a fixed rule set; the durability layer
-        stores it in checkpoints so warm state is never restored onto a
-        session compiled from different rules.
-        """
-        return self._evaluator.digest
-
-    def export_warm_state(self) -> WarmState:
-        """Export the maintained views and cached answers as a
-        :class:`WarmState`.
-
-        The export is *best effort*: views whose support tables cannot be
-        serialised (or whose representative query cannot be reconstructed)
-        are skipped, never half-exported.  Restoring the result on a fresh
-        session over the same facts and rules
-        (:meth:`restore_warm_state`) makes previously served queries warm
-        again — cache hits instead of re-derivation — without affecting
-        correctness in any way.
-        """
-        views: List[ViewExport] = []
-        for key, entry in self._views.items():
-            state = entry.view.export_state()
-            if state is None:
-                continue
-            query = self._representative_query(key, entry.plan)
-            if query is None:
-                continue
-            base, atoms, records = state
-            views.append(
-                ViewExport(
-                    query=query,
-                    base=base,
-                    atoms=atoms,
-                    records=records,
-                    seeds=tuple(entry.seeds),
-                )
-            )
-        answers = tuple(
-            AnswerExport(
-                query=query, answers=entry[0], repairable=entry[2] is not None
-            )
-            for query, entry in self._answers.items()
-        )
-        return WarmState(views=tuple(views), answers=answers)
-
-    def restore_warm_state(self, state: WarmState) -> int:
-        """Rebuild maintained views and the answer cache from *state*.
-
-        **Contract:** call on a freshly constructed session whose fact base
-        equals the one the state was exported from, *before* any mutation —
-        the restored answers are taken at face value, exactly like the
-        cached answers they were exported as.  The durability layer
-        guarantees this by pairing each warm state with the checkpoint's
-        fact snapshot and rules digest, and restoring before log replay.
-
-        Restoration is best effort and per entry: anything that fails to
-        restore is skipped (the session stays correct, just colder).
-        Returns the number of views restored.
-        """
-        if not self._evaluator.rewritable:
-            return 0
-        restored = 0
-        for export in state.views:
-            try:
-                key, plan, _ = self._plan_entry(export.query)
-                view = MaterializedView.restore(
-                    plan.program.rules,
-                    base=export.base,
-                    atoms=export.atoms,
-                    records=export.records,
-                    stratification=plan.program.stratification,
-                    statistics=self._engine,
-                    max_atoms=self._evaluator.max_atoms,
-                )
-            except Exception:  # pragma: no cover - defensive best effort
-                continue
-            entry = self._store_view(key, plan, view)
-            for seed in export.seeds:
-                entry.seeds[seed] = None
-            restored += 1
-        for export in state.answers:
-            try:
-                key, plan, constants = self._plan_entry(export.query)
-            except Exception:
-                continue
-            repairable = export.repairable and key in self._views
-            self._answers[export.query] = (
-                export.answers,
-                plan.depends,
-                key if repairable else None,
-                constants if repairable else None,
-            )
-            self._answers.move_to_end(export.query)
-            while len(self._answers) > self._answer_cache_size:
-                self._answers.popitem(last=False)
-        self._report()
-        return restored
-
-    def _representative_query(
-        self, key: tuple, plan: QueryPlan
-    ) -> Optional[ConjunctiveQuery]:
-        """A concrete query whose shape recompiles to exactly this plan.
-
-        The view key (the query shape) carries the canonical
-        (constant-abstracted) literals and the parameter order; substituting
-        the plan program's recorded constant vector back in inverts
-        :func:`~repro.query.magic.canonicalize_query`.
-        """
-        try:
-            literals, answer_variables, parameters = key
-            constants = plan.program.constants
-            if len(parameters) != len(constants):
-                return None
-            substitution = dict(zip(parameters, constants))
-            concrete = tuple(
-                Literal(
-                    apply_substitution(literal.atom, substitution),
-                    literal.positive,
-                )
-                for literal in literals
-            )
-            return ConjunctiveQuery(concrete, answer_variables)
-        except Exception:  # pragma: no cover - defensive best effort
-            return None
 
     # -------------------------------------------------------- standing queries
     def register_standing(self, query: ConjunctiveQuery, token) -> StandingQuery:
@@ -1327,28 +1148,29 @@ class QuerySession:
         self._predicate_invalidations.inc()
         repaired = retained = 0
         for cache_key in list(self._answers):
-            _, depends, plan_key, constants = self._answers[cache_key]
+            _, depends, plan_key, constants, seed = self._answers[cache_key]
             if depends is not None and touched.isdisjoint(depends):
                 retained += 1
                 continue
             entry = self._views.get(plan_key) if plan_key is not None else None
-            if entry is not None:
-                program = entry.plan.program
-                # Repairable only while the view still holds this answer's
-                # seed (a rebuilt or budget-dropped view starts seedless —
-                # collecting from it would silently return nothing).
-                if program.seed(constants) in entry.seeds:
-                    # Repair in place: the view is already consistent with
-                    # the new fact base, so the answer is one filtered scan
-                    # of its goal relation — no re-derivation.
-                    self._answers[cache_key] = (
-                        program.collect_answers(entry.view.index, constants),
-                        depends,
-                        plan_key,
-                        constants,
-                    )
-                    repaired += 1
-                    continue
+            # Repairable only while the view still holds this answer's seed
+            # (a rebuilt or budget-dropped view starts seedless — collecting
+            # from it would silently return nothing).
+            if entry is not None and seed in entry.seeds:
+                # Repair in place: the view is already consistent with the
+                # new fact base, so the answer is one filtered scan of its
+                # goal relation — no re-derivation.
+                self._answers[cache_key] = (
+                    entry.plan.program.collect_answers(
+                        entry.view.index, constants
+                    ),
+                    depends,
+                    plan_key,
+                    constants,
+                    seed,
+                )
+                repaired += 1
+                continue
             del self._answers[cache_key]
         self._answers_repaired.inc(repaired)
         self._answers_retained.inc(retained)
@@ -1537,7 +1359,7 @@ class QuerySession:
         if not evaluator.rewritable:
             result = evaluator.fallback_answers(self._index, query)
             self._fallback_queries.inc()
-            return result, None, None, None
+            return result, None, None, None, None
         try:
             plan_key, plan, constants = self._plan_entry(query)
         except (UnsupportedClassError, StratificationError) as error:
@@ -1546,7 +1368,7 @@ class QuerySession:
             # queries fine.
             result = evaluator.fallback_answers(self._index, query, error)
             self._fallback_queries.inc()
-            return result, None, None, None
+            return result, None, None, None, None
         # Maintained-view path: inject this query's magic seed as an
         # incremental delta (a no-op for an already-seen constant
         # vector) and read the goal relation filtered to it.  The
@@ -1578,7 +1400,7 @@ class QuerySession:
                     statistics=self._engine,
                     tracer=tracer,
                 )
-                return result, plan.depends, None, None
+                return result, plan.depends, None, None, None
             # Recorded only after the cascade succeeded.
             entry.seeds[seed] = None
         result = plan.program.collect_answers(entry.view.index, constants)
@@ -1610,7 +1432,7 @@ class QuerySession:
                 # collected above is still valid, so drop the view
                 # and let the next miss rebuild it cleanly.
                 self._views.pop(plan_key, None)
-        return result, plan.depends, plan_key, constants
+        return result, plan.depends, plan_key, constants, seed
 
 
 def try_goal_directed(

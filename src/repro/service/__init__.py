@@ -11,10 +11,10 @@ control (bounded write queue, ``block``/``reject`` backpressure) and the
 ``service_*`` registry counters make the serving behaviour observable.
 
 With ``durability=`` (or :meth:`DatalogService.open`), the service adds a
-write-ahead fact log, periodic checkpoints of the facts plus the session's
-warm state, and a warm-restart recovery path — an acknowledged write is
-never lost by a crash and never applied twice by recovery
-(:mod:`repro.service.durability`).
+write-ahead fact log, periodic checkpoints of the base facts, and a
+recovery path that replays the log tail past the latest checkpoint — an
+acknowledged write is never lost by a crash and never applied twice by
+recovery (:mod:`repro.service.durability`).
 
 Beyond polling, :meth:`DatalogService.subscribe` registers **standing
 queries**: each subscriber owns a bounded delta queue receiving ordered

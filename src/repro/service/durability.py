@@ -1,4 +1,4 @@
-"""Durable serving: write-ahead fact log, checkpoints, warm restart.
+"""Durable serving: write-ahead fact log, checkpoints, recovery.
 
 :class:`repro.service.DatalogService` keeps everything in memory; this module
 gives it crash recovery with a classic two-file arrangement:
@@ -10,25 +10,26 @@ gives it crash recovery with a classic two-file arrangement:
   truncated — the log always recovers to its longest valid prefix, never
   applies a half-written record;
 * **checkpoints** (:class:`CheckpointStore`) — periodic snapshots of the base
-  facts *plus* the session's warm state (the maintained
-  :class:`~repro.engine.maintenance.MaterializedView` support tables and the
-  answer cache, see :meth:`~repro.query.session.QuerySession.export_warm_state`),
-  written to a temporary file, fsynced, and atomically renamed, so a crash
-  mid-checkpoint leaves the previous checkpoint untouched.  After a durable
-  checkpoint the log is compacted (reset to empty);
+  facts, the high-water batch id and the revision, written to a temporary
+  file, fsynced, and atomically renamed, so a crash mid-checkpoint leaves the
+  previous checkpoint untouched.  After a durable checkpoint the log is
+  compacted (reset to empty).  Nothing derived is stored: for stratified
+  Datalog¬ the answers are the perfect model, a function of the facts and
+  the rules alone, and a recovered service re-derives what it is asked;
 * a **recovery path** (:meth:`DurabilityManager.recover`) — load the latest
   valid checkpoint (falling back to the previous one if the latest fails
-  validation), then repair forward through the log tail as deltas.  Batch ids
-  recorded in every log record make replay *idempotent*: records at or below
-  the checkpoint's high-water batch id are skipped, so a crash landing
-  between the checkpoint rename and the log compaction — or between an
-  fsync and the epoch publish — never applies a batch twice.
+  validation), then hand back the log tail to replay.  Batch ids recorded
+  in every log record make replay *idempotent*: records at or below the
+  checkpoint's high-water batch id are skipped, so a crash landing between
+  the checkpoint rename and the log compaction — or between an fsync and
+  the epoch publish — never applies a batch twice.
 
 Every payload is JSON with a structural term encoding (``["c", name]`` /
 ``["n", label]`` / ``["v", name]`` / ``["f", fn, [args]]``) rather than a
 rendered string: renderings conflate constants, nulls, and variables whose
-names collide, and these records must round-trip *any* atom the engine can
-hold.
+names collide, and these records must round-trip *any* fact the engine can
+hold.  The layer stores base facts only and imports nothing from the query
+or engine layers.
 
 Crash-fuzz hooks: when the environment variable ``REPRO_CRASH_POINT`` is set
 to ``"<point>:<k>"``, the process SIGKILLs itself at the *k*-th hit of the
@@ -54,13 +55,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..core.atoms import Atom, Literal, Predicate
-from ..core.queries import ConjunctiveQuery
+from ..core.atoms import Atom, Predicate
 from ..core.terms import Constant, FunctionTerm, Null, Term, Variable
 from ..errors import DurabilityError
 from ..obs.metrics import MetricsRegistry, global_registry
 from ..obs.trace import get_tracer
-from ..query.session import AnswerExport, ViewExport, WarmState
 from .framing import FRAME_HEADER as _HEADER, frame as _frame, scan_frames as _scan_frames
 
 __all__ = [
@@ -114,7 +113,7 @@ def _maybe_crash(point: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# structural JSON codec (terms, atoms, queries, warm state)
+# structural JSON codec (terms, atoms)
 # --------------------------------------------------------------------------
 
 
@@ -153,40 +152,16 @@ def decode_term(payload: Sequence) -> Term:
 
 
 def encode_atom(atom: Atom) -> list:
-    """``[name, terms]``, plus a trailing ``true`` for a generated predicate
-    (warm state holds the magic and adorned atoms of maintained views)."""
-    encoded = [atom.predicate.name, [encode_term(term) for term in atom.terms]]
-    if atom.predicate.generated:
-        encoded.append(True)
-    return encoded
+    """``[name, terms]``: the inline atom layout of v1 log records and
+    format-1 checkpoints."""
+    return [atom.predicate.name, [encode_term(term) for term in atom.terms]]
 
 
 def decode_atom(payload: Sequence) -> Atom:
     name, terms = payload[0], payload[1]
-    generated = len(payload) > 2 and payload[2] is True
     return Atom(
-        Predicate(name, len(terms), generated),
-        tuple(decode_term(term) for term in terms),
+        Predicate(name, len(terms)), tuple(decode_term(term) for term in terms)
     )
-
-
-def encode_query(query: ConjunctiveQuery) -> dict:
-    return {
-        "literals": [
-            [encode_atom(literal.atom), literal.positive]
-            for literal in query.literals
-        ],
-        "answer": [encode_term(variable) for variable in query.answer_variables],
-    }
-
-
-def decode_query(payload: dict) -> ConjunctiveQuery:
-    literals = tuple(
-        Literal(decode_atom(atom), positive)
-        for atom, positive in payload["literals"]
-    )
-    answer = tuple(decode_term(variable) for variable in payload["answer"])
-    return ConjunctiveQuery(literals, answer)
 
 
 class _TermInterner:
@@ -222,110 +197,6 @@ def _atom_from_row(payload: Sequence, table: Sequence[Term]) -> Atom:
     return Atom(
         Predicate(name, len(ids)), tuple(table[index] for index in ids)
     )
-
-
-class _AtomInterner:
-    """Atom → small-integer table for the warm-state encoding.
-
-    Warm state repeats the same atoms relentlessly — a support record's
-    body atoms are other records' heads, the view base overlaps the fact
-    snapshot, answer rows share constants — so the payload stores each
-    distinct atom **once** in an ``"atoms"`` table and references it by
-    index everywhere else.  On a realistic checkpoint this shrinks the
-    file ~4x and, more importantly, turns recovery's dominant cost (tens
-    of thousands of redundant term decodes) into one decode per distinct
-    atom plus integer list indexing.
-    """
-
-    def __init__(self) -> None:
-        self._indices: Dict[Atom, int] = {}
-        self.encoded: List[list] = []
-
-    def ref(self, atom: Atom) -> int:
-        index = self._indices.get(atom)
-        if index is None:
-            index = len(self.encoded)
-            self._indices[atom] = index
-            self.encoded.append(encode_atom(atom))
-        return index
-
-
-def encode_warm_state(state: WarmState) -> dict:
-    """Encode a :class:`~repro.query.session.WarmState` for a checkpoint.
-
-    Atoms are interned (see :class:`_AtomInterner`); answer rows reuse the
-    table too, as single-atom rows of a pseudo-predicate, keeping one
-    codec path for everything.
-    """
-    interner = _AtomInterner()
-    row_predicate_cache: Dict[int, Predicate] = {}
-
-    def row_ref(row: Tuple[Term, ...]) -> int:
-        predicate = row_predicate_cache.get(len(row))
-        if predicate is None:
-            predicate = Predicate("\x00row", len(row))
-            row_predicate_cache[len(row)] = predicate
-        return interner.ref(Atom(predicate, row))
-
-    views = [
-        {
-            "query": encode_query(view.query),
-            "base": [interner.ref(atom) for atom in view.base],
-            "atoms": [interner.ref(atom) for atom in view.atoms],
-            "records": [
-                [
-                    position,
-                    interner.ref(head),
-                    [interner.ref(atom) for atom in body],
-                    [interner.ref(atom) for atom in negative],
-                ]
-                for position, head, body, negative in view.records
-            ],
-            "seeds": [interner.ref(atom) for atom in view.seeds],
-        }
-        for view in state.views
-    ]
-    answers = [
-        {
-            "query": encode_query(entry.query),
-            "rows": [row_ref(row) for row in entry.answers],
-            "repairable": entry.repairable,
-        }
-        for entry in state.answers
-    ]
-    return {"atoms": interner.encoded, "views": views, "answers": answers}
-
-
-def decode_warm_state(payload: dict) -> WarmState:
-    """Inverse of :func:`encode_warm_state`."""
-    table = [decode_atom(atom) for atom in payload["atoms"]]
-    views = tuple(
-        ViewExport(
-            query=decode_query(view["query"]),
-            base=tuple(table[ref] for ref in view["base"]),
-            atoms=tuple(table[ref] for ref in view["atoms"]),
-            records=tuple(
-                (
-                    position,
-                    table[head],
-                    tuple(table[ref] for ref in body),
-                    tuple(table[ref] for ref in negative),
-                )
-                for position, head, body, negative in view["records"]
-            ),
-            seeds=tuple(table[ref] for ref in view["seeds"]),
-        )
-        for view in payload["views"]
-    )
-    answers = tuple(
-        AnswerExport(
-            query=decode_query(entry["query"]),
-            answers=frozenset(table[ref].terms for ref in entry["rows"]),
-            repairable=bool(entry["repairable"]),
-        )
-        for entry in payload["answers"]
-    )
-    return WarmState(views=views, answers=answers)
 
 
 # --------------------------------------------------------------------------
@@ -669,10 +540,9 @@ class CheckpointStore:
     JSON payload.  :meth:`write` goes through a temporary file + fsync +
     atomic rename + directory fsync, so the store always holds complete
     checkpoints; :meth:`latest` validates newest-first and falls back, so
-    one corrupt file (torn rename on a dying disk, manual truncation) costs
-    one checkpoint of warmth, never correctness — the facts it carried are
-    still reachable through the previous checkpoint plus the uncompacted
-    log.
+    one corrupt file (torn rename on a dying disk, manual truncation) is
+    skipped for the one before it — with ``compact_log=False`` the log
+    still holds every batch logged since, so no fact is lost.
     """
 
     def __init__(self, directory: Union[str, Path], *, keep: int = 2) -> None:
@@ -775,7 +645,6 @@ class DurabilityConfig:
     checkpoint_on_close: bool = True
     compact_log: bool = True
     keep_checkpoints: int = 2
-    restore_warm: bool = True
 
     @classmethod
     def of(
@@ -795,17 +664,13 @@ class RecoveredState:
     — the caller seeds it from its own initial database.  ``tail`` carries
     the logged batches *beyond* the checkpoint's high-water ``batch_id``
     (already deduplicated), to be replayed in order through
-    :meth:`~repro.query.session.QuerySession.apply_batch`; ``warm`` is the
-    checkpoint's warm state, already digest-checked by the caller before
-    restoring.
+    :meth:`~repro.query.session.QuerySession.apply_batch`.
     """
 
     fresh: bool
     facts: Tuple[Atom, ...]
     revision: int
     batch_id: int
-    digest: Optional[str]
-    warm: Optional[WarmState]
     tail: List[LoggedBatch]
 
 
@@ -850,7 +715,7 @@ class DurabilityManager:
         )
         self._checkpoints = registry.counter(
             "service_checkpoints",
-            help="Durable checkpoints written (snapshot + warm state).",
+            help="Durable checkpoints written (base-fact snapshots).",
         )
         self._recovered = registry.counter(
             "service_recovered_batches",
@@ -876,9 +741,9 @@ class DurabilityManager:
                 facts: Tuple[Atom, ...] = ()
                 revision = 0
                 batch_id = 0
-                digest: Optional[str] = None
-                warm: Optional[WarmState] = None
             else:
+                # A ``warm`` section or ``digest`` that older stores wrote
+                # holds derived state only and is not read.
                 _, payload = latest
                 if int(payload.get("format", 1)) >= 2:
                     table = [
@@ -894,22 +759,6 @@ class DurabilityManager:
                     )
                 revision = int(payload["revision"])
                 batch_id = int(payload["batch_id"])
-                digest = payload.get("digest")
-                warm = None
-                # Before format 3, warm state stored generated atoms under
-                # their bare names, which would now decode into user
-                # relations: such warmth is dropped, the facts are kept.
-                if (
-                    self.config.restore_warm
-                    and payload.get("warm")
-                    and int(payload.get("format", 1)) >= 3
-                ):
-                    try:
-                        warm = decode_warm_state(payload["warm"])
-                    except Exception:
-                        # Warmth is an optimisation; a checkpoint whose warm
-                        # payload fails to decode still recovers cold.
-                        warm = None
             # Idempotent replay: everything at or below the checkpoint's
             # high-water batch id is already inside the snapshot.
             tail = [
@@ -925,8 +774,6 @@ class DurabilityManager:
                 facts=facts,
                 revision=revision,
                 batch_id=batch_id,
-                digest=digest,
-                warm=warm,
                 tail=tail,
             )
         finally:
@@ -958,29 +805,23 @@ class DurabilityManager:
         *,
         batch_id: int,
         revision: int,
-        digest: Optional[str],
         facts: Iterable[Atom],
-        warm: Optional[WarmState] = None,
     ) -> int:
         """Write a durable checkpoint, then compact the log; returns seq."""
         tracer = get_tracer()
         span = tracer.start("service.checkpoint") if tracer.enabled else None
         try:
-            # Format 3: facts are integer rows against one ``symbols``
-            # section, mirroring the engine's interned storage (format-1
-            # checkpoints — structural atoms inline — remain readable), and
-            # warm-state atoms carry the generated-predicate flag (format 2
-            # did not; its warm state is dropped on recovery).
+            # Facts are integer rows against one ``symbols`` section,
+            # mirroring the engine's interned storage (format-1 checkpoints
+            # — structural atoms inline — remain readable).
             interner = _TermInterner()
             fact_rows = [interner.atom_row(atom) for atom in facts]
             payload = {
                 "format": 3,
                 "batch_id": batch_id,
                 "revision": revision,
-                "digest": digest,
                 "symbols": interner.encoded,
                 "facts": fact_rows,
-                "warm": encode_warm_state(warm) if warm is not None else None,
             }
             sequence = self.store.write(payload)
             _maybe_crash("checkpoint.post_rename")

@@ -208,11 +208,11 @@ class DatalogService:
         :class:`~repro.service.durability.DurabilityConfig`) makes the
         service durable: every coalesced batch is appended to a
         write-ahead fact log and fsynced *before* it is applied or its
-        futures acknowledged, checkpoints snapshot the facts plus the
-        session's warm state every ``checkpoint_every`` batches (and on
-        close), and constructing a service over an existing store recovers
-        it — latest valid checkpoint, warm-state restore, then idempotent
-        log-tail replay — before serving the first read.
+        futures acknowledged, checkpoints snapshot the base facts every
+        ``checkpoint_every`` batches (and on close), and constructing a
+        service over an existing store recovers it — latest valid
+        checkpoint, then idempotent log-tail replay — before serving the
+        first read.
         :meth:`DatalogService.open` is the ergonomic spelling.  An
         acknowledged write is never lost by a crash and never applied
         twice by recovery; see ``docs/durability.md``.
@@ -276,23 +276,14 @@ class DatalogService:
             metrics=self._metrics,
         )
         if recovered is not None and not recovered.fresh:
-            if (
-                recovered.warm is not None
-                and recovered.digest == self._session.digest
-            ):
-                # Same rules as the checkpointing process: the maintained
-                # views and cached answers pick up where they left off.  A
-                # digest mismatch (rules changed across restarts) keeps the
-                # facts and silently drops the warmth — the views would be
-                # materialisations of the *old* program.
-                self._session.restore_warm_state(recovered.warm)
             # Continue the previous incarnation's revision line so the
             # revisions readers observe stay monotone across a restart.
             self._session._revision = recovered.revision
             for logged_id, ops in recovered.tail:
-                # O(tail) repair, not O(rebuild): each logged batch goes
-                # through apply_batch, whose maintained views absorb it as
-                # an incremental delta over the checkpointed support tables.
+                # Each logged batch goes through apply_batch as it did when
+                # it was acknowledged; the session holds no view yet, so
+                # replay only updates the fact index.  Views and answers are
+                # derived again as reads ask for them.
                 self._session.apply_batch(ops)
                 self._next_batch_id = logged_id + 1
             if not recovered.tail:
@@ -304,9 +295,7 @@ class DatalogService:
             self._durability.checkpoint(
                 batch_id=0,
                 revision=self._session.revision,
-                digest=self._session.digest,
                 facts=self._session.facts,
-                warm=None,
             )
         # Readers run the session's evaluator, never the session itself:
         # it is the one object of the session that is safe to share.
@@ -738,9 +727,9 @@ class DatalogService:
                         except Exception:
                             pass
                 continue
-        # Drained and closing: one final checkpoint makes the next open warm
-        # (and empties the log), without a single acknowledged batch at risk
-        # — everything the log holds is already inside the snapshot.
+        # Drained and closing: one final checkpoint empties the log, so the
+        # next open replays nothing, without a single acknowledged batch at
+        # risk — everything the log holds is already inside the snapshot.
         if (
             self._durability is not None
             and self._durability.config.checkpoint_on_close
@@ -831,11 +820,6 @@ class DatalogService:
             if self._durability is not None and (
                 controls or self._durability.should_checkpoint()
             ):
-                # A control-only drain still drains the reader-hot set
-                # first, so an explicit ``checkpoint()`` call captures the
-                # warmth a restart will want.
-                if not mutations and self._warm():
-                    self._publish()
                 self._checkpoint_now(controls)
         finally:
             self._inflight = 0
@@ -852,16 +836,10 @@ class DatalogService:
         """
         assert self._durability is not None
         try:
-            try:
-                warm = self._session.export_warm_state()
-            except Exception:  # pragma: no cover - warmth is best-effort
-                warm = None
             sequence = self._durability.checkpoint(
                 batch_id=self._next_batch_id - 1,
                 revision=self._session.revision,
-                digest=self._session.digest,
                 facts=self._session.facts,
-                warm=warm,
             )
         except BaseException as error:
             for op in controls:
@@ -1003,11 +981,10 @@ class DatalogService:
         """Open (or create) a durable service over the store at *path*.
 
         A fresh directory starts an empty durable service; an existing one
-        is recovered — latest valid checkpoint, warm-state restore, then
-        idempotent replay of the log tail — before the first read is
-        served.  Equivalent to ``DatalogService((), rules,
-        durability=path, **kwargs)``; all other constructor keywords pass
-        through.
+        is recovered — latest valid checkpoint, then idempotent replay of
+        the log tail — before the first read is served.  Equivalent to
+        ``DatalogService((), rules, durability=path, **kwargs)``; all other
+        constructor keywords pass through.
         """
         return cls((), rules, durability=path, **kwargs)
 

@@ -96,7 +96,8 @@ def main(argv):
             out.write(f"{index}:{applied}\n")
             out.flush()
             if index % 3 == 0:
-                # Warm a maintained view so checkpoints carry warm state.
+                # Read the probe so the writer keeps a maintained view
+                # and repairs it under the batches that follow.
                 service.answers(query)
         service.close()
         out.write("done\n")

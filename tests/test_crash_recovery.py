@@ -164,7 +164,7 @@ def test_crash_battery(point, tmp_path):
 
 
 def test_no_crash_run_completes_and_reopens(tmp_path):
-    """Control run: no crash point, clean close, warm reopen reconciles."""
+    """Control run: no crash point, clean close, the reopen reconciles."""
     store, process = _run_worker(tmp_path, seed=3, crash_spec=None)
     assert process.returncode == 0, process.stderr
     counts, done = _acknowledged(tmp_path)

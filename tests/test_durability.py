@@ -15,9 +15,10 @@ Three tiers, matching the module's structure:
   tail)`` is *extensionally equal* to applying the same batches
   sequentially through one session — facts, per-op counts, revisions,
   and answers — regardless of where the checkpoint cadence fell; plus
-  warm-restart behaviour (restored answer caches serve hits; a rules
-  change across restarts drops warmth but keeps facts) and the
-  ``compact_log=False`` full-log fallback.
+  restart behaviour (a checkpoint an older store wrote with derived state
+  recovers its facts only; a rules change across restarts keeps the facts
+  and answers under the new rules) and the ``compact_log=False`` full-log
+  fallback.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from repro.core.queries import ConjunctiveQuery
 from repro.core.terms import Constant, FunctionTerm, Null, Variable
 from repro.errors import DurabilityError
 from repro.obs.metrics import MetricsRegistry
-from repro.query.session import QuerySession
+from repro.query import program_digest
+from repro.query.session import QuerySession, full_fixpoint_answers
 from repro.service import DatalogService, DurabilityConfig
 from repro.service.durability import (
     CheckpointStore,
@@ -89,14 +91,11 @@ def test_term_codec_round_trips_every_term_kind():
     ]
     for term in terms:
         assert decode_term(json.loads(json.dumps(encode_term(term)))) == term
-    for predicate in (
-        Predicate("p q", 3),
-        Predicate("p q", 3, generated=True),  # a view's magic/adorned atom
-    ):
-        atom = Atom(predicate, (terms[0], terms[2], terms[4]))
-        decoded = decode_atom(json.loads(json.dumps(encode_atom(atom))))
-        assert decoded == atom
-        assert decoded.predicate is predicate
+    predicate = Predicate("p q", 3)
+    atom = Atom(predicate, (terms[0], terms[2], terms[4]))
+    decoded = decode_atom(json.loads(json.dumps(encode_atom(atom))))
+    assert decoded == atom
+    assert decoded.predicate is predicate
 
 
 # ------------------------------------------------------------- the fact log
@@ -262,9 +261,7 @@ def test_recovery_skips_batches_at_or_below_checkpoint(tmp_path):
     manager.recover()
     for batch_id in (1, 2, 3, 4):
         manager.log_batch(batch_id, [("add", (edge(batch_id, batch_id),))])
-    manager.checkpoint(
-        batch_id=2, revision=2, digest="d", facts=[edge(1, 1), edge(2, 2)]
-    )
+    manager.checkpoint(batch_id=2, revision=2, facts=[edge(1, 1), edge(2, 2)])
     # compact_log=False keeps records 1..4 in the log, as a crash between
     # rename and reset would have; recovery must offer only 3 and 4.
     manager.close()
@@ -363,56 +360,68 @@ def test_recovery_equals_sequential_application(
         recovered.close()
 
 
-def test_warm_restart_serves_restored_answers_as_cache_hits(tmp_path):
-    service = _durable_service(tmp_path)
-    service.add_facts([edge(i, i + 1) for i in range(6)]).result()
-    expected = service.answers(probe())
-    service.flush()
-    service.checkpoint()
-    service.close()
+def _older_checkpoint(checkpoint_format, facts):
+    """A checkpoint payload as stores written before checkpoints held facts
+    only wrote it: the rules digest and a ``warm`` section holding one
+    maintained view of :func:`probe`'s shape and one cached answer for
+    :func:`probe`, whose row is made up, so serving it would be wrong."""
+    symbols = sorted({term for atom in facts for term in atom.terms}, key=str)
+    ids = {term: index for index, term in enumerate(symbols)}
+    query = {
+        "literals": [[["reachable", [["c", "v0"], ["v", "Y"]]], True]],
+        "answer": [["v", "Y"]],
+    }
+    return {
+        "format": checkpoint_format,
+        "batch_id": 1,
+        "revision": 1,
+        "digest": program_digest(rules()),
+        "symbols": [encode_term(term) for term in symbols],
+        "facts": [
+            [atom.predicate.name, [ids[term] for term in atom.terms]]
+            for atom in facts
+        ],
+        "warm": {
+            "atoms": [
+                ["link", [["c", "v0"], ["c", "v1"]]],
+                ["\x00row", [["c", "stale"]]],
+            ],
+            "views": [
+                {
+                    "query": query,
+                    "base": [0],
+                    "atoms": [0],
+                    "records": [],
+                    "seeds": [],
+                }
+            ],
+            "answers": [{"query": query, "rows": [1], "repairable": True}],
+        },
+    }
 
-    reopened = _durable_service(tmp_path)
-    try:
-        assert reopened.answers(probe()) == expected
-        # Served straight from the restored answer cache on the recovered
-        # epoch: no evaluation, a read_cache_hit on a fresh registry.
-        counters = reopened.stats().counters
-        assert counters["service_read_cache_hits"] == 1
-        assert counters["service_reads_served"] == 1
-    finally:
-        reopened.close()
 
-
-def test_format_2_checkpoint_recovers_facts_but_no_warm_state(tmp_path):
-    """Format-2 warm state stored generated atoms under their bare names;
-    decoding it would put magic and adorned atoms into user relations, so
-    recovery keeps the checkpoint's facts and drops its warmth."""
+@pytest.mark.parametrize("checkpoint_format", [2, 3])
+def test_older_checkpoint_with_warm_state_recovers_its_facts_only(
+    tmp_path, checkpoint_format
+):
+    """A ``warm`` section is derived state: recovery keeps the
+    checkpoint's facts, builds no view from it and serves none of its
+    answers."""
     facts = [edge(i, i + 1) for i in range(6)]
-    service = _durable_service(tmp_path)
-    service.add_facts(facts).result()
-    expected = service.answers(probe())
-    service.flush()
-    service.checkpoint()
-    service.close()
-
-    store = CheckpointStore(tmp_path)
-    _, payload = store.latest()
-    assert payload["format"] == 3 and payload["warm"]["views"]
-    payload["format"] = 2
-    payload["warm"]["atoms"] = [atom[:2] for atom in payload["warm"]["atoms"]]
-    store.write(payload)
+    CheckpointStore(tmp_path).write(_older_checkpoint(checkpoint_format, facts))
 
     reopened = _durable_service(tmp_path)
     try:
         assert reopened.facts == frozenset(facts)
         assert reopened.stats().counters["session_views_built"] == 0
-        assert reopened.answers(probe()) == expected
-        assert reopened.stats().counters["service_read_cache_hits"] == 0
+        assert reopened.answers(probe()) == full_fixpoint_answers(
+            facts, rules(), probe()
+        )
     finally:
         reopened.close()
 
 
-def test_rules_change_across_restart_keeps_facts_drops_warmth(tmp_path):
+def test_rules_change_across_restart_keeps_facts_and_answers_new_rules(tmp_path):
     service = _durable_service(tmp_path)
     facts = [edge(i, i + 1) for i in range(4)]
     service.add_facts(facts).result()
@@ -435,8 +444,8 @@ def test_rules_change_across_restart_keeps_facts_drops_warmth(tmp_path):
         )
         expected = QuerySession(facts, new_rules).answers(query)
         assert reopened.answers(query) == expected
-        # The old program's warmth was dropped, not misapplied: the first
-        # read under the new rules is a miss, never a stale hit.
+        # Nothing the old program derived is served: the first read under
+        # the new rules is a miss, never a stale hit.
         assert reopened.stats().counters["service_read_cache_hits"] == 0
     finally:
         reopened.close()
@@ -463,7 +472,7 @@ def test_existing_store_refuses_initial_database(tmp_path):
 
 def test_compact_log_false_recovers_through_corrupt_checkpoints(tmp_path):
     """The lossless fallback: with the full log retained, even every
-    checkpoint failing validation costs warmth, never facts."""
+    checkpoint failing validation costs a longer replay, never facts."""
     service = _durable_service(tmp_path, compact_log=False)
     service.add_facts([edge(i, i + 1) for i in range(5)]).result()
     service.remove_facts([edge(2, 3)]).result()

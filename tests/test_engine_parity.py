@@ -1153,10 +1153,14 @@ class TestMaintenanceParity:
 
     @staticmethod
     def _state(view):
-        """The view's checkpoint state — base facts, stored atoms and
-        support records — as sets."""
-        base, atoms, records = view.export_state()
-        return set(base), set(atoms), set(records)
+        """The view's base facts, stored atoms and support records, as
+        sets; each record names its rule by the rule's text."""
+        support = view.support
+        records = {
+            (str(support._rule_refs[rid]), head, body, negative)
+            for (rid, head, body), negative in support.derivations.items()
+        }
+        return set(view.base_facts), set(view.atoms()), records
 
     @pytest.mark.parametrize("layers, negation", [(3, 0.4), (4, 0.5)])
     @pytest.mark.parametrize("seed", range(8))

@@ -104,6 +104,33 @@ class TestPlanCache:
             {(Constant(name),) for name in "yabc"}
         )
 
+    def test_a_write_repairs_cached_answers_without_building_their_seeds(
+        self, monkeypatch
+    ):
+        from repro.query.magic import MagicProgram
+
+        built = []
+        seed = MagicProgram.seed
+
+        def counting(program, constants=None):
+            built.append(constants)
+            return seed(program, constants)
+
+        monkeypatch.setattr(MagicProgram, "seed", counting)
+        session, count = counted(DATABASE, RULES)
+        for name in "abx":
+            session.answers(parse_query(f"?(Y) :- path({name}, Y)"))
+        assert len(built) == 3  # one per miss, kept in its cache entry
+        built.clear()
+        session.add_facts([Atom(Predicate("edge", 2), (Constant("y"), Constant("a")))])
+        # Each of the three cached answers is repaired with the seed kept
+        # beside it.
+        assert count("answers_repaired") == 3
+        assert built == []
+        assert session.answers(parse_query("?(Y) :- path(x, Y)")) == frozenset(
+            {(Constant(name),) for name in "yabc"}
+        )
+
     def test_plan_cache_is_bounded(self):
         session, count = counted(DATABASE, RULES, plan_cache_size=1)
         session.answers(parse_query("?(Y) :- path(a, Y)"))
