@@ -674,7 +674,14 @@ class OverlayRelationIndex(RelationIndex):
     instead.
     """
 
-    __slots__ = ("_base", "_base_rows", "_local", "_local_rows", "_tables")
+    __slots__ = (
+        "_base",
+        "_base_rows",
+        "_local",
+        "_local_rows",
+        "_tables",
+        "_local_patterns",
+    )
 
     def __init__(
         self,
@@ -692,6 +699,10 @@ class OverlayRelationIndex(RelationIndex):
         self._tables: Dict[
             Tuple[Predicate, Tuple[int, ...]], Tuple[_Buckets, _Buckets]
         ] = {}
+        #: predicate -> (bound positions, local buckets) of each open pattern
+        self._local_patterns: Dict[
+            Predicate, List[Tuple[Tuple[int, ...], _Buckets]]
+        ] = {}
 
     @property
     def base(self) -> RelationSnapshot:
@@ -707,14 +718,18 @@ class OverlayRelationIndex(RelationIndex):
         self._version += 1
         if self._stats is not None:
             self._stats.tuples_derived += 1
-        for positions in self._pattern_positions.get(predicate, ()):
-            buckets = self._tables[(predicate, positions)][1]
-            key = tuple(row[i] for i in positions)
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [row]
-            else:
-                bucket.append(row)
+        patterns = self._local_patterns.get(predicate)
+        if patterns is not None:
+            for positions, buckets in patterns:
+                if len(positions) == 1:
+                    key = (row[positions[0]],)
+                else:
+                    key = tuple([row[i] for i in positions])
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = [row]
+                else:
+                    bucket.append(row)
         return True
 
     def remove(self, atom: Atom) -> bool:
@@ -755,9 +770,12 @@ class OverlayRelationIndex(RelationIndex):
             base_buckets = self._base._ensure_pattern(predicate, positions).buckets
         else:
             base_buckets = {}
-        tables = (base_buckets, _build_table(self._local, predicate, positions).buckets)
+        local_buckets = _build_table(self._local, predicate, positions).buckets
+        tables = (base_buckets, local_buckets)
         self._tables[(predicate, positions)] = tables
-        self._pattern_positions.setdefault(predicate, []).append(positions)
+        self._local_patterns.setdefault(predicate, []).append(
+            (positions, local_buckets)
+        )
         if self._stats is not None:
             self._stats.overlay_index_builds += 1
         return tables

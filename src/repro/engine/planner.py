@@ -27,7 +27,8 @@ probes the pattern hash table of the positions bound by the prefix
 (``RelationIndex.rows_for``) and binds the rest of the row into flat int
 slots.  Each plan is generated once into a Python function
 (:func:`generate_join`) with one nested ``for`` per step, and memoised
-on the rule; nothing interprets the plan at run time.
+on the rule; nothing interprets the plan at run time.  So is the insert
+of the rows a rule's bindings derive (:func:`generate_insert`).
 :func:`enumerate_matches` is its object-level edge: it encodes a partial
 assignment and delta atoms, and decodes each binding at yield.
 
@@ -282,12 +283,17 @@ def order_body(
 # binds like a variable, as it does at the top level.  Hidden slots are not
 # in ``slot_of``, so decoded assignments never show them.
 #
-# Joins and head builders are generated Python functions
-# (:func:`generate_join`, :func:`generate_heads`) with slot ``n`` in the
-# local ``s<n>``.  Their source holds only ints and names the generator
-# mints; every predicate, id, key, function name and message is bound in
-# the function's namespace, so no user string reaches ``compile`` and
-# programmes of the same shape share one code object.
+# Joins, inserts and head builders are generated Python functions
+# (:func:`generate_join`, :func:`generate_insert`, :func:`generate_heads`)
+# with slot ``n`` in the local ``s<n>``.  A rule's insert is the semi-naive
+# driver's per-row path: it takes one join's bindings, calls the driver's
+# ``on_fire`` hook, builds each ground head row inline, stores it and files
+# it as the next round's delta.  Its head builder renders the same rows
+# (``_Writer.head_row``) for the maintained view, which decodes the heads of
+# the firings it records.  Their source holds only ints and names the
+# generator mints; every predicate, id, key, function name and message is
+# bound in the function's namespace, so no user string reaches ``compile``
+# and programmes of the same shape share one code object.
 
 _Spec = Union[int, Tuple[int, int], Tuple[str, tuple]]
 
@@ -494,6 +500,30 @@ class _Writer:
             return None
         return f"encode_function({self.name('f', spec[0])}, {_tuple(arguments)})"
 
+    def unpack_binding(self, width: int) -> None:
+        """Bind a join binding of *width* slots to the slot locals."""
+        if width:
+            self.line(f"{_tuple([f's{s}' for s in range(width)])} = binding")
+
+    def head_row(self, specs: Sequence[_Spec]) -> Tuple[str, List[str]]:
+        """Source of the head row *specs* build from the slot locals, and
+        the conditions under which it is ground: every variable in it
+        bound (an unbound pattern null stands for itself)."""
+        required: Dict[str, None] = {}
+
+        def value(spec: _Spec) -> str:
+            if type(spec) is int:
+                if spec < 0:
+                    required[f"s{-spec - 1} is not None"] = None
+                return self.entry(spec)
+            if type(spec[0]) is int:
+                null = self.name("c", spec[1])
+                return f"(s{spec[0]} if s{spec[0]} is not None else {null})"
+            arguments = [value(sub) for sub in spec[1]]
+            return f"encode_function({self.name('f', spec[0])}, {_tuple(arguments)})"
+
+        return _tuple([value(spec) for spec in specs]), list(required)
+
     def build(self, entry: str):
         """Compile the module, or reuse the code of the same source, run it
         in the namespace and return its function *entry*."""
@@ -566,27 +596,15 @@ def generate_heads(
 ) -> Callable[[Sequence[Optional[int]]], List[Tuple[Predicate, Row]]]:
     """Lower the rule's heads to one generated ``build_head_rows``: a head
     with an unbound variable is skipped (it is not ground), an unbound
-    pattern null stands for itself."""
+    pattern null stands for itself.  The maintained view decodes the
+    heads of the firings it records through it; inserting goes through
+    :func:`generate_insert`."""
     writer = _Writer(encoded.symbols)
     writer.open("heads", ("binding",))
-    if encoded.slots:
-        writer.line(f"{_tuple([f's{s}' for s in range(len(encoded.slots))])} = binding")
+    writer.unpack_binding(len(encoded.slots))
     writer.line("rows = []")
-
-    def value(spec: _Spec, required: Dict[str, None]) -> str:
-        if type(spec) is int:
-            if spec < 0:
-                required[f"s{-spec - 1} is not None"] = None
-            return writer.entry(spec)
-        if type(spec[0]) is int:
-            null = writer.name("c", spec[1])
-            return f"(s{spec[0]} if s{spec[0]} is not None else {null})"
-        arguments = [value(sub, required) for sub in spec[1]]
-        return f"encode_function({writer.name('f', spec[0])}, {_tuple(arguments)})"
-
     for predicate, specs in encoded.head_specs:
-        required: Dict[str, None] = {}
-        row = _tuple([value(spec, required) for spec in specs])
+        row, required = writer.head_row(specs)
         append = f"rows.append(({writer.name('p', predicate)}, {row}))"
         if required:
             writer.line(f"if {' and '.join(required)}:")
@@ -594,6 +612,62 @@ def generate_heads(
         writer.line(append)
     writer.line("return rows")
     return writer.build("heads")
+
+
+#: A generated insert: ``insert(bindings, add_row, grouped, on_fire, room)``
+#: returning the count of new rows.
+_Insert = Callable[..., int]
+
+
+def generate_insert(encoded: "EncodedRule") -> _Insert:
+    """Lower the rule's heads to one generated ``insert(bindings, add_row,
+    grouped, on_fire, room)``, the semi-naive driver's whole per-row path.
+
+    For each binding of one join it calls ``on_fire(compiled, encoded,
+    binding)`` when *on_fire* is not ``None``, then builds each ground head
+    row inline (a head with an unbound variable is skipped, an unbound
+    pattern null stands for itself) and stores it with ``add_row``; each
+    row ``add_row`` reports new is filed under its predicate in *grouped*
+    as a ``(predicate, row)`` entry, the next round's delta.  It returns
+    the count of new rows, and returns at once when that count exceeds
+    *room*, so the index holds exactly one row past a budget when the
+    caller sees it.
+    """
+    writer = _Writer(encoded.symbols)
+    writer.open("insert", ("bindings", "add_row", "grouped", "on_fire", "room"))
+    writer.line("new = 0")
+    #: head predicate -> (its minted name, the local holding its delta group)
+    groups: Dict[Predicate, Tuple[str, str]] = {}
+    for predicate, _ in encoded.head_specs:
+        if predicate not in groups:
+            name, group = writer.name("p", predicate), f"g{len(groups)}"
+            groups[predicate] = (name, group)
+            writer.line(f"{group} = grouped.get({name})")
+    rule = f"{writer.name('r', encoded.compiled)}, {writer.name('e', encoded)}"
+    writer.line("for binding in bindings:")
+    writer.depth += 1
+    writer.line("if on_fire is not None:")
+    writer.line(f"    on_fire({rule}, binding)")
+    writer.unpack_binding(len(encoded.slots))
+    for predicate, specs in encoded.head_specs:
+        name, group = groups[predicate]
+        row, required = writer.head_row(specs)
+        if required:
+            writer.line(f"if {' and '.join(required)}:")
+            writer.depth += 1
+        writer.line(f"row = {row}")
+        writer.line(f"if add_row({name}, row):")
+        writer.line(f"    if {group} is None:")
+        writer.line(f"        {group} = grouped[{name}] = []")
+        writer.line(f"    {group}.append(({name}, row))")
+        writer.line("    new += 1")
+        writer.line("    if new > room:")
+        writer.line("        return new")
+        if required:
+            writer.depth -= 1
+    writer.depth -= 1
+    writer.line("return new")
+    return writer.build("insert")
 
 
 class EncodedRule:
@@ -618,6 +692,7 @@ class EncodedRule:
         "negatives",
         "head_specs",
         "_heads",
+        "_insert",
         "_joins",
         "_programmes",
     )
@@ -681,6 +756,8 @@ class EncodedRule:
         self.slots = tuple(slots)
         #: the generated head builder, made at the first build_head_rows call
         self._heads: Optional[Callable] = None
+        #: the generated insert, made at the first inserter call
+        self._insert: Optional[_Insert] = None
         #: (plan, pre-bound slots, delta position) -> generated join
         self._joins: Dict[tuple, _Join] = {}
         #: delta position (-1: the full body) -> the fixpoint's programme
@@ -701,6 +778,17 @@ class EncodedRule:
             # Racing threads may both generate; the builders are equivalent.
             heads = self._heads = generate_heads(self)
         return heads(binding)
+
+    def inserter(self) -> _Insert:
+        """The rule's generated insert (:func:`generate_insert`), the one
+        path by which :func:`~repro.engine.seminaive.fixpoint` stores the
+        rows a join's bindings derive; generated at the first call and
+        memoised on the rule."""
+        insert = self._insert
+        if insert is None:
+            # Racing threads may both generate; the inserts are equivalent.
+            insert = self._insert = generate_insert(self)
+        return insert
 
     def build_positive_atoms(self, binding: Sequence[Optional[int]]) -> Tuple[Atom, ...]:
         """The ground positive body under *binding* (canonical cached atoms).

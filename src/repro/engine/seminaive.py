@@ -21,39 +21,47 @@ deduplicates, so the overlap between delta rules is harmless, and no
 derivation is missed because every new match must involve at least one
 new atom.
 
-**The driver owns its delta.**  :meth:`RelationIndex.add_row` reports
-whether a row was new, and :func:`fixpoint` files each new head row under
-its predicate as it inserts it: those groups are the next round's delta,
-and a round that files nothing ends the fixpoint.  The index keeps no
-log of its additions and the driver reads nothing back from it.
+**The driver owns its delta.**  Each rule's generated insert
+(:meth:`~repro.engine.planner.EncodedRule.inserter`, written by
+:func:`~repro.engine.planner.generate_insert`) takes one join's bindings,
+builds each ground head row inline, stores it with
+:meth:`RelationIndex.add_row` and files each row ``add_row`` reports new
+under its predicate: those groups are the next round's delta, and a round
+that files nothing ends the fixpoint.  The insert returns how many rows
+were new, which is all the driver counts, and it stops at the first row
+past ``max_atoms``.  The index keeps no log of its additions and the
+driver reads nothing back from it.
 
-**Round structure.**  A delta rule whose ``Δbi`` has no rows this round
-cannot fire anything new, so that (rule, position) is skipped without
-entering the join; every other position is handed only its own
-predicate's rows.  Round 1 joins every rule's full body, including
-rules with no positive body, whose join has no loop: they fire there
-once, after their negative literals are checked.  The join of each
-(rule, delta position), and of each rule's full body for round 1, is a
-generated Python function memoised on the rule's
-:class:`~repro.engine.planner.EncodedRule`
+**Round structure.**  The structure of a rule set's rounds is built once
+per rule objects and symbol table and memoised like the rules themselves:
+the encoded rules and, for each body predicate, its *sites* — the (rule,
+delta position) pairs whose literal ranges over it — in rule order.  A
+call encodes nothing.  A delta round enters only the sites of the
+predicates that gained rows, hands each only its own predicate's rows,
+and fires them in rule order, then position order; a delta rule whose
+``Δbi`` gained no rows cannot fire anything new and is never entered.
+Round 1 joins every rule's full body, including rules with no positive
+body, whose join has no loop: they fire there once, after their negative
+literals are checked.  The join of each (rule, delta position), and of
+each rule's full body for round 1, is a generated Python function
+memoised on the rule's :class:`~repro.engine.planner.EncodedRule`
 (:meth:`~repro.engine.planner.EncodedRule.programme`: ``order_body``
 plans it, :func:`~repro.engine.planner.generate_join` writes it);
-:func:`fixpoint` calls it directly, collects each join's bindings in one
-list before inserting anything, and builds head rows with the rule's
-generated ``build_head_rows``.  A join is planned and generated the first
-time any fixpoint needs it, from the relation cardinalities of that
+:func:`fixpoint` calls it directly and collects each join's bindings in
+one list before inserting anything.  A join is planned and generated the
+first time any fixpoint needs it, from the relation cardinalities of that
 moment, and every later round and every later fixpoint over the same rule
-object reuses it.  A query plan's magic rules live as long as the plan,
-so a query shape is planned once, not once per read or per round.  Join
-order affects only cost: the bindings enumerated are the same in any
-order.
+object reuses it.  A query plan's magic rules live as long as the plan, so
+a query shape is planned once, not once per read or per round.  Join order
+affects only cost: the bindings enumerated are the same in any order.
 
 **Seeded start.**  An index that already holds a least fixpoint needs no
 full round 1 when a few atoms arrive: only firings that use a new atom
 can derive anything.  Given ``delta=`` — the new rows as ``(predicate,
 row)`` entries, already stored in the index — round 1 is a delta round
 over those rows instead, and only the rules in ``rescan=`` join their
-full body.  Every later round is the driver's own.  This is the insert
+full body, merged with the seeded sites in the same rule order.  Every
+later round is the driver's own.  This is the insert
 step of Delete-and-Rederive (Gupta, Mumick and Subrahmanian, SIGMOD 1993):
 :class:`~repro.engine.maintenance.MaterializedView` runs each stratum's
 add phase as one seeded call, with the rules that a deletion below a
@@ -71,7 +79,9 @@ for reduct and well-founded computations.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
+from operator import is_
 from time import perf_counter
 from typing import (
     Callable,
@@ -87,8 +97,9 @@ from typing import (
 from ..core.atoms import Atom, Predicate
 from ..errors import SolverLimitError
 from .index import RelationIndex
-from .intern import Row
+from .intern import Row, SymbolTable
 from .planner import (
+    _COMPILE_CACHE_LIMIT,
     CompiledRule,
     EncodedRule,
     compile_rule,
@@ -108,6 +119,122 @@ __all__ = ["fixpoint", "GroundProgramEvaluator"]
 #: tables through it (``on_fire=SupportTable().record_firing_binding``):
 #: incremental deletion needs to know about *alternative* derivations too.
 FireCallback = Callable[["CompiledRule", "EncodedRule", tuple], None]
+
+#: One place a round can enter: ``(rule number, delta position, the
+#: position's predicate, encoded rule, the rule's generated insert)``;
+#: position -1 (predicate ``None``) is the rule's full body.  Sorting sites
+#: orders them by rule, then position, which is the order rules fire in.
+_Site = Tuple[int, int, Optional[Predicate], EncodedRule, Callable[..., int]]
+
+#: The room left under no ``max_atoms`` budget.
+_UNBOUNDED = sys.maxsize
+
+
+class _Rounds:
+    """One rule set's round structure on one symbol table, built once.
+
+    It holds the encoded rules and, for each body predicate, the sites —
+    (rule, delta position) pairs — whose literal ranges over it, in rule
+    order; a delta round enters only the sites of the predicates that
+    gained rows.
+    """
+
+    __slots__ = ("rules", "symbols", "encoded", "full", "sites")
+
+    def __init__(
+        self,
+        rules: Tuple[object, ...],
+        symbols: SymbolTable,
+        ignore_negation: bool,
+        statistics: Optional[EngineStatistics],
+    ) -> None:
+        self.rules = rules
+        self.symbols = symbols
+        self.encoded = tuple(
+            encode_rule(
+                compile_rule(
+                    rule, ignore_negation=ignore_negation, statistics=statistics
+                ),
+                symbols,
+            )
+            for rule in rules
+        )
+        #: round 1 of an unseeded call: every rule's full body, in rule order
+        self.full: Tuple[_Site, ...] = tuple(
+            (number, -1, None, encoded, encoded.inserter())
+            for number, encoded in enumerate(self.encoded)
+        )
+        sites: Dict[Predicate, List[_Site]] = {}
+        for number, _, _, encoded, insert in self.full:
+            for position, (predicate, _) in enumerate(encoded.positive):
+                sites.setdefault(predicate, []).append(
+                    (number, position, predicate, encoded, insert)
+                )
+        #: body predicate -> its sites, in rule order
+        self.sites: Dict[Predicate, Tuple[_Site, ...]] = {
+            predicate: tuple(found) for predicate, found in sites.items()
+        }
+
+    def entered(self, grouped: Dict[Predicate, list]) -> Sequence[_Site]:
+        """The sites a delta round over *grouped* enters, in firing order."""
+        if len(grouped) == 1:
+            for predicate in grouped:
+                return self.sites.get(predicate, ())
+        found: List[_Site] = []
+        for predicate in grouped:
+            found.extend(self.sites.get(predicate, ()))
+        found.sort()
+        return found
+
+    def seeded(
+        self, grouped: Dict[Predicate, list], rescan: Collection
+    ) -> Sequence[_Site]:
+        """Round 1 of a seeded call: the full bodies of the *rescan* rules
+        merged with every other rule's sites over the seed, in firing
+        order."""
+        if not rescan:
+            return self.entered(grouped)
+        rescanned = {id(rule) for rule in rescan}
+        found = [
+            site for site, rule in zip(self.full, self.rules) if id(rule) in rescanned
+        ]
+        full = {site[0] for site in found}
+        found.extend(site for site in self.entered(grouped) if site[0] not in full)
+        found.sort()
+        return found
+
+
+_ROUNDS_CACHE: Dict[tuple, _Rounds] = {}
+#: rules the cached structures hold, bounded like the rule caches
+_rounds_held = 0
+
+
+def _rounds(
+    rules: Tuple[object, ...],
+    symbols: SymbolTable,
+    ignore_negation: bool,
+    statistics: Optional[EngineStatistics],
+) -> _Rounds:
+    """The round structure of *rules* on *symbols*, memoised per rule
+    objects and table like :func:`~repro.engine.planner.compile_rule` and
+    :func:`~repro.engine.planner.encode_rule`: the cache is reset once the
+    structures in it hold as many rules as those caches may."""
+    global _rounds_held
+    key = (tuple(map(id, rules)), id(symbols), ignore_negation)
+    cached = _ROUNDS_CACHE.get(key)
+    if (
+        cached is not None
+        and cached.symbols is symbols
+        and all(map(is_, cached.rules, rules))
+    ):
+        return cached
+    rounds = _Rounds(rules, symbols, ignore_negation, statistics)
+    if _rounds_held + len(rules) > _COMPILE_CACHE_LIMIT:
+        _ROUNDS_CACHE.clear()
+        _rounds_held = 0
+    _ROUNDS_CACHE[key] = rounds
+    _rounds_held += len(rules)
+    return rounds
 
 
 def fixpoint(
@@ -168,7 +295,9 @@ def fixpoint(
         codebase either ignore negation or pass a fixed oracle.
     max_atoms:
         Budget on the total index size; exceeding it raises
-        :class:`~repro.errors.SolverLimitError` with *limit_message*.
+        :class:`~repro.errors.SolverLimitError` with *limit_message*.  A
+        round stops inserting at the first row past it, so when a derived
+        row crosses it the index holds exactly ``max_atoms + 1`` rows.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  When enabled, one
         ``engine.fixpoint`` span wraps the whole computation and one
@@ -181,32 +310,22 @@ def fixpoint(
         newly derived tuples are attributed to it per round.
     """
     target = index if index is not None else RelationIndex(statistics=statistics)
-    symbols = target.symbols
-    rescanned = {id(rule) for rule in rescan}
-    #: (encoded rule, whether round 1 joins its full body)
-    encoded_rules: List[Tuple[EncodedRule, bool]] = [
-        (
-            encode_rule(
-                compile_rule(
-                    rule, ignore_negation=ignore_negation, statistics=statistics
-                ),
-                symbols,
-            ),
-            delta is None or id(rule) in rescanned,
-        )
-        for rule in rules
-    ]
+    structure = _rounds(tuple(rules), target.symbols, ignore_negation, statistics)
     rows_for, rows_of, add_row = target.rows_for, target.rows_of, target.add_row
     contains_row = negation_oracle(target, negative_against)
     tracing = tracer is not None and tracer.enabled
     fixpoint_span = (
-        tracer.start("engine.fixpoint", rules=len(encoded_rules)) if tracing else None
+        tracer.start("engine.fixpoint", rules=len(structure.rules))
+        if tracing
+        else None
     )
     try:
         target.update(facts)
-        size = len(target)
-        if max_atoms is not None and size > max_atoms:
-            raise SolverLimitError(limit_message)
+        room = _UNBOUNDED
+        if max_atoms is not None:
+            room = max_atoms - len(target)
+            if room < 0:
+                raise SolverLimitError(limit_message)
         # The round's delta, grouped by predicate; the entries stay encoded
         # ``(predicate, row)`` pairs.
         grouped: Dict[Predicate, List[Tuple[Predicate, Row]]] = {}
@@ -216,8 +335,9 @@ def fixpoint(
                 grouped[entry[0]] = [entry]
             else:
                 group.append(entry)
+        sites = structure.full if delta is None else structure.seeded(grouped, rescan)
         rounds = 0
-        while grouped or not rounds:
+        while True:
             rounds += 1
             if statistics is not None:
                 statistics.iterations += 1
@@ -232,64 +352,55 @@ def fixpoint(
             )
             # Materialise each round's matches, one binding list per join,
             # before inserting, so the hash indexes are never mutated while
-            # a join iterates over them.
-            pending: List[Tuple[EncodedRule, List[tuple]]] = []
-            for encoded, full_body in encoded_rules:
+            # a join iterates over them.  A full-body site (predicate None)
+            # gets no delta rows.
+            pending: List[Tuple[EncodedRule, Callable[..., int], List[tuple]]] = []
+            firings = 0
+            for _, position, predicate, encoded, insert in sites:
                 if profiler is not None:
-                    rule_t0 = perf_counter()
-                    rule_n0 = len(pending)
-                if rounds == 1 and full_body:
-                    join = encoded.programme(target)
-                    found = join(None, (), rows_for, rows_of, contains_row, statistics)
-                    pending.append((encoded, list(found)))
-                else:
-                    for position, atom in enumerate(encoded.compiled.positive):
-                        group = grouped.get(atom.predicate)
-                        if group is None:
-                            # No rows for this position's predicate: no new
-                            # firing can come from it this round.
-                            continue
-                        join = encoded.programme(target, position)
-                        found = join(
-                            None, group, rows_for, rows_of, contains_row, statistics
-                        )
-                        pending.append((encoded, list(found)))
+                    started = perf_counter()
+                join = encoded.programme(target, position)
+                found = list(
+                    join(
+                        None,
+                        grouped.get(predicate, ()),
+                        rows_for,
+                        rows_of,
+                        contains_row,
+                        statistics,
+                    )
+                )
                 if profiler is not None:
                     profiler.record(
                         encoded.compiled,
-                        seconds=perf_counter() - rule_t0,
-                        triggers=sum(len(found) for _, found in pending[rule_n0:]),
-                        rounds=1,
+                        seconds=perf_counter() - started,
+                        triggers=len(found),
                     )
-            # The rows add_row reports new are the next round's delta.
+                if found:
+                    pending.append((encoded, insert, found))
+                    firings += len(found)
+            if profiler is not None:
+                for encoded in structure.encoded:
+                    profiler.record(encoded.compiled, rounds=1)
+            # The rows each insert reports new are the next round's delta.
             grouped = {}
             try:
-                for encoded, bindings in pending:
-                    for payload in bindings:
-                        if on_fire is not None:
-                            on_fire(encoded.compiled, encoded, payload)
-                        # build_head_rows drops non-ground heads: rows are ground.
-                        for entry in encoded.build_head_rows(payload):
-                            if not add_row(entry[0], entry[1]):
-                                continue
-                            group = grouped.get(entry[0])
-                            if group is None:
-                                grouped[entry[0]] = [entry]
-                            else:
-                                group.append(entry)
-                            if statistics is not None:
-                                statistics.triggers_fired += 1
-                            if profiler is not None:
-                                profiler.record(encoded.compiled, tuples=1)
-                            if max_atoms is not None:
-                                size += 1
-                                if size > max_atoms:
-                                    raise SolverLimitError(limit_message)
+                for encoded, insert, bindings in pending:
+                    added = insert(bindings, add_row, grouped, on_fire, room)
+                    if added:
+                        room -= added
+                        if statistics is not None:
+                            statistics.triggers_fired += added
+                        if profiler is not None:
+                            profiler.record(encoded.compiled, tuples=added)
+                        if room < 0:
+                            raise SolverLimitError(limit_message)
             finally:
                 if round_span is not None:
-                    round_span.finish(
-                        firings=sum(len(found) for _, found in pending)
-                    )
+                    round_span.finish(firings=firings)
+            if not grouped:
+                break
+            sites = structure.entered(grouped)
     finally:
         if fixpoint_span is not None:
             fixpoint_span.finish(atoms=len(target))

@@ -106,11 +106,14 @@ class SubscriptionError(ReproError):
 class DurabilityError(ReproError):
     """Raised by the durability layer on misuse or damaged store files.
 
-    Torn log tails and invalid newest checkpoints are *not* errors — they
-    are expected crash artefacts, silently recovered to the longest valid
-    prefix.  This error covers the genuinely unrecoverable or ambiguous
-    cases: a log file that is not a repro WAL at all, a store already
-    locked by another live process, or opening an existing store with a
+    Torn log tails are *not* errors — they are expected crash artefacts,
+    silently recovered to the longest valid prefix — and neither is an
+    invalid newest checkpoint while the log still holds every batch after
+    the valid one recovery falls back to.  This error covers the genuinely
+    unrecoverable or ambiguous cases: a log file that is not a repro WAL at
+    all, a store already locked by another live process, invalid
+    checkpoints whose fallback would drop acknowledged batches (the log
+    was compacted past them), or opening an existing store with a
     conflicting initial database.
     """
 

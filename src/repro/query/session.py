@@ -324,28 +324,39 @@ class QueryEvaluator:
                     self._plans[key] = plan
         return plan, compiled
 
-    def answers(
-        self,
-        base: RelationSnapshot | RelationIndex,
-        query: ConjunctiveQuery,
-        *,
-        statistics: Optional[EngineStatistics] = None,
-        tracer=None,
-    ) -> Tuple[frozenset[Tuple[Term, ...]], bool]:
-        """The answers of *query* over *base*, and whether the cautious
-        fallback gave them (the query or the rules left the fragment)."""
+    def route(self, query: ConjunctiveQuery) -> Tuple[Optional[QueryPlan], object]:
+        """How :meth:`answers` answers *query*: ``(plan, constants)``, or
+        ``(None, error)`` when the cautious fallback does — *error* is why
+        the query leaves the fragment, ``None`` when the rules do."""
         if self._scope_error is not None:
-            return self.fallback_answers(base, query), True
+            return None, None
         try:
             key, constants = _query_shape(query)
             plan, _ = self._plan(query, key)
         except (UnsupportedClassError, StratificationError) as error:
             # The *query* leaves the fragment (nulls, function terms).
-            return self.fallback_answers(base, query, error), True
+            return None, error
+        return plan, constants
+
+    def answers(
+        self,
+        base: RelationSnapshot | RelationIndex,
+        query: ConjunctiveQuery,
+        *,
+        route: Optional[Tuple[Optional[QueryPlan], object]] = None,
+        statistics: Optional[EngineStatistics] = None,
+        tracer=None,
+    ) -> Tuple[frozenset[Tuple[Term, ...]], bool]:
+        """The answers of *query* over *base*, and whether the cautious
+        fallback gave them (the query or the rules left the fragment).
+        *route* is :meth:`route`'s result, when the caller took it."""
+        plan, detail = route if route is not None else self.route(query)
+        if plan is None:
+            return self.fallback_answers(base, query, detail), True
         answers = plan.execute_on(
             base,
             query,
-            constants=constants,
+            constants=detail,
             max_atoms=self.max_atoms,
             statistics=statistics,
             tracer=tracer,

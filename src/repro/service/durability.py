@@ -18,11 +18,13 @@ gives it crash recovery with a classic two-file arrangement:
   the rules alone, and a recovered service re-derives what it is asked;
 * a **recovery path** (:meth:`DurabilityManager.recover`) — load the latest
   valid checkpoint (falling back to the previous one if the latest fails
-  validation), then hand back the log tail to replay.  Batch ids recorded
-  in every log record make replay *idempotent*: records at or below the
-  checkpoint's high-water batch id are skipped, so a crash landing between
-  the checkpoint rename and the log compaction — or between an fsync and
-  the epoch publish — never applies a batch twice.
+  validation, but only when the log still holds every batch after it;
+  otherwise the open fails with :class:`~repro.errors.DurabilityError`),
+  then hand back the log tail to replay.  Batch ids recorded in every log
+  record make replay *idempotent*: records at or below the checkpoint's
+  high-water batch id are skipped, so a crash landing between the
+  checkpoint rename and the log compaction — or between an fsync and the
+  epoch publish — never applies a batch twice.
 
 Every payload is JSON with a structural term encoding (``["c", name]`` /
 ``["n", label]`` / ``["v", name]`` / ``["f", fn, [args]]``) rather than a
@@ -541,8 +543,11 @@ class CheckpointStore:
     atomic rename + directory fsync, so the store always holds complete
     checkpoints; :meth:`latest` validates newest-first and falls back, so
     one corrupt file (torn rename on a dying disk, manual truncation) is
-    skipped for the one before it — with ``compact_log=False`` the log
-    still holds every batch logged since, so no fact is lost.
+    skipped for the one before it.  Skipping is safe only while the log
+    still holds every batch logged after the older checkpoint, as it does
+    with ``compact_log=False``; :meth:`DurabilityManager.recover` checks
+    that and refuses to open the store otherwise, because the default log
+    compaction dropped those batches when the corrupt file was written.
     """
 
     def __init__(self, directory: Union[str, Path], *, keep: int = 2) -> None:
@@ -597,11 +602,18 @@ class CheckpointStore:
         Validation covers the magic, the frame checksum, and JSON decoding;
         an invalid newest file falls back to the one before it.
         """
+        return self.scan()[0]
+
+    def scan(self) -> Tuple[Optional[Tuple[int, dict]], List[Path]]:
+        """:meth:`latest`, and the invalid newer files it passed over,
+        newest first."""
+        invalid: List[Path] = []
         for path in reversed(self._paths()):
             payload = self._load(path)
             if payload is not None:
-                return int(path.stem.split("-")[1]), payload
-        return None
+                return (int(path.stem.split("-")[1]), payload), invalid
+            invalid.append(path)
+        return None, invalid
 
     @staticmethod
     def _load(path: Path) -> Optional[dict]:
@@ -736,7 +748,7 @@ class DurabilityManager:
             batches = self.log.open_and_recover()
             if self.log.torn_tails:
                 self._wal_torn.inc(self.log.torn_tails)
-            latest = self.store.latest()
+            latest, invalid = self.store.scan()
             if latest is None:
                 facts: Tuple[Atom, ...] = ()
                 revision = 0
@@ -766,6 +778,17 @@ class DurabilityManager:
                 for logged_id, ops in batches
                 if logged_id > batch_id
             ]
+            if invalid and (not tail or tail[0][0] != batch_id + 1):
+                # A newer checkpoint failed validation, and the log no
+                # longer holds the batches acknowledged between the one
+                # chosen and it: opening would drop them silently.
+                self.close()
+                raise DurabilityError(
+                    "invalid checkpoint "
+                    + ", ".join(str(path) for path in invalid)
+                    + f": the log does not hold every batch after batch "
+                    f"{batch_id}, so opening would drop acknowledged batches"
+                )
             if tail:
                 self._recovered.inc(len(tail))
             self._since_checkpoint = len(tail)

@@ -73,7 +73,12 @@ from ..core.queries import ConjunctiveQuery
 from ..core.terms import Term
 from ..engine.intern import global_symbols
 from ..engine.stats import EngineStatistics, engine_counters
-from ..obs.metrics import MetricsRegistry, MetricsSnapshot, global_registry
+from ..obs.metrics import (
+    Histogram,
+    MetricsRegistry,
+    MetricsSnapshot,
+    global_registry,
+)
 from ..obs.trace import get_tracer
 from ..errors import (
     DurabilityError,
@@ -198,7 +203,7 @@ class DatalogService:
     metrics:
         The :class:`~repro.obs.metrics.MetricsRegistry` the service (and
         its inner session) reports into: the ``service_*`` counters and
-        gauges and the read-latency histogram (catalogue in
+        gauges and the per-path read-latency histograms (catalogue in
         ``docs/serving.md``).  Defaults to
         :func:`repro.obs.global_registry`; pass a private registry for
         isolation.  :meth:`stats` snapshots it.
@@ -341,10 +346,18 @@ class DatalogService:
             "service_symbols_interned",
             help="Engine symbol-table size, sampled at publish and stats().",
         )
-        self._read_latency = self._metrics.histogram(
-            "service_read_latency_seconds",
-            help="End-to-end DatalogService read latency (hits and misses).",
-        )
+        def read_latency(path: str) -> Histogram:
+            return self._metrics.histogram(
+                "service_read_latency_seconds",
+                help="End-to-end DatalogService read latency, by the path "
+                "the read took: an epoch cache hit, an engine miss, or the "
+                "cautious fallback.",
+                labels={"cache": path},
+            )
+
+        self._hit_latency = read_latency("hit")
+        self._miss_latency = read_latency("miss")
+        self._fallback_latency = read_latency("fallback")
         # Cold pattern-table builds performed by reader threads on published
         # snapshots.
         self._snapshot_builds = self._metrics.counter(
@@ -464,7 +477,7 @@ class DatalogService:
         if cached is not None:
             self._reads_served.inc()
             self._read_cache_hits.inc()
-            self._read_latency.observe(time.perf_counter() - t0)
+            self._hit_latency.observe(time.perf_counter() - t0)
             if tracing:
                 tracer.start(
                     "service.read", cache="hit", revision=epoch.revision
@@ -478,12 +491,16 @@ class DatalogService:
             else None
         )
         local = EngineStatistics()
+        latency = self._miss_latency
         try:
+            route = self._evaluator.route(query)
+            if route[0] is None:
+                latency = self._fallback_latency
             result, fell_back = self._evaluator.answers(
-                epoch.snapshot, query, statistics=local, tracer=tracer
+                epoch.snapshot, query, route=route, statistics=local, tracer=tracer
             )
         except BaseException as error:
-            self._read_latency.observe(time.perf_counter() - t0)
+            latency.observe(time.perf_counter() - t0)
             if span is not None:
                 span.finish(error=type(error).__name__)
             raise
@@ -501,7 +518,7 @@ class DatalogService:
             with self._hot_lock:
                 if len(self._hot) < self._hot_cap:
                     self._hot[query] = None
-        self._read_latency.observe(time.perf_counter() - t0)
+        latency.observe(time.perf_counter() - t0)
         if span is not None:
             span.finish(answers=len(result), fallback=fell_back)
         return result
@@ -963,7 +980,8 @@ class DatalogService:
 
         The snapshot carries everything the service's registry knows: the
         ``service_*`` (and, same registry, ``session_*``) counters, the
-        ``service_read_latency_seconds`` histogram, and the gauges —
+        ``service_read_latency_seconds`` histograms (one per ``cache``
+        path: ``hit``, ``miss``, ``fallback``), and the gauges —
         ``service_queue_depth``, ``service_epoch_lag_seconds``,
         ``service_pending_futures``, ``service_symbols_interned`` (sampled
         now) and the rest.  Feed it to

@@ -24,6 +24,7 @@ Three tiers, matching the module's structure:
 from __future__ import annotations
 
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -486,6 +487,56 @@ def test_compact_log_false_recovers_through_corrupt_checkpoints(tmp_path):
         assert reopened.facts == expected_facts
     finally:
         reopened.close()
+
+
+def _five_batches_then_close(path):
+    """A store with checkpoints after batches 2 and 4 and at close (after
+    batch 5); the log was compacted at each, so it ends empty."""
+    service = _durable_service(path, checkpoint_every=2)
+    for i in range(5):
+        service.add_facts([edge(i, i + 1)]).result()
+    service.flush()
+    service.close()
+    return sorted(path.glob("checkpoint-*.ckpt"))
+
+
+def _assert_store_lock_released(path):
+    log = FactLog(path / "facts.wal")
+    try:
+        log.open_and_recover()
+    finally:
+        log.close()
+
+
+def test_fallback_past_a_corrupt_checkpoint_refuses_to_drop_batches(tmp_path):
+    """The newest checkpoint (batch 5) is torn; the one before it covers
+    batch 4, and the compacted log no longer holds batch 5.  Falling back
+    would drop an acknowledged batch, so the open refuses, naming the
+    file, and releases the store lock."""
+    newest = _five_batches_then_close(tmp_path)[-1]
+    newest.write_bytes(newest.read_bytes()[:-3])
+    with pytest.raises(DurabilityError, match=re.escape(newest.name)):
+        _durable_service(tmp_path, checkpoint_every=2)
+    _assert_store_lock_released(tmp_path)
+
+
+def test_every_checkpoint_corrupt_refuses_to_open_as_fresh(tmp_path):
+    """With no valid checkpoint and a log that does not start at batch 1,
+    the store is not fresh: the open refuses, naming every invalid file,
+    and writes nothing over them."""
+    checkpoints = _five_batches_then_close(tmp_path)
+    for checkpoint in checkpoints:
+        checkpoint.write_bytes(b"REPROCKP1\ncorrupt")
+    with pytest.raises(DurabilityError) as refused:
+        _durable_service(tmp_path, checkpoint_every=2)
+    for checkpoint in checkpoints:
+        assert checkpoint.name in str(refused.value)
+    assert sorted(tmp_path.glob("checkpoint-*.ckpt")) == checkpoints
+    assert all(
+        checkpoint.read_bytes() == b"REPROCKP1\ncorrupt"
+        for checkpoint in checkpoints
+    )
+    _assert_store_lock_released(tmp_path)
 
 
 def test_checkpoint_requires_durability():

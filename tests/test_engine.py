@@ -442,13 +442,17 @@ class TestSemiNaive:
         assert stats.triggers_fired == paths
 
     def test_max_atoms_budget(self):
+        index = RelationIndex()
         with pytest.raises(SolverLimitError, match="too many"):
             fixpoint(
                 TRANSITIVE_CLOSURE,
                 chain_atoms(20),
+                index=index,
                 max_atoms=30,
                 limit_message="too many atoms",
             )
+        # Inserting stops at the first row past the budget.
+        assert len(index) == 31
 
     def test_bodyless_rules_fire_once(self):
         program = NormalProgram((NormalRule(node(a)), NormalRule(path(X, Y), (edge(X, Y),))))
@@ -460,7 +464,8 @@ class TestRoundStructure:
     """Each round groups its delta by predicate once, enters no delta
     position whose predicate gained no rows, and the join programme of each
     (rule, delta position) is planned at the first fixpoint that needs it
-    and reused by every later round and fixpoint over the same rules."""
+    and reused by every later round and fixpoint over the same rules; so
+    are the rules' encoding, their sites and their generated inserts."""
 
     CHAIN_PROGRAM = parse_program(
         """
@@ -475,7 +480,7 @@ class TestRoundStructure:
         from repro.engine import planner
         from repro.query import compile_query_plan
 
-        calls, generated, heads = [], [], []
+        calls, generated, inserts = [], [], []
 
         def count(name, into):
             original = getattr(planner, name)
@@ -488,43 +493,43 @@ class TestRoundStructure:
 
         count("order_body", calls)
         count("generate_join", generated)
-        count("generate_heads", heads)
+        count("generate_insert", inserts)
         query = parse_query("?(Y) :- open(v0, Y)")
 
         def evaluate(plan, links):
             base = RelationIndex(chain_atoms(links))
-            for counted in (calls, generated, heads):
+            for counted in (calls, generated, inserts):
                 counted.clear()
             stats = EngineStatistics()
             answers = plan.execute_on(base, query, statistics=stats)
             assert len(answers) == links
-            return len(calls), len(generated), len(heads), stats.iterations
+            return len(calls), len(generated), len(inserts), stats.iterations
 
         plan = compile_query_plan(self.CHAIN_PROGRAM, query)
-        short_plans, short_functions, short_heads, short_rounds = evaluate(plan, 10)
-        long_plans, long_functions, long_heads, long_rounds = evaluate(plan, 40)
+        short_plans, short_functions, short_inserts, short_rounds = evaluate(plan, 10)
+        long_plans, long_functions, long_inserts, long_rounds = evaluate(plan, 40)
         assert long_rounds > short_rounds + 20
         assert short_plans > 0
         assert short_functions > 0
-        assert short_heads > 0
+        assert short_inserts > 0
         # The longer evaluation of the same rule objects plans nothing and
-        # generates no join function and no head builder.
+        # generates no join function and no insert.
         assert long_plans == 0
         assert long_functions == 0
-        assert long_heads == 0
+        assert long_inserts == 0
         # A fresh rewrite has new rule objects, so it plans and generates
         # again.
-        fresh_plans, fresh_functions, fresh_heads, _ = evaluate(
+        fresh_plans, fresh_functions, fresh_inserts, _ = evaluate(
             compile_query_plan(self.CHAIN_PROGRAM, query), 40
         )
         assert fresh_plans > 0
         assert fresh_functions > 0
-        assert fresh_heads > 0
-        # Matching a body builds no heads, so it generates no head builder.
-        heads.clear()
+        assert fresh_inserts > 0
+        # Matching a body inserts nothing, so it generates no insert.
+        inserts.clear()
         rule = compile_rule(NormalRule(path(X, Y), (edge(X, Y),)))
         assert len(list(enumerate_matches(rule, RelationIndex(chain_atoms(3))))) == 3
-        assert heads == []
+        assert inserts == []
 
     def test_base_reads_do_not_grow_with_chain_length(self, monkeypatch):
         # The cold-read program over chains n<c>_0 -> ... -> n<c>_<links>,
@@ -575,6 +580,74 @@ class TestRoundStructure:
         long, long_rounds = warm_read(64)
         assert long_rounds > short_rounds + 50
         assert long == short
+
+    def test_a_second_fixpoint_over_the_same_rules_sets_nothing_up(
+        self, monkeypatch
+    ):
+        from repro.engine import seminaive
+
+        rules = parse_program(
+            """
+            edge(X, Y) -> path(X, Y)
+            edge(X, Z), path(Z, Y) -> path(X, Y)
+            """
+        )
+        calls = []
+        for name in ("compile_rule", "encode_rule"):
+            original = getattr(seminaive, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(seminaive, name, counting)
+        first = fixpoint(rules, chain_atoms(4)).atoms()
+        assert sorted(calls) == ["compile_rule"] * 2 + ["encode_rule"] * 2
+        calls.clear()
+        # Another call over the same rule objects, in another container and
+        # over another index, compiles and encodes nothing.
+        second = fixpoint(list(rules), chain_atoms(7)).atoms()
+        assert calls == []
+        assert sum(1 for atom in first if atom.predicate == path) == 4 * 5 // 2
+        assert sum(1 for atom in second if atom.predicate == path) == 7 * 8 // 2
+
+    def test_profiler_totals_match_the_engine_counters(self):
+        from repro.obs.profile import RuleProfiler
+
+        closure = list(self.CHAIN_PROGRAM)[:2]
+        opened = list(self.CHAIN_PROGRAM)[2:]
+        facts = chain_atoms(6) + [node(Constant("v3"))]
+        index = RelationIndex(facts)
+        fired = []
+
+        def on_fire(compiled, encoded, payload):
+            fired.append(payload)
+
+        totals = []
+        for stratum in (closure, opened):
+            profiler, stats = RuleProfiler(), EngineStatistics()
+            fired.clear()
+            fixpoint(
+                stratum,
+                index=index,
+                on_fire=on_fire,
+                statistics=stats,
+                profiler=profiler,
+            )
+            profiles = profiler.profiles()
+            assert len(profiles) == len(stratum)
+            # Every rule is attributed every round of its stratum, entered
+            # or not.
+            assert [p.rounds for p in profiles] == [stats.iterations] * len(stratum)
+            assert sum(p.tuples for p in profiles) == stats.triggers_fired
+            assert sum(p.triggers for p in profiles) == len(fired)
+            totals.append((stats.iterations, stats.triggers_fired, len(fired)))
+        # The closure takes one round per link and a last one that files
+        # nothing.  The open rule fires in round 1; round 2 has a delta of
+        # open rows, which no body uses, so it enters no site.
+        assert totals[0][:2] == (7, 21)
+        assert totals[1][:2] == (2, 6 * 7 // 2 - 3)
+        assert all(firings >= derived for _, derived, firings in totals)
 
     def test_empty_delta_positions_are_never_entered(self, monkeypatch):
         from repro.engine.planner import EncodedRule

@@ -512,13 +512,64 @@ class TestServiceObservability:
             service.answers(QUERY)
             service.add_facts(parse_database("edge(d, e).").atoms).result()
             snap = service.stats()
-        hist = snap.histograms["service_read_latency_seconds"]
-        assert hist["count"] == 2
+        # One histogram per path: the first read missed, the second hit.
+        assert snap.histograms['service_read_latency_seconds{cache="hit"}'][
+            "count"
+        ] == 1
+        assert snap.histograms['service_read_latency_seconds{cache="miss"}'][
+            "count"
+        ] == 1
+        assert snap.histograms['service_read_latency_seconds{cache="fallback"}'][
+            "count"
+        ] == 0
         assert snap.gauges["service_queue_depth"] == 0
         assert snap.gauges["service_epoch_lag_seconds"] >= 0
         assert snap.gauges["service_pending_futures"] == 0
         assert snap.counters["service_reads_served"] == 2
         assert snap.counters["service_read_cache_hits"] == 1
+
+    def test_read_latency_is_observed_under_the_path_taken(self):
+        from repro.errors import SolverLimitError, StratificationError
+
+        def counts(service):
+            histograms = service.stats().histograms
+            return {
+                path: histograms[f'service_read_latency_seconds{{cache="{path}"}}'][
+                    "count"
+                ]
+                for path in ("hit", "miss", "fallback")
+            }
+
+        # Out of the fragment: the cautious fallback answers, and a read of
+        # the same query again is an epoch cache hit.
+        unstratifiable = parse_program(
+            """
+            p(X), not q(X) -> r(X)
+            p(X), not r(X) -> q(X)
+            """
+        )
+        database = parse_database("p(a).")
+        query = parse_query("?(X) :- p(X)")
+        with DatalogService(
+            database, unstratifiable, metrics=MetricsRegistry()
+        ) as service:
+            assert service.answers(query) == service.answers(query)
+            assert counts(service) == {"hit": 1, "miss": 0, "fallback": 1}
+        # A read that raises is observed under the path it took: the
+        # fallback refused ...
+        with DatalogService(
+            database, unstratifiable, fallback=False, metrics=MetricsRegistry()
+        ) as service:
+            with pytest.raises(StratificationError):
+                service.answers(query)
+            assert counts(service) == {"hit": 0, "miss": 0, "fallback": 1}
+        # ... or an engine miss over its budget.
+        with DatalogService(
+            DATABASE, RULES, max_atoms=4, metrics=MetricsRegistry()
+        ) as service:
+            with pytest.raises(SolverLimitError):
+                service.answers(QUERY)
+            assert counts(service) == {"hit": 0, "miss": 1, "fallback": 0}
 
     def test_stats_feed_the_exporters(self):
         registry = MetricsRegistry()
