@@ -38,8 +38,9 @@ loops.  It has seven parts:
 * :mod:`~repro.engine.backend` — the copy-on-write in-memory backend and
   the overlay read view of a fork's base and additions;
 * :mod:`~repro.engine.maintenance` — incremental maintenance of derived
-  relations: :class:`SupportTable` derivation records (populated through the
-  fixpoint driver's ``on_fire`` hook) and :class:`MaterializedView`, which
+  relations: :class:`SupportTable` derivation records keyed on int rows
+  (populated through the fixpoint driver's ``on_fire`` hook) and
+  :class:`MaterializedView`, which
   repairs a stratified materialisation under deletions (counting per
   non-recursive stratum, Delete-and-Rederive per recursive stratum) instead
   of recomputing, and runs what a change adds as one seeded :func:`fixpoint`

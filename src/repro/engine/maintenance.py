@@ -8,7 +8,7 @@ repairs the materialisation under base-fact deletions by cascading through
 that table instead of re-running the fixpoint.  Additions (and the
 rederivations a deletion below a negation enables) run through the one
 semi-naive driver, :func:`~repro.engine.seminaive.fixpoint`, started from
-the call's new atoms.
+the call's new rows.
 
 Two classical algorithms are combined, chosen **per stratum**:
 
@@ -38,11 +38,19 @@ exposes ``deltas_applied``/``overdeletions``/``rederivations`` so callers
 
 The add phase of each stratum is one seeded
 :func:`~repro.engine.seminaive.fixpoint` call over the stratum's rules
-(the insert step of DRed): the view adds its base atoms, then hands the
-driver the call's net-added atoms as the round-1 delta, plus the rules a
+(the insert step of DRed): the view adds its base rows, then hands the
+driver the call's net-added rows as the round-1 delta, plus the rules a
 deletion below a negation re-opened, which join their full body.  The
 driver's ``on_fire`` hook records each firing's support and notes each
 head the index does not hold yet in the call's net change.
+
+Everything here lives on the row plane, as the index and the driver do:
+support records, liveness sets and a call's net change are ``(predicate,
+row)`` entries, and a firing's rows come from the rule's generated builder
+(:meth:`~repro.engine.planner.EncodedRule.firing_rows`).  Atoms are
+encoded once, where :meth:`MaterializedView.apply_delta` receives them,
+and decoded only where a caller reads atoms (:class:`ViewDelta`,
+:attr:`MaterializedView.base_facts`).
 
 The public surface:
 
@@ -52,7 +60,7 @@ The public surface:
 * :class:`MaterializedView` — a stratified Datalog¬ program materialised
   with full support recording, repaired in place by
   :meth:`MaterializedView.apply_delta`, which returns the net
-  :class:`ViewDelta` of derived atoms.  ``QuerySession`` keeps one view per
+  :class:`ViewDelta` of stored rows.  ``QuerySession`` keeps one view per
   cached plan (deletions repair cached answers) and
   ``encodings.cqa.consistent_answers`` evaluates each repair as a deletion
   delta over one shared view — the two hottest deletion paths of the stack.
@@ -62,13 +70,15 @@ See ``docs/incremental-maintenance.md`` for a worked, executable example.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.atoms import Atom, Predicate
 from ..errors import SolverLimitError
 from ..obs.trace import get_tracer
 from .index import RelationIndex
-from .planner import CompiledRule, EncodedRule, compile_rule
+from .intern import SymbolTable
+from .planner import CompiledRule, EncodedRule, Entry, compile_rule
 from .seminaive import fixpoint
 from .stats import EngineStatistics
 
@@ -76,24 +86,26 @@ __all__ = ["SupportTable", "MaterializedView", "ViewDelta"]
 
 _LIMIT_MESSAGE = "incremental maintenance exceeded max_atoms"
 
-#: One distinct rule firing: ``(rule id, derived head, ground positive body)``.
-#: The rule id disambiguates two rules deriving the same head from the same
-#: body; the negative body is determined by the key (stored alongside) since
-#: safety forces negative literals to be bound by the positive body.
-SupportKey = Tuple[int, Atom, Tuple[Atom, ...]]
+#: One distinct rule firing: ``(rule id, derived head, ground positive
+#: body)``, each atom a ``(predicate, row)`` entry.  The rule id
+#: disambiguates two rules deriving the same head from the same body; the
+#: negative body is determined by the key (stored alongside) since safety
+#: forces negative literals to be bound by the positive body.
+SupportKey = Tuple[int, Entry, Tuple[Entry, ...]]
 
 
 class SupportTable:
     """Derivation records: who derives what, from what, blocked by what.
 
-    The table is a set of :data:`SupportKey` records with three access paths:
+    The table is a set of :data:`SupportKey` records with three access
+    paths, each keyed on ``(predicate, row)`` entries:
 
     * ``supports[head]`` — the records deriving ``head`` (its derivation
       count is the size of this set);
-    * ``uses[atom]`` — the records whose *positive* body contains ``atom``
-      (deleting ``atom`` invalidates exactly these);
-    * ``blockers[atom]`` — the records whose *negative* body contains
-      ``atom`` (adding ``atom`` invalidates exactly these).
+    * ``uses[entry]`` — the records whose *positive* body contains
+      ``entry`` (deleting it invalidates exactly these);
+    * ``blockers[entry]`` — the records whose *negative* body contains
+      ``entry`` (adding it invalidates exactly these).
 
     ``base`` holds the extensional facts (self-supporting; deletable) and
     ``protected`` the ground heads of the program's fact rules (derived
@@ -116,13 +128,13 @@ class SupportTable:
     )
 
     def __init__(self, *, statistics: Optional[EngineStatistics] = None) -> None:
-        #: key -> ground negative body atoms of the firing
-        self.derivations: Dict[SupportKey, Tuple[Atom, ...]] = {}
-        self.supports: Dict[Atom, Set[SupportKey]] = {}
-        self.uses: Dict[Atom, Set[SupportKey]] = {}
-        self.blockers: Dict[Atom, Set[SupportKey]] = {}
-        self.base: Set[Atom] = set()
-        self.protected: Set[Atom] = set()
+        #: key -> ground negative body entries of the firing
+        self.derivations: Dict[SupportKey, Tuple[Entry, ...]] = {}
+        self.supports: Dict[Entry, Set[SupportKey]] = {}
+        self.uses: Dict[Entry, Set[SupportKey]] = {}
+        self.blockers: Dict[Entry, Set[SupportKey]] = {}
+        self.base: Set[Entry] = set()
+        self.protected: Set[Entry] = set()
         self._rule_ids: Dict[int, int] = {}
         #: strong refs so ``id()``-keyed rule ids can never be recycled
         self._rule_refs: List[object] = []
@@ -138,45 +150,28 @@ class SupportTable:
             self._rule_refs.append(source)
         return rid
 
-    def _insert(
-        self,
-        key: SupportKey,
-        head: Atom,
-        body: Tuple[Atom, ...],
-        negative: Tuple[Atom, ...],
-    ) -> None:
-        self.derivations[key] = negative
-        self.supports.setdefault(head, set()).add(key)
-        for atom in set(body):
-            self.uses.setdefault(atom, set()).add(key)
-        for atom in set(negative):
-            self.blockers.setdefault(atom, set()).add(key)
-        if self._stats is not None:
-            self._stats.supports_recorded += 1
-
     def record_firing_binding(
         self, rule: CompiledRule, encoded: EncodedRule, payload: tuple
-    ) -> List[Tuple[SupportKey, Atom]]:
+    ) -> List[Entry]:
         """Register a firing, ignoring duplicates: the ``on_fire`` hook of
         the fixpoint driver, where *payload* is *encoded*'s slot binding.
-
-        The ground body/head/negative atoms are reconstructed through the
-        symbol table's canonical decode cache (two dict probes per atom after
-        warm-up), so support bookkeeping never runs ``apply_substitution``
-        over term objects.  Returns the ``(key, head)`` pairs that were new.
-        """
-        body = encoded.build_positive_atoms(payload)
+        Returns the heads of the records that were new."""
+        heads, body, negative = encoded.firing_rows(payload)
         rid = self._rule_id(rule)
-        fresh: List[Tuple[SupportKey, Atom]] = []
-        negative: Optional[Tuple[Atom, ...]] = None
-        for head in encoded.build_head_atoms(payload):
+        fresh: List[Entry] = []
+        for head in heads:
             key: SupportKey = (rid, head, body)
             if key in self.derivations:
                 continue
-            if negative is None:
-                negative = encoded.build_negative_atoms(payload)
-            self._insert(key, head, body, negative)
-            fresh.append((key, head))
+            self.derivations[key] = negative
+            self.supports.setdefault(head, set()).add(key)
+            for entry in body:
+                self.uses.setdefault(entry, set()).add(key)
+            for entry in negative:
+                self.blockers.setdefault(entry, set()).add(key)
+            if self._stats is not None:
+                self._stats.supports_recorded += 1
+            fresh.append(head)
         return fresh
 
     def drop(self, key: SupportKey) -> None:
@@ -185,51 +180,55 @@ class SupportTable:
         if negative is None:
             return
         _, head, body = key
-        bucket = self.supports.get(head)
-        if bucket is not None:
-            bucket.discard(key)
-            if not bucket:
-                del self.supports[head]
-        for atom in set(body):
-            bucket = self.uses.get(atom)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self.uses[atom]
-        for atom in set(negative):
-            bucket = self.blockers.get(atom)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self.blockers[atom]
+        for paths, entries in (
+            (self.supports, (head,)),
+            (self.uses, body),
+            (self.blockers, negative),
+        ):
+            for entry in entries:
+                bucket = paths.get(entry)
+                if bucket is not None:
+                    bucket.discard(key)
+                    if not bucket:
+                        del paths[entry]
 
     # -------------------------------------------------------------- liveness
-    def add_base(self, atom: Atom) -> None:
-        self.base.add(atom)
-
-    def is_alive(self, atom: Atom) -> bool:
+    def is_alive(self, entry: Entry) -> bool:
         """Still supported: a base/protected fact, or some record remains."""
         return (
-            atom in self.base
-            or atom in self.protected
-            or bool(self.supports.get(atom))
+            entry in self.base
+            or entry in self.protected
+            or bool(self.supports.get(entry))
         )
 
 
 class ViewDelta:
-    """The net change of one :meth:`MaterializedView.apply_delta` call."""
+    """The net change of one :meth:`MaterializedView.apply_delta` call, as
+    ``(predicate, row)`` entries over *symbols*; ``added``/``removed``
+    decode them to atoms on first read."""
 
-    __slots__ = ("added", "removed")
+    def __init__(
+        self, added_rows: frozenset, removed_rows: frozenset, symbols: SymbolTable
+    ) -> None:
+        self.added_rows: frozenset[Entry] = added_rows
+        self.removed_rows: frozenset[Entry] = removed_rows
+        self.symbols = symbols
 
-    def __init__(self, added: frozenset, removed: frozenset) -> None:
-        self.added: frozenset[Atom] = added
-        self.removed: frozenset[Atom] = removed
+    @cached_property
+    def added(self) -> frozenset[Atom]:
+        atom = self.symbols.atom
+        return frozenset(atom(*entry) for entry in self.added_rows)
+
+    @cached_property
+    def removed(self) -> frozenset[Atom]:
+        atom = self.symbols.atom
+        return frozenset(atom(*entry) for entry in self.removed_rows)
 
     def __bool__(self) -> bool:
-        return bool(self.added or self.removed)
+        return bool(self.added_rows or self.removed_rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ViewDelta(+{len(self.added)}, -{len(self.removed)})"
+        return f"ViewDelta(+{len(self.added_rows)}, -{len(self.removed_rows)})"
 
 
 class MaterializedView:
@@ -268,19 +267,18 @@ class MaterializedView:
         # Deferred import: repro.query sits above the engine in the layer
         # map, but only for its *analysis* helpers, which depend solely on
         # engine + lp rule shapes — the cycle is broken at module scope.
-        from ..query.stratify import (
-            evaluate_stratified,
-            normalize_rules,
-            stratify,
-        )
+        from ..query.stratify import normalize_rules, stratify
 
         self._stats = statistics
         self._max_atoms = max_atoms
-        self._normal = normalize_rules(rules)
         self._strat = (
-            stratification if stratification is not None else stratify(self._normal)
+            stratification
+            if stratification is not None
+            else stratify(normalize_rules(rules))
         )
         self._support = SupportTable(statistics=statistics)
+        self._index = RelationIndex(statistics=statistics)
+        encode = self._index.symbols.encode_atom
         # A stratum needs DRed exactly when it contains a genuinely recursive
         # rule — one whose head shares a dependency-graph SCC with a positive
         # body predicate.  Stratum equality is NOT the right test: positive
@@ -300,7 +298,9 @@ class MaterializedView:
             recursive = False
             for rule in stratum_rules:
                 if rule.is_fact and rule.head.is_ground:
-                    self._support.protected.add(rule.head)
+                    self._support.protected.add(
+                        (rule.head.predicate, encode(rule.head))
+                    )
                     continue
                 compiled = compile_rule(rule, statistics=statistics)
                 compiled_rules.append(compiled)
@@ -320,18 +320,27 @@ class MaterializedView:
             self._body_predicates.append(frozenset(body_predicates))
             self._recursive.append(recursive)
         for atom in facts:
-            self._support.add_base(atom)
-        self._index = evaluate_stratified(
-            self._normal,
-            self._support.base,
-            stratification=self._strat,
-            statistics=statistics,
-            max_atoms=max_atoms,
-            on_fire=self._support.record_firing_binding,
-        )
+            self._support.base.add((atom.predicate, encode(atom)))
+        # Program facts are stored up front: no lower stratum reads them.
+        for entries in (self._support.protected, self._support.base):
+            for entry in entries:
+                self._index.add_row(*entry)
+        if statistics is not None:
+            statistics.tuples_encoded += len(self._support.protected)
+            statistics.tuples_encoded += len(self._support.base)
+        # The program, stratum by stratum, with full support recording.
+        for compiled_rules in self._stratum_rules:
+            fixpoint(
+                compiled_rules,
+                index=self._index,
+                on_fire=self._support.record_firing_binding,
+                max_atoms=max_atoms,
+                limit_message=_LIMIT_MESSAGE,
+                statistics=statistics,
+            )
         # Net-change bookkeeping of the apply_delta call in flight.
-        self._call_added: Set[Atom] = set()
-        self._call_removed: Set[Atom] = set()
+        self._call_added: Set[Entry] = set()
+        self._call_removed: Set[Entry] = set()
 
     # --------------------------------------------------------------- reading
     @property
@@ -346,7 +355,8 @@ class MaterializedView:
 
     @property
     def base_facts(self) -> frozenset[Atom]:
-        return frozenset(self._support.base)
+        atom = self._index.symbols.atom
+        return frozenset(atom(*entry) for entry in self._support.base)
 
     def atoms(self) -> frozenset[Atom]:
         return self._index.atoms()
@@ -385,74 +395,80 @@ class MaterializedView:
         try:
             self._call_added = set()
             self._call_removed = set()
-            base_add: Dict[int, List[Atom]] = {}
-            base_del: Dict[int, List[Atom]] = {}
-            scheduled_deletions: Set[Atom] = set()
+            support = self._support
+            symbols = self._index.symbols
+            base_add: Dict[int, List[Entry]] = {}
+            base_del: Dict[int, List[Entry]] = {}
+            scheduled_deletions: Set[Entry] = set()
             for atom in deletions:
-                if atom in self._support.protected:
-                    continue
-                if atom in self._support.base:
-                    base_del.setdefault(self._stratum_of(atom.predicate), []).append(atom)
-                    scheduled_deletions.add(atom)
+                # A term never interned gives no row, and no base fact.
+                entry = (atom.predicate, symbols.try_encode_atom(atom))
+                if entry in support.base and entry not in support.protected:
+                    base_del.setdefault(self._stratum_of(atom.predicate), []).append(entry)
+                    scheduled_deletions.add(entry)
             for atom in additions:
+                entry = (atom.predicate, symbols.encode_atom(atom))
                 # Re-adding a scheduled deletion is meaningful (the per-stratum
                 # delete phase runs before the add phase, so the add wins).
-                if atom not in self._support.base or atom in scheduled_deletions:
-                    base_add.setdefault(self._stratum_of(atom.predicate), []).append(atom)
+                if entry not in support.base or entry in scheduled_deletions:
+                    if self._stats is not None:
+                        self._stats.tuples_encoded += 1
+                    base_add.setdefault(self._stratum_of(atom.predicate), []).append(entry)
             for stratum in range(len(self._stratum_rules)):
                 self._delete_phase(stratum, base_del.get(stratum, ()))
                 self._add_phase(stratum, base_add.get(stratum, ()))
             delta = ViewDelta(
-                frozenset(self._call_added), frozenset(self._call_removed)
+                frozenset(self._call_added), frozenset(self._call_removed), symbols
             )
             if span is not None:
-                span.set(added=len(delta.added), removed=len(delta.removed))
+                span.set(added=len(delta.added_rows), removed=len(delta.removed_rows))
             return delta
         finally:
             if span is not None:
                 span.finish()
 
     # ------------------------------------------------------- index plumbing
-    def _note_added(self, atom: Atom) -> None:
-        if atom in self._call_removed:
-            self._call_removed.discard(atom)
+    def _note_added(self, entry: Entry) -> None:
+        if entry in self._call_removed:
+            self._call_removed.discard(entry)
         else:
-            self._call_added.add(atom)
+            self._call_added.add(entry)
 
-    def _add_atom(self, atom: Atom) -> bool:
-        if not self._index.add(atom):
+    def _add_row(self, entry: Entry) -> bool:
+        if not self._index.add_row(*entry):
             return False
-        self._note_added(atom)
+        self._note_added(entry)
         if self._max_atoms is not None and len(self._index) > self._max_atoms:
             raise SolverLimitError(_LIMIT_MESSAGE)
         return True
 
-    def _remove_atom(self, atom: Atom) -> None:
-        if not self._index.remove(atom):
-            return
-        if atom in self._call_added:
-            self._call_added.discard(atom)
+    def _remove_row(self, entry: Entry) -> bool:
+        if not self._index.remove_row(*entry):
+            return False
+        if entry in self._call_added:
+            self._call_added.discard(entry)
         else:
-            self._call_removed.add(atom)
+            self._call_removed.add(entry)
+        return True
 
     # --------------------------------------------------------- delete phase
-    def _delete_phase(self, stratum: int, base_removed: Sequence[Atom]) -> None:
+    def _delete_phase(self, stratum: int, base_removed: Sequence[Entry]) -> None:
         support = self._support
-        seeds: List[Atom] = []
-        for atom in base_removed:
-            support.base.discard(atom)
-            seeds.append(atom)
+        seeds: List[Entry] = []
+        for entry in base_removed:
+            support.base.discard(entry)
+            seeds.append(entry)
         # Records invalidated by the net changes of lower strata: a removed
-        # atom kills the records that used it positively, an added atom the
+        # row kills the records that used it positively, an added row the
         # records that negated it.  (Same-stratum negation cannot exist.)
         invalid: Set[SupportKey] = set()
-        for atom in self._call_removed:
-            for key in support.uses.get(atom, ()):
-                if self._stratum_of(key[1].predicate) == stratum:
+        for entry in self._call_removed:
+            for key in support.uses.get(entry, ()):
+                if self._stratum_of(key[1][0]) == stratum:
                     invalid.add(key)
-        for atom in self._call_added:
-            for key in support.blockers.get(atom, ()):
-                if self._stratum_of(key[1].predicate) == stratum:
+        for entry in self._call_added:
+            for key in support.blockers.get(entry, ()):
+                if self._stratum_of(key[1][0]) == stratum:
                     invalid.add(key)
         for key in invalid:
             support.drop(key)
@@ -464,121 +480,117 @@ class MaterializedView:
         else:
             self._delete_counting(stratum, seeds)
 
-    def _delete_counting(self, stratum: int, seeds: List[Atom]) -> None:
+    def _delete_counting(self, stratum: int, seeds: List[Entry]) -> None:
         """Exact derivation-count cascade (non-recursive stratum)."""
         support = self._support
         work = list(seeds)
         while work:
-            atom = work.pop()
-            if support.is_alive(atom):
+            entry = work.pop()
+            if support.is_alive(entry) or not self._remove_row(entry):
                 continue
-            if atom not in self._index:
-                continue
-            self._remove_atom(atom)
-            for key in list(support.uses.get(atom, ())):
-                if self._stratum_of(key[1].predicate) == stratum:
+            for key in list(support.uses.get(entry, ())):
+                if self._stratum_of(key[1][0]) == stratum:
                     support.drop(key)
                     work.append(key[1])
                 # Higher-stratum records survive until their stratum's own
-                # delete phase reads this atom out of the net-removed set.
+                # delete phase reads this row out of the net-removed set.
 
-    def _delete_rederive(self, stratum: int, seeds: List[Atom]) -> None:
+    def _delete_rederive(self, stratum: int, seeds: List[Entry]) -> None:
         """Delete-and-Rederive (recursive stratum: counting is unsound)."""
         support = self._support
+        contains_row = self._index.contains_row
         # 1. Over-delete: everything reachable from the seeds through
         #    same-stratum support edges, ignoring alternative derivations.
-        overdeleted: Set[Atom] = set()
-        stack = [atom for atom in seeds if atom in self._index]
+        overdeleted: Set[Entry] = set()
+        stack = [entry for entry in seeds if contains_row(*entry)]
         while stack:
-            atom = stack.pop()
-            if atom in overdeleted:
+            entry = stack.pop()
+            if entry in overdeleted:
                 continue
-            overdeleted.add(atom)
+            overdeleted.add(entry)
             if self._stats is not None:
                 self._stats.overdeletions += 1
-            for key in support.uses.get(atom, ()):
+            for key in support.uses.get(entry, ()):
                 head = key[1]
                 if (
                     head not in overdeleted
-                    and self._stratum_of(head.predicate) == stratum
-                    and head in self._index
+                    and self._stratum_of(head[0]) == stratum
+                    and contains_row(*head)
                 ):
                     stack.append(head)
 
-        # 2. Rederive: an over-deleted atom survives if it is still a base /
+        # 2. Rederive: an over-deleted row survives if it is still a base /
         #    protected fact or one of its remaining records has a body that
         #    escaped the over-deletion (records hit by *genuine* lower-strata
         #    deletions were already dropped above).
-        rederived: Set[Atom] = set()
+        rederived: Set[Entry] = set()
 
-        def supported(atom: Atom) -> bool:
-            if atom in support.base or atom in support.protected:
+        def supported(entry: Entry) -> bool:
+            if entry in support.base or entry in support.protected:
                 return True
-            for key in support.supports.get(atom, ()):
+            for key in support.supports.get(entry, ()):
                 body = key[2]
                 if all(b not in overdeleted or b in rederived for b in body):
                     return True
             return False
 
-        queue = [atom for atom in overdeleted if supported(atom)]
+        queue = [entry for entry in overdeleted if supported(entry)]
         while queue:
-            atom = queue.pop()
-            if atom in rederived or not supported(atom):
+            entry = queue.pop()
+            if entry in rederived or not supported(entry):
                 continue
-            rederived.add(atom)
+            rederived.add(entry)
             if self._stats is not None:
                 self._stats.rederivations += 1
-            for key in support.uses.get(atom, ()):
+            for key in support.uses.get(entry, ()):
                 head = key[1]
                 if (
                     head in overdeleted
                     and head not in rederived
-                    and self._stratum_of(head.predicate) == stratum
+                    and self._stratum_of(head[0]) == stratum
                 ):
                     queue.append(head)
 
-        # 3. Commit the difference; drop every record a dead atom touches.
+        # 3. Commit the difference; drop every record a dead row touches.
         dead = overdeleted - rederived
-        for atom in dead:
-            self._remove_atom(atom)
-        for atom in dead:
-            for key in list(support.supports.get(atom, ())):
+        for entry in dead:
+            self._remove_row(entry)
+        for entry in dead:
+            for key in list(support.supports.get(entry, ())):
                 support.drop(key)
-            for key in list(support.uses.get(atom, ())):
-                if self._stratum_of(key[1].predicate) == stratum:
+            for key in list(support.uses.get(entry, ())):
+                if self._stratum_of(key[1][0]) == stratum:
                     support.drop(key)
 
     # ------------------------------------------------------------ add phase
-    def _add_phase(self, stratum: int, base_added: Sequence[Atom]) -> None:
-        support = self._support
-        readded: List[Atom] = []
-        for atom in base_added:
-            support.add_base(atom)
-            if self._add_atom(atom) and atom not in self._call_added:
+    def _add_phase(self, stratum: int, base_added: Sequence[Entry]) -> None:
+        readded: List[Entry] = []
+        for entry in base_added:
+            self._support.base.add(entry)
+            if self._add_row(entry) and entry not in self._call_added:
                 # Deleted earlier in this very apply (net-unchanged, so it
                 # is absent from _call_added) yet physically re-inserted:
                 # it must still seed the delta round below, or the
                 # derivations dropped by the delete phase stay lost.
-                readded.append(atom)
+                readded.append(entry)
         # Deletions below a negation re-open derivations the negation had
         # suppressed; those rules join their full body against the repaired
         # state (their join is part of the affected cone).
         reopened = [
             compiled
-            for predicate in {atom.predicate for atom in self._call_removed}
+            for predicate in {entry[0] for entry in self._call_removed}
             for site_stratum, compiled in self._negative_sites.get(predicate, ())
             if site_stratum == stratum
         ]
-        # The seed: every net-added atom (lower strata and this stratum's
-        # base additions) plus the re-added overlap atoms, where a body
+        # The seed: every net-added row (lower strata and this stratum's
+        # base additions) plus the re-added overlap rows, where a body
         # literal of this stratum can use it.
         body_predicates = self._body_predicates[stratum]
-        encode = self._index.symbols.encode_atom
         seed = [
-            (atom.predicate, encode(atom))
+            entry
             for added in (self._call_added, readded)
-            for atom in added
-            if atom.predicate in body_predicates
+            for entry in added
+            if entry[0] in body_predicates
         ]
         if not seed and not reopened:
             return
@@ -600,9 +612,9 @@ class MaterializedView:
         the firing's heads: record the firing's support, and note each head
         of a new record that the index does not hold yet as net-added (a
         known record's head is stored already)."""
-        index = self._index
-        for _, head in self._support.record_firing_binding(compiled, encoded, payload):
-            if head not in index:
+        contains_row = self._index.contains_row
+        for head in self._support.record_firing_binding(compiled, encoded, payload):
+            if not contains_row(*head):
                 self._note_added(head)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

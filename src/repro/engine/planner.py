@@ -28,7 +28,9 @@ probes the pattern hash table of the positions bound by the prefix
 slots.  Each plan is generated once into a Python function
 (:func:`generate_join`) with one nested ``for`` per step, and memoised
 on the rule; nothing interprets the plan at run time.  So is the insert
-of the rows a rule's bindings derive (:func:`generate_insert`).
+of the rows a rule's bindings derive (:func:`generate_insert`), and the
+builder of a firing's ground head, body and negative rows that a
+maintained view keys its support records on (:func:`generate_firing`).
 :func:`enumerate_matches` is its object-level edge: it encodes a partial
 assignment and delta atoms, and decodes each binding at yield.
 
@@ -283,40 +285,22 @@ def order_body(
 # binds like a variable, as it does at the top level.  Hidden slots are not
 # in ``slot_of``, so decoded assignments never show them.
 #
-# Joins, inserts and head builders are generated Python functions
-# (:func:`generate_join`, :func:`generate_insert`, :func:`generate_heads`)
+# Joins, inserts and firing builders are generated Python functions
+# (:func:`generate_join`, :func:`generate_insert`, :func:`generate_firing`)
 # with slot ``n`` in the local ``s<n>``.  A rule's insert is the semi-naive
 # driver's per-row path: it takes one join's bindings, calls the driver's
 # ``on_fire`` hook, builds each ground head row inline, stores it and files
-# it as the next round's delta.  Its head builder renders the same rows
-# (``_Writer.head_row``) for the maintained view, which decodes the heads of
-# the firings it records.  Their source holds only ints and names the
-# generator mints; every predicate, id, key, function name and message is
-# bound in the function's namespace, so no user string reaches ``compile``
-# and programmes of the same shape share one code object.
+# it as the next round's delta.  Its firing builder renders the same head
+# rows (``_Writer.head_row``), plus the ground positive and negative body
+# rows, for the maintained view, which keys the firings it records on them.
+# Their source holds only ints and names the generator mints; every
+# predicate, id, key, function name and message is bound in the function's
+# namespace, so no user string reaches ``compile`` and programmes of the
+# same shape share one code object.
 
 _Spec = Union[int, Tuple[int, int], Tuple[str, tuple]]
-
-
-def _resolve_spec(
-    spec: _Spec, binding: Sequence[Optional[int]], symbols: SymbolTable
-) -> Optional[int]:
-    """The id *spec* denotes under *binding*, or ``None`` if not ground."""
-    if type(spec) is int:
-        if spec >= 0:
-            return spec
-        return binding[-spec - 1]
-    first = spec[0]
-    if type(first) is int:  # (slot, null_id): a pattern null falls back to itself
-        value = binding[first]
-        return value if value is not None else spec[1]
-    argument_ids: List[int] = []
-    for sub in spec[1]:
-        value = _resolve_spec(sub, binding, symbols)
-        if value is None:
-            return None
-        argument_ids.append(value)
-    return symbols.encode_function(first, tuple(argument_ids))
+#: A stored row and its predicate: the row plane's name for a ground atom.
+Entry = Tuple[Predicate, Row]
 
 
 def _decoded_membership(symbols: SymbolTable, oracle):
@@ -591,27 +575,41 @@ def generate_join(
     return writer.build("join")
 
 
-def generate_heads(
-    encoded: "EncodedRule",
-) -> Callable[[Sequence[Optional[int]]], List[Tuple[Predicate, Row]]]:
-    """Lower the rule's heads to one generated ``build_head_rows``: a head
-    with an unbound variable is skipped (it is not ground), an unbound
-    pattern null stands for itself.  The maintained view decodes the
-    heads of the firings it records through it; inserting goes through
-    :func:`generate_insert`."""
+#: A generated firing builder: ``firing(binding)`` returning the ground
+#: ``(heads, body, negative)`` entries of one firing.
+_Firing = Callable[[Sequence[Optional[int]]], tuple]
+
+
+def generate_firing(encoded: "EncodedRule") -> _Firing:
+    """Lower the rule to one generated ``firing(binding)``: the ground
+    rows of the firing a complete join binding is, as ``(heads, body,
+    negative)`` lists of ``(predicate, row)`` entries.  A head with an
+    unbound variable is skipped (it is not ground) and an unbound pattern
+    null stands for itself; the negative literals are bound, since the
+    join checked them.  The maintained view keys the firings it records
+    on these rows; inserting goes through :func:`generate_insert`."""
     writer = _Writer(encoded.symbols)
-    writer.open("heads", ("binding",))
+    writer.open("firing", ("binding",))
     writer.unpack_binding(len(encoded.slots))
-    writer.line("rows = []")
+    writer.line("heads = []")
     for predicate, specs in encoded.head_specs:
         row, required = writer.head_row(specs)
-        append = f"rows.append(({writer.name('p', predicate)}, {row}))"
+        append = f"heads.append(({writer.name('p', predicate)}, {row}))"
         if required:
             writer.line(f"if {' and '.join(required)}:")
             append = f"    {append}"
         writer.line(append)
-    writer.line("return rows")
-    return writer.build("heads")
+    body = [
+        f"({writer.name('p', predicate)}, "
+        f"{_tuple([writer.entry(entry) for entry in entries])})"
+        for predicate, entries in encoded.positive
+    ]
+    negative = [
+        f"({writer.name('p', predicate)}, {writer.head_row(specs)[0]})"
+        for _, predicate, specs in encoded.negatives
+    ]
+    writer.line(f"return heads, {_tuple(body)}, {_tuple(negative)}")
+    return writer.build("firing")
 
 
 #: A generated insert: ``insert(bindings, add_row, grouped, on_fire, room)``
@@ -691,7 +689,7 @@ class EncodedRule:
         "structures",
         "negatives",
         "head_specs",
-        "_heads",
+        "_firing",
         "_insert",
         "_joins",
         "_programmes",
@@ -754,8 +752,8 @@ class EncodedRule:
             for atom in compiled.heads
         )
         self.slots = tuple(slots)
-        #: the generated head builder, made at the first build_head_rows call
-        self._heads: Optional[Callable] = None
+        #: the generated firing builder, made at the first firing_rows call
+        self._firing: Optional[_Firing] = None
         #: the generated insert, made at the first inserter call
         self._insert: Optional[_Insert] = None
         #: (plan, pre-bound slots, delta position) -> generated join
@@ -765,19 +763,6 @@ class EncodedRule:
 
     def new_binding(self) -> List[Optional[int]]:
         return [None] * len(self.slots)
-
-    def build_head_rows(
-        self, binding: Sequence[Optional[int]]
-    ) -> List[Tuple[Predicate, Row]]:
-        """The ground head rows *binding* derives, as ``(predicate, row)``
-        pairs, non-ground heads skipped.  The builder is generated
-        (:func:`generate_heads`) at the first call, so a pattern that is
-        only matched never compiles one."""
-        heads = self._heads
-        if heads is None:
-            # Racing threads may both generate; the builders are equivalent.
-            heads = self._heads = generate_heads(self)
-        return heads(binding)
 
     def inserter(self) -> _Insert:
         """The rule's generated insert (:func:`generate_insert`), the one
@@ -790,43 +775,18 @@ class EncodedRule:
             insert = self._insert = generate_insert(self)
         return insert
 
-    def build_positive_atoms(self, binding: Sequence[Optional[int]]) -> Tuple[Atom, ...]:
-        """The ground positive body under *binding* (canonical cached atoms).
-
-        Valid only for complete bindings (every slot of the positive body
-        bound) — i.e. what a finished join enumeration yields.
-        """
-        symbols = self.symbols
-        decode = symbols.atom
-        return tuple(
-            decode(
-                predicate,
-                tuple(
-                    entry if entry >= 0 else binding[-entry - 1]
-                    for entry in entries
-                ),
-            )
-            for predicate, entries in self.positive
-        )
-
-    def build_negative_atoms(self, binding: Sequence[Optional[int]]) -> Tuple[Atom, ...]:
-        """The ground negative body under *binding* (canonical cached atoms)."""
-        symbols = self.symbols
-        decode = symbols.atom
-        return tuple(
-            decode(
-                predicate,
-                tuple(_resolve_spec(spec, binding, symbols) for spec in specs),
-            )
-            for _, predicate, specs in self.negatives
-        )
-
-    def build_head_atoms(self, binding: Sequence[Optional[int]]) -> List[Atom]:
-        """The ground heads under *binding*, decoded (non-ground skipped)."""
-        decode = self.symbols.atom
-        return [
-            decode(predicate, row) for predicate, row in self.build_head_rows(binding)
-        ]
+    def firing_rows(
+        self, binding: Sequence[Optional[int]]
+    ) -> Tuple[List[Entry], Tuple[Entry, ...], Tuple[Entry, ...]]:
+        """The ground ``(heads, body, negative)`` entries of the firing a
+        complete join *binding* is (:func:`generate_firing`), non-ground
+        heads skipped.  The builder is generated at the first call, so a
+        rule no maintained view records never compiles one."""
+        firing = self._firing
+        if firing is None:
+            # Racing threads may both generate; the builders are equivalent.
+            firing = self._firing = generate_firing(self)
+        return firing(binding)
 
     def decode_binding(
         self,

@@ -115,9 +115,12 @@ __all__ = ["fixpoint", "GroundProgramEvaluator"]
 #: including firings that only re-derive an atom the index already holds.
 #: *encoded* is the rule's :class:`EncodedRule` and *payload* its interned
 #: slot-binding tuple, so per-firing bookkeeping stays in the integer
-#: domain.  :mod:`repro.engine.maintenance` builds its derivation-support
-#: tables through it (``on_fire=SupportTable().record_firing_binding``):
-#: incremental deletion needs to know about *alternative* derivations too.
+#: domain: :meth:`EncodedRule.firing_rows` turns the pair into the
+#: firing's ground head, body and negative ``(predicate, row)`` entries.
+#: :mod:`repro.engine.maintenance` builds its derivation-support tables
+#: through it (``on_fire=SupportTable().record_firing_binding``), keyed on
+#: those entries: incremental deletion needs to know about *alternative*
+#: derivations too.
 FireCallback = Callable[["CompiledRule", "EncodedRule", tuple], None]
 
 #: One place a round can enter: ``(rule number, delta position, the

@@ -41,7 +41,8 @@ class EngineStatistics:
         position just that group).
     tuples_encoded:
         Atoms encoded into interned integer rows at the storage boundary
-        (one per ``RelationIndex.add`` — the single Atom→row conversion an
+        (one per ``RelationIndex.add``, and one per base fact a maintained
+        view's ``apply_delta`` stores — the single Atom→row conversion an
         accepted fact pays before the engine goes all-integer on it).
     index_builds:
         Lazy hash-index constructions performed by :class:`RelationIndex`

@@ -32,12 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.atoms import Atom, Literal, Predicate, apply_substitution
 from ..core.queries import ConjunctiveQuery
 from ..core.terms import Constant, Term, Variable
-from ..engine import RelationIndex
+from ..engine import RelationIndex, Row, SymbolTable
 from ..errors import UnsupportedClassError
 from ..lp.programs import NormalRule
 from .adornment import AdornedPredicate, AdornedRule, adorn_atom, adorn_rule
@@ -173,19 +173,27 @@ class MagicProgram:
             )
         else:
             rows = index.rows_of(goal)
+        return frozenset(self.goal_answers(rows, arity, symbols))
+
+    @staticmethod
+    def goal_answers(
+        rows: Iterable[Row], arity: int, symbols: SymbolTable
+    ) -> Set[Tuple[Term, ...]]:
+        """The answer tuples goal *rows* hold: each row's first *arity*
+        terms, decoded; the rest are the parameters of the seed that
+        derived it.  Mirroring ``ConjunctiveQuery.answers``, a row whose
+        answer holds a term that is not a constant (a null from
+        chase-produced facts) holds no answer tuple."""
         decode = symbols.decode_term
         answers: Set[Tuple[Term, ...]] = set()
         for row in rows:
             answer = tuple(map(decode, row[:arity]))
-            # Mirror ConjunctiveQuery.answers: non-Boolean answers must be
-            # tuples of constants (nulls from chase-produced facts are not
-            # answer tuples).
             for term in answer:
                 if not isinstance(term, Constant):
                     break
             else:
                 answers.add(answer)
-        return frozenset(answers)
+        return answers
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return "\n".join(str(rule) for rule in self.rules)

@@ -739,7 +739,7 @@ class QuerySession:
         self._capture_deltas = False
         #: predicates whose base facts net-changed since the last drain
         self._pending_touched: set[Predicate] = set()
-        #: plan key -> (net added atoms, net removed atoms) since last drain
+        #: plan key -> (net added, net removed) row entries since last drain
         self._pending_views: dict[tuple, Tuple[set, set]] = {}
         #: plan keys whose view died mid-repair since the last drain
         self._pending_lost: set[tuple] = set()
@@ -967,8 +967,9 @@ class QuerySession:
             self._pending_touched or self._pending_views or self._pending_lost
         ):
             return _EMPTY_STANDING_DELTAS
+        symbols = self._index.symbols
         views = {
-            key: ViewDelta(frozenset(added), frozenset(removed))
+            key: ViewDelta(frozenset(added), frozenset(removed), symbols)
             for key, (added, removed) in self._pending_views.items()
             if added or removed
         }
@@ -983,20 +984,20 @@ class QuerySession:
         return drained
 
     def _capture_view_delta(self, key: tuple, delta: ViewDelta) -> None:
-        """Fold one repair's delta into the pending net-change for its plan."""
+        """Fold one repair's delta rows into the pending net-change for its plan."""
         if not delta:
             return
         added, removed = self._pending_views.setdefault(key, (set(), set()))
-        for atom in delta.added:
-            if atom in removed:
-                removed.discard(atom)
+        for entry in delta.added_rows:
+            if entry in removed:
+                removed.discard(entry)
             else:
-                added.add(atom)
-        for atom in delta.removed:
-            if atom in added:
-                added.discard(atom)
+                added.add(entry)
+        for entry in delta.removed_rows:
+            if entry in added:
+                added.discard(entry)
             else:
-                removed.add(atom)
+                removed.add(entry)
 
     def add_facts(self, atoms: Iterable[Atom]) -> int:
         """Insert facts; returns the number actually new.

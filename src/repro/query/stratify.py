@@ -271,7 +271,6 @@ def evaluate_stratified(
     statistics: Optional[EngineStatistics] = None,
     max_atoms: Optional[int] = None,
     stratification: Optional[Stratification] = None,
-    on_fire=None,
     tracer=None,
     profiler=None,
 ) -> RelationIndex:
@@ -294,11 +293,6 @@ def evaluate_stratified(
         evaluation setup is O(1) in the base size instead of re-indexing
         every fact.  Mutually exclusive with *index*; *facts* then holds only
         the extra seeds (e.g. a magic seed), not the base facts.
-    on_fire:
-        Forwarded to every stratum's :func:`~repro.engine.seminaive.fixpoint`
-        call — the opt-in per-firing hook (see
-        :data:`repro.engine.seminaive.FireCallback`)
-        :class:`repro.engine.maintenance.SupportTable` records through.
     tracer / profiler:
         Optional :class:`~repro.obs.trace.Tracer` /
         :class:`~repro.obs.profile.RuleProfiler`, forwarded to every
@@ -341,7 +335,6 @@ def evaluate_stratified(
                 index=target,
                 max_atoms=max_atoms,
                 statistics=statistics,
-                on_fire=on_fire,
                 tracer=tracer,
                 profiler=profiler,
                 limit_message="stratified evaluation exceeded max_atoms",

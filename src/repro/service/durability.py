@@ -5,7 +5,8 @@ gives it crash recovery with a classic two-file arrangement:
 
 * a **write-ahead fact log** (:class:`FactLog`) — an append-only file of
   length-prefixed, CRC-32-checksummed JSON records, one per coalesced
-  ``apply_batch``, fsynced *before* the batch is applied or acknowledged.
+  ``apply_batch`` (batch 0: the initial database), fsynced *before* the
+  batch is applied or acknowledged.
   Torn tails (a crash mid-append) are detected by the checksum on reopen and
   truncated — the log always recovers to its longest valid prefix, never
   applies a half-written record;
@@ -18,9 +19,10 @@ gives it crash recovery with a classic two-file arrangement:
   the rules alone, and a recovered service re-derives what it is asked;
 * a **recovery path** (:meth:`DurabilityManager.recover`) — load the latest
   valid checkpoint (falling back to the previous one if the latest fails
-  validation, but only when the log still holds every batch after it;
-  otherwise the open fails with :class:`~repro.errors.DurabilityError`),
-  then hand back the log tail to replay.  Batch ids recorded in every log
+  validation, or to the log's batch-0 record when none validates, but only
+  when the log still holds every batch after it; otherwise the open fails
+  with :class:`~repro.errors.DurabilityError`), then hand back the log
+  tail to replay.  Batch ids recorded in every log
   record make replay *idempotent*: records at or below the checkpoint's
   high-water batch id are skipped, so a crash landing between the
   checkpoint rename and the log compaction — or between an fsync and the
@@ -646,9 +648,10 @@ class DurabilityConfig:
     checkpoints (the log tail — and so the recovery repair work — is bounded
     by it); ``fsync=False`` trades power-loss durability for speed while
     keeping process-crash durability (the OS page cache survives SIGKILL);
-    ``compact_log=False`` keeps the full log across checkpoints, which makes
-    recovery robust even to *every* checkpoint failing validation, at the
-    price of unbounded log growth.
+    ``compact_log=False`` keeps the full log across checkpoints, from the
+    batch-0 record of the initial database on, which makes recovery robust
+    even to *every* checkpoint failing validation, at the price of
+    unbounded log growth.
     """
 
     path: Union[str, Path]
@@ -673,9 +676,10 @@ class RecoveredState:
     """What :meth:`DurabilityManager.recover` hands the service.
 
     ``fresh`` means the store held neither a checkpoint nor logged batches
-    — the caller seeds it from its own initial database.  ``tail`` carries
-    the logged batches *beyond* the checkpoint's high-water ``batch_id``
-    (already deduplicated), to be replayed in order through
+    — the caller seeds it from its own initial database.  ``facts`` cover
+    every batch up to ``batch_id`` (-1: none), from the chosen checkpoint
+    or the log's batch-0 record.  ``tail`` carries the logged batches
+    *beyond* it (already deduplicated), to be replayed in order through
     :meth:`~repro.query.session.QuerySession.apply_batch`.
     """
 
@@ -741,7 +745,12 @@ class DurabilityManager:
 
     # ---------------------------------------------------------------- recover
     def recover(self) -> RecoveredState:
-        """Open the store: checkpoint + idempotent log-tail replay plan."""
+        """Open the store: checkpoint + idempotent log-tail replay plan.
+
+        With no valid checkpoint the whole log replays, its batch-0 record
+        (:meth:`create`) seeding the facts.  If a checkpoint failed
+        validation and the log misses a batch after the starting point,
+        this raises :class:`~repro.errors.DurabilityError` instead."""
         tracer = get_tracer()
         span = tracer.start("service.recover") if tracer.enabled else None
         try:
@@ -752,7 +761,7 @@ class DurabilityManager:
             if latest is None:
                 facts: Tuple[Atom, ...] = ()
                 revision = 0
-                batch_id = 0
+                batch_id = -1
             else:
                 # A ``warm`` section or ``digest`` that older stores wrote
                 # holds derived state only and is not read.
@@ -786,9 +795,14 @@ class DurabilityManager:
                 raise DurabilityError(
                     "invalid checkpoint "
                     + ", ".join(str(path) for path in invalid)
-                    + f": the log does not hold every batch after batch "
-                    f"{batch_id}, so opening would drop acknowledged batches"
+                    + f": the log does not hold every batch from batch "
+                    f"{batch_id + 1} on, so opening would drop acknowledged "
+                    "batches"
                 )
+            if tail and tail[0][0] == 0:
+                # The initial database seeds the facts at revision 0.
+                (batch_id, ops), tail = tail[0], tail[1:]
+                facts = tuple(atom for _, atoms in ops for atom in atoms)
             if tail:
                 self._recovered.inc(len(tail))
             self._since_checkpoint = len(tail)
@@ -805,6 +819,14 @@ class DurabilityManager:
                     torn=self.log.torn_tails,
                     tail=self._since_checkpoint,
                 )
+
+    def create(self, facts: Sequence[Atom], revision: int) -> None:
+        """Make a new store's initial database durable: the batch-0
+        checkpoint, then a batch-0 log record of the same facts, which
+        counts toward no checkpoint cadence."""
+        self.checkpoint(batch_id=0, revision=revision, facts=facts)
+        self.log_batch(0, [("add", facts)])
+        self._since_checkpoint = 0
 
     # -------------------------------------------------------------- the log
     def log_batch(

@@ -294,14 +294,9 @@ class DatalogService:
             if not recovered.tail:
                 self._next_batch_id = recovered.batch_id + 1
         if recovered is not None and recovered.fresh:
-            # A brand-new store immediately checkpoints the initial database:
-            # the log only ever carries *mutations*, so the base facts must
-            # be durable before the first batch is acknowledged.
-            self._durability.checkpoint(
-                batch_id=0,
-                revision=self._session.revision,
-                facts=self._session.facts,
-            )
+            # A brand-new store makes the initial database durable before
+            # the first batch is acknowledged.
+            self._durability.create(self._session.facts, self._session.revision)
         # Readers run the session's evaluator, never the session itself:
         # it is the one object of the session that is safe to share.
         self._evaluator = self._session.evaluator

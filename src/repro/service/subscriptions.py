@@ -45,9 +45,9 @@ from itertools import count
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from ..core.queries import ConjunctiveQuery
-from ..core.terms import Constant, Term
 from ..errors import ReproError, ServiceClosedError
 from ..obs.metrics import MetricsRegistry
+from ..query.magic import MagicProgram
 from ..query.session import QuerySession, StandingDeltas, StandingQuery
 
 __all__ = ["Gap", "Notification", "Subscription", "SubscriptionRegistry"]
@@ -484,19 +484,21 @@ class SubscriptionRegistry:
         if projection is None:
             added_by: dict = {}
             removed_by: dict = {}
-            arity = standing.answer_arity
+            goal, arity = standing.goal, standing.answer_arity
+            decode = delta.symbols.decode_term
             for source, target in (
-                (delta.added, added_by),
-                (delta.removed, removed_by),
+                (delta.added_rows, added_by),
+                (delta.removed_rows, removed_by),
             ):
-                for atom in source:
-                    if atom.predicate != standing.goal:
-                        continue
-                    answer: Tuple[Term, ...] = atom.terms[:arity]
-                    # Mirror collect_answers: answers are constant tuples.
-                    if not all(isinstance(term, Constant) for term in answer):
-                        continue
-                    target.setdefault(atom.terms[arity:], set()).add(answer)
+                # A goal row's parameters follow its answer positions.
+                by_parameters: dict = {}
+                for predicate, row in source:
+                    if predicate is goal:
+                        by_parameters.setdefault(row[arity:], []).append(row)
+                for parameters, rows in by_parameters.items():
+                    target[tuple(map(decode, parameters))] = (
+                        MagicProgram.goal_answers(rows, arity, delta.symbols)
+                    )
             projection = (added_by, removed_by)
             projections[standing.plan_key] = projection
         added = frozenset(projection[0].get(standing.constants, ()))

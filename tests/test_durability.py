@@ -489,6 +489,48 @@ def test_compact_log_false_recovers_through_corrupt_checkpoints(tmp_path):
         reopened.close()
 
 
+@pytest.mark.parametrize(
+    "compact_log, close_checkpoint",
+    [(False, True), (True, False)],
+    ids=["full-log", "no-cadence-checkpoint"],
+)
+def test_every_checkpoint_corrupt_keeps_the_initial_database(
+    tmp_path, compact_log, close_checkpoint
+):
+    """The initial database is logged as batch 0, so when every checkpoint
+    fails validation the log alone rebuilds the store: seeded with
+    ``link(a, b). link(b, c).``, one acknowledged batch adding
+    ``link(c, d)``, then closed with the full log kept, or before any
+    checkpoint after the batch-0 one compacted the log."""
+    a, b, c, d = (Constant(name) for name in "abcd")
+    config = DurabilityConfig(
+        path=tmp_path,
+        compact_log=compact_log,
+        checkpoint_on_close=close_checkpoint,
+    )
+    service = DatalogService(
+        [Atom(LINK, (a, b)), Atom(LINK, (b, c))],
+        rules(),
+        durability=config,
+        metrics=MetricsRegistry(),
+    )
+    service.add_facts([Atom(LINK, (c, d))]).result()
+    expected_facts, expected_revision = service.facts, service.revision
+    service.close()
+    checkpoints = sorted(tmp_path.glob("checkpoint-*.ckpt"))
+    assert checkpoints
+    for checkpoint in checkpoints:
+        checkpoint.write_bytes(b"REPROCKP1\ncorrupt")
+    reopened = DatalogService((), rules(), durability=config, metrics=MetricsRegistry())
+    try:
+        assert reopened.facts == expected_facts == frozenset(
+            {Atom(LINK, (a, b)), Atom(LINK, (b, c)), Atom(LINK, (c, d))}
+        )
+        assert reopened.revision == expected_revision
+    finally:
+        reopened.close()
+
+
 def _five_batches_then_close(path):
     """A store with checkpoints after batches 2 and 4 and at close (after
     batch 5); the log was compacted at each, so it ends empty."""

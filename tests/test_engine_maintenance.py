@@ -21,6 +21,7 @@ from repro.engine import (
     SupportTable,
     fixpoint,
 )
+from repro.engine.intern import global_symbols
 from repro.query import evaluate_stratified
 
 A, B, C, D = (Constant(n) for n in "abcd")
@@ -65,8 +66,10 @@ class TestSupportTable:
         # parse keeps them distinct objects, so up to 4; dedup is per
         # (rule, head, body) key and must match the table size exactly.
         assert stats.supports_recorded == len(table.derivations)
+        # Records are keyed on (predicate, row) entries, not atoms.
         q_a = Predicate("q", 1)(A)
-        assert len(table.supports[q_a]) == stats.supports_recorded
+        entry = (q_a.predicate, global_symbols().encode_atom(q_a))
+        assert len(table.supports[entry]) == stats.supports_recorded
 
 
 class TestMaterializedViewCounting:

@@ -1154,7 +1154,9 @@ class TestMaintenanceParity:
     @staticmethod
     def _state(view):
         """The view's base facts, stored atoms and support records, as
-        sets; each record names its rule by the rule's text."""
+        sets; each record names its rule by the rule's text.  Records hold
+        ``(predicate, row)`` entries, which compare across views because
+        every view encodes against the process-wide symbol table."""
         support = view.support
         records = {
             (str(support._rule_refs[rid]), head, body, negative)
